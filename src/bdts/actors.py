@@ -1,8 +1,11 @@
 """Strategy-parameterized seller / consumer / provider agents.
 
-``run_scenario`` drives one full trade under a strategy profile and returns
-a transcript: contract events, balance deltas, appeal verdicts, and a
-data-recovery flag.  Cheating variants:
+``run_trade`` is the one trade pipeline: it drives a full trade under a
+strategy profile, with the shards split across providers and delivered by a
+caller-chosen transport, and returns a transcript: contract events, balance
+deltas, appeal verdicts, and a data-recovery flag.  ``run_scenario`` runs it
+on seeded random data with one provider and in-memory delivery; the
+benchmark runs it over throttled sockets.  Cheating variants:
 
 * seller ``b``/``d`` substitute garbage shards after passing exposure (the
   exposure step kills pre-exposure fakery outright, which would make those
@@ -15,11 +18,14 @@ data-recovery flag.  Cheating variants:
 * consumer ``f``/``g``/``h`` offer less than the listed price + fees, so
   the order is never funded.
 
-The honest consumer appeals on the first verification failure, routing the
-appeal by which posted key opens the delivered layer: an outer layer that
-will not open (or that opens to bytes outside the seller's commitment)
-implicates the provider; an inner layer that opens to bad plaintext, or
-that is genuine but will not open, implicates the seller.
+The consumer first checks every delivered shard against its provider's
+on-chain root.  The honest consumer appeals on the first verification
+failure, routing the appeal by which posted key opens the delivered layer:
+an outer layer that will not open (or that opens to bytes outside the
+seller's commitment) implicates the provider; an inner layer that opens to
+bad plaintext, or that is genuine but will not open, implicates the seller.
+Multi-provider appeals are not sound yet: ``AppealEvidence.index`` is read
+both within a provider's package and across the whole data set.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import crypto, metrics
 from .contracts import (
@@ -36,7 +43,7 @@ from .contracts import (
     SELLER_PAYEE,
     provider_payee,
 )
-from .errors import DecryptError, InsufficientTokens, InvalidInput
+from .errors import DecryptError, InsufficientTokens, InvalidInput, ProofFailure
 from .ledger import Ledger, address_for
 from .merkle import mproof, mtree, mvrfy
 from .sharding import provider_encrypt, reassemble, shard_encrypt
@@ -124,27 +131,69 @@ def run_scenario(
     slot: int = 1 << 20,
     strict_forfeit: bool = True,
 ) -> RunTranscript:
+    """One seeded trade of ``n`` random shards through a single provider."""
     if isinstance(profile, str):
         profile = StrategyProfile.parse(profile)
     _validate_params(x, y)
     rng = random.Random(("scenario", str(profile), seed).__repr__())
-    seller = address_for("actor:seller")
-    consumer = address_for("actor:consumer")
-    provider = address_for("actor:provider")
-    endow = 100 * price
-    ledger = Ledger({seller: endow, consumer: endow, provider: endow})
-    system = ContractSystem(ledger, ContractConfig(strict_forfeit=strict_forfeit))
-    tr = RunTranscript(
-        profile=str(profile), x=x, y=y, n=n, price=price, unit_price=unit_price, seed=seed
-    )
     data = rng.randbytes(n * slot)
-    master = hashlib.sha256(b"master" + str(seed).encode()).digest()
-    wrong_master = hashlib.sha256(b"not-the-master" + str(seed).encode()).digest()
+    return run_trade(
+        profile, data, slot, [list(range(n))], deliver_in_memory, rng,
+        x=x, y=y, price=price, unit_price=unit_price, seed=seed,
+        strict_forfeit=strict_forfeit,
+    )
+
+
+Served = list[dict[int, bytes]]  # per provider: shard index -> outer-layer shard
+
+
+def deliver_in_memory(served: Served) -> Served:
+    """Hand every provider's shards straight to the consumer."""
+    return served
+
+
+def run_trade(
+    profile: StrategyProfile,
+    data: bytes,
+    slot: int,
+    assignment: list[list[int]],
+    deliver: Callable[[Served], Served],
+    rng: random.Random,
+    x: float = 10.0,
+    y: float = 2.0,
+    price: int = 40,
+    unit_price: int = 1,
+    seed: int = 0,
+    strict_forfeit: bool = True,
+) -> RunTranscript:
+    """Trade ``data`` end to end under ``profile`` and return the transcript.
+
+    Provider ``p`` serves the shard indices ``assignment[p]``; ``deliver``
+    carries the shards the providers serve to the consumer.  Cheating
+    sellers and providers draw the garbage they serve from ``rng``.
+    """
+    seed_tag = str(seed).encode()
+    labels = ["seller", "consumer", "provider"] + [
+        f"provider{p}" for p in range(1, len(assignment))
+    ]
+    addrs = {label: address_for(f"actor:{label}") for label in labels}
+    seller, consumer = addrs["seller"], addrs["consumer"]
+    providers = [addrs[label] for label in labels[2:]]
+    master = hashlib.sha256(b"master" + seed_tag).digest()
+    wrong_master = hashlib.sha256(b"not-the-master" + seed_tag).digest()
 
     with metrics.collect() as col:
         with col.phase("upload"):
             shards = shard_encrypt(master, data, slot)
-            assert shards.n == n
+            n = shards.n
+            # every party can afford the full order
+            endow = max(100 * price, price + n * unit_price)
+            ledger = Ledger({addr: endow for addr in addrs.values()})
+            system = ContractSystem(ledger, ContractConfig(strict_forfeit=strict_forfeit))
+            tr = RunTranscript(
+                profile=str(profile), x=x, y=y, n=n, price=price,
+                unit_price=unit_price, seed=seed,
+            )
             data_id = system.ssmc_register_seller(
                 seller, "tcp://seller", "weather sensor dump", len(data), n,
                 shards.root_plain, shards.root_enc, price, unit_price,
@@ -158,8 +207,9 @@ def run_scenario(
                 for i in system.expected_exposure_indices(data_id)
             ]
             system.ssmc_expose(data_id, pieces)
-            system.ssmc_register_provider(provider, "tcp://provider", data_id)
-            system.ssmc_confirm_provider(seller, provider, data_id)
+            for label, provider in zip(labels[2:], providers):
+                system.ssmc_register_provider(provider, f"tcp://{label}", data_id)
+                system.ssmc_confirm_provider(seller, provider, data_id)
             ledger.mine_block()
 
         required = price + n * unit_price
@@ -179,12 +229,12 @@ def run_scenario(
             ledger.mine_block()
             system.ssmc_delist(seller, data_id)
             ledger.mine_block()
-            return _finalize(tr, ledger, col, seller, consumer, provider, endow)
+            return _finalize(tr, ledger, col, addrs, endow)
         tr.funded = True
 
         with col.phase("download"):
-            system.scmc_select(order_id, [(provider, list(range(n)))])
-            # the seller hands the provider one shard set (honest or substituted)
+            system.scmc_select(order_id, list(zip(providers, assignment)))
+            # the seller hands the providers one shard set (honest or substituted)
             if profile.seller in "bd":
                 basis = master if profile.seller == "b" else wrong_master
                 keys = crypto.derive_keys(basis, n)
@@ -194,40 +244,60 @@ def run_scenario(
             else:
                 inner_served = shards.enc_shards
             proofs_ed = [mproof(shards.tree_enc, i) for i in range(n)]
-            # the provider wraps what it actually serves and commits that root
-            if profile.provider in "kl":
-                to_wrap = [rng.randbytes(len(s)) for s in inner_served]
-            else:
-                to_wrap = list(inner_served)
-            pkg = provider_encrypt(to_wrap, hashlib.sha256(b"sp" + str(seed).encode()).digest())
-            system.scmc_record_provider_root(order_id, provider, pkg.root)
+            # each provider wraps what it actually serves and commits that root
+            packages = []
+            for p, (provider, indices) in enumerate(zip(providers, assignment)):
+                to_wrap = [inner_served[i] for i in indices]
+                if profile.provider in "kl":
+                    to_wrap = [rng.randbytes(len(s)) for s in to_wrap]
+                sp_seed = hashlib.sha256(b"sp" + bytes([p]) + seed_tag).digest()
+                pkg = provider_encrypt(to_wrap, sp_seed)
+                system.scmc_record_provider_root(order_id, provider, pkg.root)
+                packages.append(pkg)
             escrow = system.cpc_open(order_id)
             kp = crypto.pk_keygen(b"consumer" + str((str(profile), seed)).encode())
             system.cpc_post_pubkey(order_id, kp.public)
-            sp_key_posted = (
-                pkg.key
-                if profile.provider in "ik"
-                else hashlib.sha256(b"not-the-sp-key" + str(seed).encode()).digest()
-            )
-            system.cpc_post_key(
-                order_id, provider_payee(provider), crypto.pk_encrypt(kp.public, sp_key_posted)
-            )
+            wrong_sp_key = hashlib.sha256(b"not-the-sp-key" + seed_tag).digest()
+            for provider, pkg in zip(providers, packages):
+                sp_key_posted = pkg.key if profile.provider in "ik" else wrong_sp_key
+                system.cpc_post_key(
+                    order_id, provider_payee(provider),
+                    crypto.pk_encrypt(kp.public, sp_key_posted),
+                )
             ledger.mine_block()
-            # consumer: unwrap the provider key, peel the outer layer
-            posted_sp = crypto.pk_decrypt(
-                kp.private, escrow.posted_keys[provider_payee(provider)]
+            received = deliver(
+                [dict(zip(ix, pkg.eed_shards)) for ix, pkg in zip(assignment, packages)]
             )
-            proofs_eed = [mproof(pkg.tree_eed, i) for i in range(n)]
-            for i in range(n):
-                assert mvrfy(i, pkg.root, pkg.eed_shards[i], proofs_eed[i])
-            inner_got: list[bytes | None] = []
+            # consumer: check every package against its provider's on-chain
+            # root, unwrap the provider keys and peel the outer layer
+            source = {i: (p, j) for p, ix in enumerate(assignment) for j, i in enumerate(ix)}
+            inner_got = [b""] * n
             outer_fail = None
-            for i in range(n):
-                try:
-                    inner_got.append(crypto.sym_decrypt(posted_sp, pkg.eed_shards[i]))
-                except DecryptError:
-                    outer_fail = i
+            for p, (provider, indices) in enumerate(zip(providers, assignment)):
+                posted_sp = crypto.pk_decrypt(
+                    kp.private, escrow.posted_keys[provider_payee(provider)]
+                )
+                root = system.orders[order_id].provider_roots[provider]
+                for j, i in enumerate(indices):
+                    proof = mproof(packages[p].tree_eed, j)
+                    if not mvrfy(j, root, received[p].get(i, b""), proof):
+                        raise ProofFailure(f"shard {i} does not match {provider}'s root")
+                for i in indices:
+                    try:
+                        inner_got[i] = crypto.sym_decrypt(posted_sp, received[p][i])
+                    except DecryptError:
+                        outer_fail = i
+                        break
+                if outer_fail is not None:
                     break
+
+        def provider_evidence(i: int) -> tuple[str, AppealEvidence]:
+            # provider trees are indexed within the package, r_ed globally
+            p, j = source[i]
+            return provider_payee(providers[p]), AppealEvidence(
+                j, received[p][i], auth_proof=mproof(packages[p].tree_eed, j),
+                inner_proof=proofs_ed[i],
+            )
 
         appeal_payee = appeal_ev = None
         with col.phase("decrypt"):
@@ -239,37 +309,26 @@ def run_scenario(
             posted_master = crypto.pk_decrypt(kp.private, escrow.posted_keys[SELLER_PAYEE])
             if outer_fail is not None:
                 # outer layer will not open: the provider's posted key is bad
-                appeal_payee = provider_payee(provider)
-                appeal_ev = AppealEvidence(
-                    outer_fail, pkg.eed_shards[outer_fail],
-                    auth_proof=proofs_eed[outer_fail],
-                    inner_proof=proofs_ed[outer_fail],
-                )
+                appeal_payee, appeal_ev = provider_evidence(outer_fail)
             else:
                 shard_keys = crypto.derive_keys(posted_master, n)
                 plain_got: list[bytes] = []
-                bad = None
                 for i, enc_i in enumerate(inner_got):
                     ed_ok = mvrfy(i, shards.root_enc, enc_i, proofs_ed[i])
                     try:
-                        p = crypto.sym_decrypt(shard_keys[i], enc_i)
+                        plain = crypto.sym_decrypt(shard_keys[i], enc_i)
                     except DecryptError:
                         # genuine seller layer the posted key cannot open points
                         # at the seller; anything else was swapped in transit
-                        payee = SELLER_PAYEE if ed_ok else provider_payee(provider)
-                        if payee == SELLER_PAYEE:
-                            ev = AppealEvidence(
+                        if ed_ok:
+                            appeal_payee, appeal_ev = SELLER_PAYEE, AppealEvidence(
                                 i, enc_i, auth_proof=proofs_ed[i], inner_proof=proofs_ed[i]
                             )
                         else:
-                            ev = AppealEvidence(
-                                i, pkg.eed_shards[i],
-                                auth_proof=proofs_eed[i], inner_proof=proofs_ed[i],
-                            )
-                        bad, appeal_payee, appeal_ev = i, payee, ev
+                            appeal_payee, appeal_ev = provider_evidence(i)
                         break
-                    plain_got.append(p)
-                if bad is None:
+                    plain_got.append(plain)
+                if appeal_payee is None:
                     check = mtree(plain_got)
                     if check.root == shards.root_plain and reassemble(plain_got) == data:
                         tr.recovery = True
@@ -296,15 +355,11 @@ def run_scenario(
         system.cpc_settle(order_id)
         ledger.mine_block()
         tr.verdicts = dict(system.escrows[order_id].verdicts)
-    return _finalize(tr, ledger, col, seller, consumer, provider, endow)
+    return _finalize(tr, ledger, col, addrs, endow)
 
 
-def _finalize(tr, ledger, col, seller, consumer, provider, endow) -> RunTranscript:
-    tr.balances = {
-        "seller": ledger.balance(seller),
-        "consumer": ledger.balance(consumer),
-        "provider": ledger.balance(provider),
-    }
+def _finalize(tr, ledger, col, addrs, endow) -> RunTranscript:
+    tr.balances = {label: ledger.balance(addr) for label, addr in addrs.items()}
     tr.deltas = {k: v - endow for k, v in tr.balances.items()}
     tr.events = [dict(e) for e in ledger.events]
     tr.phase_ops = {label: c.as_dict() for label, c in col.phases.items()}

@@ -1,13 +1,16 @@
 """Multi-provider parallel download benchmark and per-phase op accounting.
 
+Each repetition is one honest trade through ``actors.run_trade``.
 Providers serve disjoint shard ranges over loopback socket pairs with a
-per-connection bandwidth cap (default 60 MB/s), so adding providers shortens
-the transfer even on one machine.  Wall-time figures are medians over the
-configured repetitions; operation counts are timing-independent.
+per-connection bandwidth cap (default 60 MB/s; 0 means no cap), so adding
+providers shortens the transfer even on one machine.  Only the transfer is
+timed.  Wall-time figures are medians over the configured repetitions;
+operation counts are timing-independent.
 """
 from __future__ import annotations
 
-import hashlib
+import functools
+import io
 import random
 import socket
 import statistics
@@ -16,15 +19,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from . import crypto, metrics
-from .contracts import ContractConfig, ContractSystem, SELLER_PAYEE, provider_payee
+from .actors import Served, StrategyProfile, run_trade
 from .errors import InvalidInput
-from .ledger import Ledger, address_for
-from .merkle import mproof, mtree
 from .metrics import OpCounters
-from .sharding import DEFAULT_SLOT, provider_encrypt, reassemble, shard_encrypt
+from .sharding import DEFAULT_SLOT
 
 DEFAULT_BANDWIDTH = 60 * 1000 * 1000  # bytes/s per connection
+_HONEST = StrategyProfile("a", "e", "i")
 _HEADER = struct.Struct("!II")  # shard index, payload length
 _CHUNK = 64 * 1024
 
@@ -52,13 +53,14 @@ class BenchConfig:
             raise InvalidInput("size, slot, and reps must be >= 1")
         if self.data_type not in _TYPE_MAGIC:
             raise InvalidInput(f"data type must be one of {sorted(_TYPE_MAGIC)}")
+        if self.bandwidth < 0:
+            raise InvalidInput("bandwidth must be >= 0 (0: no cap)")
 
 
 @dataclass
 class BenchReport:
     config: BenchConfig
     download_times: list[float] = field(default_factory=list)
-    total_times: list[float] = field(default_factory=list)
     throughputs: list[float] = field(default_factory=list)
     counters: dict[str, dict[str, int]] = field(default_factory=dict)
     recovery: bool = False
@@ -96,37 +98,66 @@ def synthetic_data(data_type: str, size: int, seed: int) -> bytes:
 
 
 def _serve(sock: socket.socket, shards: dict[int, bytes], bandwidth: int) -> None:
-    """Send each shard framed as (index, length, bytes) under a rate cap."""
+    """Send each shard framed as (index, length, bytes) under a rate cap of
+    ``bandwidth`` bytes/s; 0 means no cap."""
     start = time.perf_counter()
     sent = 0
-    try:
-        for index, payload in shards.items():
-            blob = _HEADER.pack(index, len(payload)) + payload
-            for off in range(0, len(blob), _CHUNK):
-                sock.sendall(blob[off : off + _CHUNK])
-                sent += len(blob[off : off + _CHUNK])
+    for index, payload in shards.items():
+        blob = _HEADER.pack(index, len(payload)) + payload
+        for off in range(0, len(blob), _CHUNK):
+            sock.sendall(blob[off : off + _CHUNK])
+            sent += len(blob[off : off + _CHUNK])
+            if bandwidth:
                 due = sent / bandwidth
                 elapsed = time.perf_counter() - start
                 if due > elapsed:
                     time.sleep(due - elapsed)
-    finally:
-        sock.shutdown(socket.SHUT_WR)
 
 
-def _recv_exact(sock: socket.socket, size: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < size:
-        part = sock.recv(min(_CHUNK, size - len(buf)))
-        if not part:
-            raise ConnectionError("peer closed mid-frame")
-        buf += part
-    return bytes(buf)
+def _recv_exact(stream: io.BufferedReader, size: int) -> bytes:
+    data = stream.read(size)
+    if len(data) < size:
+        raise ConnectionError("peer closed mid-frame")
+    return data
 
 
 def _fetch(sock: socket.socket, count: int, into: dict[int, bytes]) -> None:
-    for _ in range(count):
-        index, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-        into[index] = _recv_exact(sock, length)
+    with sock.makefile("rb") as stream:
+        for _ in range(count):
+            index, length = _HEADER.unpack(_recv_exact(stream, _HEADER.size))
+            into[index] = _recv_exact(stream, length)
+
+
+def _deliver(bandwidth: int, times: list[float], served: Served) -> Served:
+    """Move each provider's shards over its own socket pair, all providers in
+    parallel, and append the transfer's wall time to ``times``.
+
+    An error in a sending or receiving thread is raised here."""
+    errors: list[Exception] = []
+
+    def run(target, sock, *args):
+        try:
+            target(sock, *args)
+        except Exception as exc:
+            errors.append(exc)  # before the close, so the cause comes first
+        finally:
+            sock.close()  # the peer sees end of stream and stops too
+
+    received: Served = [{} for _ in served]
+    threads = []
+    t0 = time.perf_counter()
+    for shards, into in zip(served, received):
+        left, right = socket.socketpair()
+        threads.append(threading.Thread(target=run, args=(_serve, left, shards, bandwidth)))
+        threads.append(threading.Thread(target=run, args=(_fetch, right, len(shards), into)))
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    times.append(time.perf_counter() - t0)
+    if errors:
+        raise errors[0]
+    return received
 
 
 def _ranges(n: int, parts: int) -> list[list[int]]:
@@ -141,126 +172,24 @@ def _ranges(n: int, parts: int) -> list[list[int]]:
 
 
 def bench_download(config: BenchConfig) -> BenchReport:
+    """Run ``config.reps`` honest trades with the shards split across
+    ``config.providers`` providers and delivered over the throttled wire."""
     data = synthetic_data(config.data_type, config.size_bytes, config.seed)
     report = BenchReport(config=config)
+    assignment = _ranges(-(-config.size_bytes // config.slot), config.providers)
+    deliver = functools.partial(_deliver, config.bandwidth, report.download_times)
     for rep in range(config.reps):
-        report_ops, download_s, total_s, recovered = _run_once(config, data)
-        report.download_times.append(download_s)
-        report.total_times.append(total_s)
-        report.throughputs.append(config.size_bytes / download_s)
-        report.recovery = recovered if rep == 0 else (report.recovery and recovered)
+        tr = run_trade(
+            _HONEST, data, config.slot, assignment, deliver, random.Random(config.seed),
+            seed=config.seed,
+        )
+        report.throughputs.append(config.size_bytes / report.download_times[-1])
+        report.recovery = tr.recovery if rep == 0 else (report.recovery and tr.recovery)
         if rep == 0:
-            report.counters = report_ops
-        elif report.counters != report_ops:
+            report.counters = tr.phase_ops
+        elif report.counters != tr.phase_ops:
             raise InvalidInput("operation counts varied between repetitions")
     return report
-
-
-def _run_once(config: BenchConfig, data: bytes) -> tuple[dict, float, float, bool]:
-    seed_tag = str(config.seed).encode()
-    seller = address_for("bench:seller")
-    consumer = address_for("bench:consumer")
-    providers = [address_for(f"bench:provider{p}") for p in range(config.providers)]
-    price, unit_price = 40, 1
-    endow = price * 100 + config.size_bytes // config.slot + 10
-    ledger = Ledger({seller: endow, consumer: endow, **{p: endow for p in providers}})
-    system = ContractSystem(ledger, ContractConfig())
-    began = time.perf_counter()
-    with metrics.collect() as col:
-        with col.phase("upload"):
-            master = hashlib.sha256(b"bench-master" + seed_tag).digest()
-            shards = shard_encrypt(master, data, config.slot)
-            data_id = system.ssmc_register_seller(
-                seller, "tcp://seller", f"bench {config.data_type}", len(data),
-                shards.n, shards.root_plain, shards.root_enc, price, unit_price,
-                deposit=system.min_deposit(price),
-            )
-            ledger.mine_block()
-            ledger.mine_block()
-            pieces = [
-                (i, shards.plain_shards[i], mproof(shards.tree_plain, i),
-                 mproof(shards.tree_enc, i), shards.enc_shards[i])
-                for i in system.expected_exposure_indices(data_id)
-            ]
-            system.ssmc_expose(data_id, pieces)
-            for p, addr in enumerate(providers):
-                system.ssmc_register_provider(addr, f"tcp://p{p}", data_id)
-                system.ssmc_confirm_provider(seller, addr, data_id)
-            ledger.mine_block()
-
-        ranges = _ranges(shards.n, config.providers)
-        serving = providers[: len(ranges)]
-        order_id = system.scmc_place_order(
-            consumer, data_id, price + shards.n * unit_price
-        )
-        system.scmc_select(order_id, list(zip(serving, ranges)))
-
-        with col.phase("download"):
-            packages = []
-            for p, indices in enumerate(ranges):
-                pkg = provider_encrypt(
-                    [shards.enc_shards[i] for i in indices],
-                    hashlib.sha256(b"bench-sp" + bytes([p]) + seed_tag).digest(),
-                )
-                packages.append(pkg)
-                system.scmc_record_provider_root(order_id, serving[p], pkg.root)
-            escrow = system.cpc_open(order_id)
-            kp = crypto.pk_keygen(b"bench-consumer" + seed_tag)
-            system.cpc_post_pubkey(order_id, kp.public)
-            for p, addr in enumerate(serving):
-                system.cpc_post_key(
-                    order_id, provider_payee(addr),
-                    crypto.pk_encrypt(kp.public, packages[p].key),
-                )
-            ledger.mine_block()
-
-            # parallel transfer: one serving thread and one reader per provider
-            wire: dict[int, bytes] = {}
-            threads = []
-            t0 = time.perf_counter()
-            for p, indices in enumerate(ranges):
-                left, right = socket.socketpair()
-                payloads = dict(zip(indices, packages[p].eed_shards))
-                threads.append(
-                    threading.Thread(
-                        target=_serve, args=(left, payloads, config.bandwidth)
-                    )
-                )
-                threads.append(
-                    threading.Thread(target=_fetch, args=(right, len(indices), wire))
-                )
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            download_s = time.perf_counter() - t0
-
-            inner: list[bytes] = [b""] * shards.n
-            for p, indices in enumerate(ranges):
-                key = crypto.pk_decrypt(
-                    kp.private, escrow.posted_keys[provider_payee(serving[p])]
-                )
-                for i in indices:
-                    inner[i] = crypto.sym_decrypt(key, wire[i])
-
-        with col.phase("decrypt"):
-            system.cpc_post_key(
-                order_id, SELLER_PAYEE, crypto.pk_encrypt(kp.public, master)
-            )
-            ledger.mine_block()
-            got_master = crypto.pk_decrypt(kp.private, escrow.posted_keys[SELLER_PAYEE])
-            keys = crypto.derive_keys(got_master, shards.n)
-            plain = [crypto.sym_decrypt(keys[i], inner[i]) for i in range(shards.n)]
-            recovered = (
-                mtree(plain).root == shards.root_plain and reassemble(plain) == data
-            )
-
-        for _ in range(system.config.appeal_window + 1):
-            ledger.mine_block()
-        system.cpc_settle(order_id)
-        total_s = time.perf_counter() - began
-        ops = {label: c.as_dict() for label, c in col.phases.items()}
-    return ops, download_s, total_s, recovered
 
 
 def count_phase_ops(transcript) -> dict[str, OpCounters]:

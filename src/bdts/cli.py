@@ -46,10 +46,7 @@ def _cmd_scenario(args) -> int:
     print(tr.to_json())
     _write_report(args.out, json.loads(tr.to_json()))
     try:
-        game.crosscheck_simulation(
-            args.profile, x=args.x, y=args.y, n=args.n, price=args.price,
-            unit_price=args.unit_price, seed=args.seed, slot=args.slot,
-        )
+        game.crosscheck_transcript(tr)
     except Mismatch as exc:
         print(f"model mismatch: {exc}", file=sys.stderr)
         return 1

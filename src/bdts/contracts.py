@@ -72,7 +72,6 @@ def default_exposure_count(n: int) -> int:
 class ContractConfig:
     appeal_window: int = 10  # blocks
     strict_forfeit: bool = False
-    keyword_equality: bool = False  # exact-match product search instead of substring
     exposure_count: object = None  # callable n -> k; None = default
 
 
@@ -100,7 +99,6 @@ class DataRecord:
     reg_block: int
     status: str = REGISTERED
     exposed_indices: list[int] = field(default_factory=list)
-    exposed_ok: bool = False
     providers: dict[Address, SPRecord] = field(default_factory=dict)
     deposit_returned: bool = False
     delisted: bool = False
@@ -122,7 +120,6 @@ class Order:
 class Escrow:
     order_id: str
     held: int
-    open_height: int
     post_deadline: int
     tranches: dict[str, int]  # payee -> token amount
     payee_addrs: dict[str, Address]
@@ -130,7 +127,6 @@ class Escrow:
     posted_keys: dict[str, bytes] = field(default_factory=dict)
     appeal_deadlines: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
-    paid_out: int = 0
 
 
 @dataclass
@@ -161,6 +157,7 @@ class ContractSystem:
         self.orders: dict[str, Order] = {}
         self.escrows: dict[str, Escrow] = {}
         self.exposed_piece_index: dict[bytes, str] = {}  # plaintext hash -> data_id
+        self.listed_roots: dict[bytes, str] = {}  # r_d -> data_id, while listed
         self.seen_pubkeys: set[bytes] = set()
         self.escrow_flows: dict[str, dict[str, int]] = {}  # order -> {"in": .., "out": ..}
         self._data_counter = 0
@@ -192,9 +189,8 @@ class ContractSystem:
             raise InsufficientDeposit(
                 f"deposit {deposit} below minimum {self.min_deposit(price)}"
             )
-        for rec in self.records.values():
-            if rec.r_d == r_d and rec.status != REJECTED and not rec.delisted:
-                raise DuplicateRoot(f"root already listed as {rec.data_id}")
+        if r_d in self.listed_roots:
+            raise DuplicateRoot(f"root already listed as {self.listed_roots[r_d]}")
         if not self.ledger.transfer(seller, self.ssmc_addr, deposit, memo="deposit"):
             raise InsufficientDeposit("seller balance does not cover deposit")
         self._data_counter += 1
@@ -215,6 +211,7 @@ class ContractSystem:
             deposit=deposit,
             reg_block=reg_block,
         )
+        self.listed_roots[r_d] = data_id
         self.ledger.log_event("register_seller", data_id=data_id, seller=seller)
         return data_id
 
@@ -248,7 +245,6 @@ class ContractSystem:
         for i, plain, *_ in pieces:
             self.exposed_piece_index[hashlib.sha256(plain).digest()] = data_id
         rec.exposed_indices = expected
-        rec.exposed_ok = True
         rec.status = EXPOSED
         self.ledger.log_event("expose_ok", data_id=data_id, indices=expected)
         return EXPOSED
@@ -256,7 +252,13 @@ class ContractSystem:
     def _reject(self, rec: DataRecord, reason: str) -> None:
         # deposit stays with SSMC: forfeited
         rec.status = REJECTED
+        self._unlist_root(rec)
         self.ledger.log_event("reject", data_id=rec.data_id, reason=reason)
+
+    def _unlist_root(self, rec: DataRecord) -> None:
+        # the root may already be listed again under a newer record
+        if self.listed_roots.get(rec.r_d) == rec.data_id:
+            del self.listed_roots[rec.r_d]
 
     def ssmc_register_provider(self, provider: Address, endpoint: str, data_id: str) -> None:
         rec = self._record(data_id)
@@ -289,6 +291,7 @@ class ContractSystem:
         if open_orders:
             raise BadState("cannot delist with open orders")
         rec.delisted = True
+        self._unlist_root(rec)
         if rec.status != REJECTED and not rec.deposit_returned:
             rec.deposit_returned = True
             self.ledger.transfer(self.ssmc_addr, seller, rec.deposit, memo="deposit-return")
@@ -299,11 +302,7 @@ class ContractSystem:
         for rec in self.records.values():
             if rec.status != LIVE or rec.delisted:
                 continue
-            if self.config.keyword_equality:
-                hit = rec.description == keyword
-            else:
-                hit = keyword.lower() in rec.description.lower()
-            if hit:
+            if keyword.lower() in rec.description.lower():
                 out.append(
                     {
                         "data_id": rec.data_id,
@@ -393,7 +392,6 @@ class ContractSystem:
         escrow = Escrow(
             order_id=order_id,
             held=order.tokens,
-            open_height=self.ledger.height,
             post_deadline=self.ledger.height + self.config.appeal_window,
             tranches=tranches,
             payee_addrs=payee_addrs,

@@ -65,9 +65,9 @@ def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     metrics.record("sym_decryptions")
     if len(ciphertext) < NONCE_SIZE + 16:
         raise DecryptError("ciphertext too short")
-    nonce, body = ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:]
+    view = memoryview(ciphertext)  # slices without copying the body
     try:
-        return AESGCM(key).decrypt(nonce, body, None)
+        return AESGCM(key).decrypt(view[:NONCE_SIZE], view[NONCE_SIZE:], None)
     except InvalidTag as exc:
         raise DecryptError("authentication failed") from exc
 

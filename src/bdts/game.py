@@ -21,6 +21,7 @@ from .actors import (
     CONSUMER_STRATEGIES,
     PROVIDER_STRATEGIES,
     SELLER_STRATEGIES,
+    RunTranscript,
     StrategyProfile,
     all_profiles,
     run_scenario,
@@ -259,6 +260,32 @@ def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> StrategyProfi
     return StrategyProfile(sl_choice, cm_choice, sp_policy[sl_choice, cm_choice])
 
 
+def crosscheck_transcript(tr: RunTranscript) -> bool:
+    """Compare a run's balance deltas with ``token_flows``.
+
+    The run's ``price`` must be a multiple of 20 and its ``n * unit_price``
+    must scale the 4-unit fee by the same factor, so unit amounts map to
+    whole tokens.
+    """
+    if tr.price % PRICE:
+        raise InvalidInput("price must be a multiple of 20 units")
+    scale = tr.price // PRICE
+    if tr.n * tr.unit_price != FEE * scale:
+        raise InvalidInput("n * unit_price must equal 4 units at the same scale")
+    want = token_flows(StrategyProfile.parse(tr.profile), tr.x, tr.y)
+    got = PayoffVector(
+        tr.deltas["seller"] / scale,
+        tr.deltas["consumer"] / scale,
+        tr.deltas["provider"] / scale,
+    )
+    if tuple(got) != tuple(want):
+        raise Mismatch(
+            f"{tr.profile}: model {tuple(want)} != simulated {tuple(got)} "
+            f"(token deltas {tr.deltas}, scale {scale})"
+        )
+    return True
+
+
 def crosscheck_simulation(
     profile: StrategyProfile | str,
     x: float = 10.0,
@@ -269,31 +296,9 @@ def crosscheck_simulation(
     seed: int = 0,
     slot: int = 4096,
 ) -> bool:
-    """Run the full pipeline and compare balance deltas with token_flows.
-
-    ``price`` must be a multiple of 20 and ``n * unit_price`` must scale the
-    4-unit fee by the same factor, so unit amounts map to whole tokens.
-    """
-    if isinstance(profile, str):
-        profile = StrategyProfile.parse(profile)
-    if price % PRICE:
-        raise InvalidInput("price must be a multiple of 20 units")
-    scale = price // PRICE
-    if n * unit_price != FEE * scale:
-        raise InvalidInput("n * unit_price must equal 4 units at the same scale")
+    """Run the full pipeline under strict forfeit and check the transcript."""
     tr = run_scenario(
         profile, x=x, y=y, n=n, price=price, unit_price=unit_price,
         seed=seed, slot=slot, strict_forfeit=True,
     )
-    want = token_flows(profile, x, y)
-    got = PayoffVector(
-        tr.deltas["seller"] / scale,
-        tr.deltas["consumer"] / scale,
-        tr.deltas["provider"] / scale,
-    )
-    if tuple(got) != tuple(want):
-        raise Mismatch(
-            f"{profile}: model {tuple(want)} != simulated {tuple(got)} "
-            f"(token deltas {tr.deltas}, scale {scale})"
-        )
-    return True
+    return crosscheck_transcript(tr)

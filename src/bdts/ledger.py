@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidInput, NotFound
 
@@ -27,14 +27,6 @@ class Block:
     parent: bytes
     tx_digest: bytes
     hash: bytes
-
-
-@dataclass(frozen=True)
-class Transfer:
-    src: Address
-    dst: Address
-    amount: int
-    memo: str = ""
 
 
 GENESIS_PARENT = b"\x00" * 32
@@ -91,11 +83,8 @@ class Ledger:
 
     # -- blocks -----------------------------------------------------------
 
-    def mine_block(self, pending: list[Transfer] | None = None) -> Block:
-        """Execute any ``pending`` transfers, then seal a block over every
-        event since the last one."""
-        for t in pending or []:
-            self.transfer(t.src, t.dst, t.amount, t.memo)
+    def mine_block(self) -> Block:
+        """Seal a block over every event since the last one."""
         height = len(self.blocks)
         parent = self.blocks[-1].hash if self.blocks else GENESIS_PARENT
         tx_digest = hashlib.sha256(

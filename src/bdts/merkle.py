@@ -18,7 +18,9 @@ _NODE_PREFIX = b"\x01"
 
 
 def _hash_leaf(data: bytes) -> bytes:
-    return hashlib.sha256(_LEAF_PREFIX + data).digest()
+    h = hashlib.sha256(_LEAF_PREFIX)
+    h.update(data)  # no copy of the leaf, unlike prefix + data
+    return h.digest()
 
 
 def _hash_node(left: bytes, right: bytes) -> bytes:

@@ -61,9 +61,6 @@ class OpCollector:
             return
         self.phases.setdefault(self._active, OpCounters()).bump(op, amount)
 
-    def counters(self, label: str) -> OpCounters:
-        return self.phases.get(label, OpCounters())
-
 
 _state = threading.local()
 

@@ -2,9 +2,7 @@
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import crypto
 from .errors import InvalidInput
@@ -29,7 +27,6 @@ class ShardSet:
     """
 
     n: int
-    slot: int
     plain_shards: tuple[bytes, ...]
     enc_shards: tuple[bytes, ...]
     tree_plain: MerkleTree
@@ -66,7 +63,6 @@ def shard_encrypt(master: bytes, data: bytes, slot: int = DEFAULT_SLOT) -> Shard
     enc = [crypto.sym_encrypt(k, shard) for k, shard in zip(keys, plain)]
     return ShardSet(
         n=len(plain),
-        slot=slot,
         plain_shards=tuple(plain),
         enc_shards=tuple(enc),
         tree_plain=mtree(plain),
@@ -87,26 +83,3 @@ def provider_encrypt(enc_shards: list[bytes], sp_seed: bytes) -> ProviderPackage
     eed = [crypto.sym_encrypt(key, shard) for shard in enc_shards]
     return ProviderPackage(key=key, eed_shards=tuple(eed), tree_eed=mtree(eed))
 
-
-def save_shards(base_dir: str | Path, data_id: str, shard_set: ShardSet) -> Path:
-    """Persist encrypted shards as <data_id>/<index>.shard with a JSON manifest."""
-    out = Path(base_dir) / data_id
-    out.mkdir(parents=True, exist_ok=True)
-    for i, shard in enumerate(shard_set.enc_shards):
-        (out / f"{i}.shard").write_bytes(shard)
-    manifest = {
-        "n": shard_set.n,
-        "slot": shard_set.slot,
-        "r_d": shard_set.root_plain.hex(),
-        "r_ed": shard_set.root_enc.hex(),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
-    return out
-
-
-def load_shards(base_dir: str | Path, data_id: str) -> tuple[dict, list[bytes]]:
-    """Load the manifest and encrypted shard bytes written by :func:`save_shards`."""
-    base = Path(base_dir) / data_id
-    manifest = json.loads((base / "manifest.json").read_text())
-    shards = [(base / f"{i}.shard").read_bytes() for i in range(manifest["n"])]
-    return manifest, shards

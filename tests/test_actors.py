@@ -1,8 +1,20 @@
 """Scenario-level behavior: who recovers, who gets paid, who gets caught."""
+import functools
+import random
+
 import pytest
 
-from bdts.actors import StrategyProfile, all_profiles, cheat_catalog, run_scenario
-from bdts.errors import InvalidInput
+from bdts import bench
+from bdts.actors import (
+    StrategyProfile,
+    all_profiles,
+    cheat_catalog,
+    deliver_in_memory,
+    run_scenario,
+    run_trade,
+)
+from bdts.errors import InvalidInput, ProofFailure
+from bdts.ledger import address_for
 
 SLOT = 1024  # small shards keep the full matrix fast
 
@@ -102,3 +114,37 @@ def test_phase_ops_present_for_funded_run():
     assert set(tr.phase_ops) == {"upload", "download", "decrypt"}
     tr = run("cei")
     assert "appeal" in tr.phase_ops
+
+
+HONEST = StrategyProfile.parse("aei")
+OVER_SOCKETS = functools.partial(bench._deliver, 0, [])
+
+
+@pytest.mark.parametrize("deliver", (deliver_in_memory, OVER_SOCKETS), ids=("memory", "sockets"))
+@pytest.mark.parametrize("providers", (2, 3))
+def test_honest_multi_provider_trade(providers, deliver):
+    n = 7
+    data = random.Random(providers).randbytes(n * SLOT - 100)  # short last shard
+    ranges = bench._ranges(n, providers)
+    tr = run_trade(HONEST, data, SLOT, ranges, deliver, random.Random(0))
+    assert tr.funded and tr.recovery and not tr.appeals and not tr.verdicts
+    labels = ["provider"] + [f"provider{p}" for p in range(1, providers)]
+    assert [tr.deltas[label] for label in labels] == [len(r) * tr.unit_price for r in ranges]
+    assert tr.deltas["seller"] == tr.price
+    assert tr.deltas["consumer"] == -(tr.price + n * tr.unit_price)
+    assert sum(tr.deltas.values()) == 0  # supply conserved, no contract keeps tokens
+    cpc = address_for("contract:CPC")
+    moved = [e for e in tr.events if e["type"] == "transfer" and e["status"] == "applied"]
+    escrow_in = sum(e["amount"] for e in moved if e["to"] == cpc)
+    escrow_out = sum(e["amount"] for e in moved if e["from"] == cpc)
+    assert escrow_in == escrow_out == tr.price + n * tr.unit_price
+
+
+def test_tampered_delivery_is_refused():
+    def flip_a_bit(served):
+        shards = served[0]
+        shards[0] = bytes([shards[0][0] ^ 1]) + shards[0][1:]
+        return served
+
+    with pytest.raises(ProofFailure):
+        run_trade(HONEST, bytes(4 * SLOT), SLOT, [[0, 1, 2, 3]], flip_a_bit, random.Random(0))

@@ -14,6 +14,8 @@ def test_config_validation():
         bench.BenchConfig(providers=7)
     with pytest.raises(InvalidInput):
         bench.BenchConfig(data_type="audio")
+    with pytest.raises(InvalidInput):
+        bench.BenchConfig(bandwidth=-1)
 
 
 def test_synthetic_data_magic_and_size():
@@ -58,3 +60,32 @@ def test_count_phase_ops_from_transcript():
     assert ops["upload"].as_tuple() == (4, 0, 0, 0, 2, 2 * 2)
     assert ops["decrypt"].sym_decryptions == 4
     assert ops["decrypt"].asym_decryptions == 1
+
+
+def test_bench_counters_match_scenario():
+    n, slot = 8, 4096
+    report = bench.bench_download(
+        bench.BenchConfig(size_bytes=n * slot, slot=slot, providers=1, reps=1)
+    )
+    assert report.counters == run_scenario("aei", n=n, slot=slot).phase_ops
+
+
+def test_bandwidth_zero_means_no_cap():
+    report = bench.bench_download(bench.BenchConfig(providers=2, **{**SMALL, "bandwidth": 0}))
+    assert report.recovery
+    assert all(t > 0 for t in report.download_times)
+
+
+def test_serve_thread_error_reaches_caller(monkeypatch):
+    def broken(sock, shards, bandwidth):
+        raise RuntimeError("serve failed")
+
+    monkeypatch.setattr(bench, "_serve", broken)
+    with pytest.raises(RuntimeError, match="serve failed"):
+        bench.bench_download(bench.BenchConfig(providers=2, **SMALL))
+
+
+def test_many_small_shards_are_still_funded():
+    # 4000 shards cost more than the 100 x price every party starts with
+    cfg = bench.BenchConfig(size_bytes=8000, slot=2, reps=1, bandwidth=0)
+    assert bench.bench_download(cfg).recovery

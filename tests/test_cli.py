@@ -34,6 +34,19 @@ def test_scenario_cheater_still_checks_model(capsys):
     assert cli.main(["scenario", "--profile", "cei", "--slot", "512"]) == 0
 
 
+def test_scenario_underpaying_consumer_matches_model():
+    assert cli.main(["scenario", "--profile", "afi", "--slot", "512"]) == 0
+
+
+def test_scenario_checks_the_run_it_printed(capsys):
+    # without the forfeit nobody pays anything, which the model does not predict
+    argv = ["scenario", "--profile", "afi", "--no-strict-forfeit", "--slot", "512"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert set(json.loads(out.splitlines()[0])["deltas"].values()) == {0}
+    assert "model mismatch" in err
+
+
 def test_game_verb_reports_spne(capsys):
     assert cli.main(["game", "--x", "10", "--y", "2"]) == 0
     assert "spne=aei" in capsys.readouterr().out

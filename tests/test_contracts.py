@@ -121,6 +121,16 @@ def test_rejected_listing_does_not_block_reregistration():
     assert s.records[data_id2].status == EXPOSED
 
 
+def test_delisted_listing_does_not_block_reregistration():
+    s = make_system()
+    data_id, _ = go_live(s)
+    s.ssmc_delist(SELLER, data_id)
+    register(s)  # same content, prior record is delisted
+    s.ssmc_delist(SELLER, data_id)  # delisting the old record again frees nothing
+    with pytest.raises(DuplicateRoot):
+        register(s)
+
+
 def test_expose_wrong_indices():
     s = make_system()
     data_id, shards = register(s)

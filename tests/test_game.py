@@ -105,6 +105,14 @@ def test_crosscheck_honest_and_cheating():
     assert game.crosscheck_simulation("ahl", slot=512)
 
 
+def test_crosscheck_runs_the_scenario_once(monkeypatch):
+    runs = []
+    real = game.run_scenario
+    monkeypatch.setattr(game, "run_scenario", lambda *a, **kw: runs.append(a) or real(*a, **kw))
+    assert game.crosscheck_simulation("aei", slot=512)
+    assert len(runs) == 1
+
+
 def test_crosscheck_rejects_bad_scaling():
     with pytest.raises(InvalidInput):
         game.crosscheck_simulation("aei", price=30)

@@ -3,7 +3,7 @@ import collections
 import pytest
 
 from bdts.errors import InvalidInput, NotFound
-from bdts.ledger import Ledger, Transfer, address_for, rand_indices
+from bdts.ledger import Ledger, address_for, rand_indices
 
 A, B, C = address_for("a"), address_for("b"), address_for("c")
 
@@ -44,8 +44,11 @@ def test_zero_amount_rejected():
 
 def test_supply_conserved_through_blocks():
     led = Ledger({A: 50, B: 50})
-    led.mine_block([Transfer(A, B, 10), Transfer(B, C, 30), Transfer(C, A, 5)])
+    for src, dst, amount in ((A, B, 10), (B, C, 30), (C, A, 5)):
+        assert led.transfer(src, dst, amount)
+    led.mine_block()
     assert led.total_supply() == 100
+    assert (led.balance(A), led.balance(B), led.balance(C)) == (45, 30, 25)
 
 
 def test_chain_links_and_seed():
@@ -64,7 +67,8 @@ def test_replay_determinism():
         led.transfer(A, B, 7, memo="one")
         led.mine_block()
         led.log_event("note", n=3)
-        led.mine_block([Transfer(B, C, 50)])
+        led.transfer(B, C, 50)
+        led.mine_block()
         return led
 
     x, y = build(), build()

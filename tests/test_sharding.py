@@ -54,13 +54,3 @@ def test_provider_keys_differ_by_seed():
     a = sharding.provider_encrypt(shards, b"seed-a")
     b = sharding.provider_encrypt(shards, b"seed-b")
     assert a.key != b.key and a.root != b.root
-
-
-def test_save_load_roundtrip(tmp_path):
-    ss = sharding.shard_encrypt(MASTER, b"persist me" * 30, slot=50)
-    sharding.save_shards(tmp_path, "d0001", ss)
-    manifest, shards = sharding.load_shards(tmp_path, "d0001")
-    assert manifest["n"] == ss.n
-    assert manifest["r_d"] == ss.root_plain.hex()
-    assert manifest["r_ed"] == ss.root_enc.hex()
-    assert shards == list(ss.enc_shards)
