@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import zlib
+
 import pytest
 
 from bdts import bench
 from bdts.actors import run_scenario
 from bdts.errors import InvalidInput
 
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 SMALL = dict(size_bytes=200_000, slot=20_000, reps=2, bandwidth=200_000_000)
 
 
@@ -25,6 +31,11 @@ def test_synthetic_data_magic_and_size():
         assert blob.startswith(magic)
     assert bench.synthetic_data("text", 100, 1) == bench.synthetic_data("text", 100, 1)
     assert bench.synthetic_data("text", 100, 1) != bench.synthetic_data("text", 100, 2)
+
+
+def test_synthetic_data_does_not_compress():
+    blob = bench.synthetic_data("text", 1_000_000, seed=3)
+    assert len(zlib.compress(blob, 9)) >= 0.99 * len(blob)
 
 
 def test_ranges_partition():
@@ -89,3 +100,38 @@ def test_many_small_shards_are_still_funded():
     # 4000 shards cost more than the 100 x price every party starts with
     cfg = bench.BenchConfig(size_bytes=8000, slot=2, reps=1, bandwidth=0)
     assert bench.bench_download(cfg).recovery
+
+
+@pytest.mark.parametrize("bandwidth", [2_000_000, 0])
+def test_wire_delivers_odd_length_shards_exactly(bandwidth):
+    # lengths that are not multiples of the send chunk, including empty
+    chunk = bench._CHUNK
+    lengths = [[3 * chunk + 5, 0, 1], [chunk - 1, chunk + 1, 2 * chunk]]
+    blob = bench.synthetic_data("text", sum(map(sum, lengths)), seed=9)
+    served, cursor = [], 0
+    for p, sizes in enumerate(lengths):
+        shards = {}
+        for j, size in enumerate(sizes):
+            shards[10 * p + j] = blob[cursor : cursor + size]
+            cursor += size
+        served.append(shards)
+    times = []
+    assert bench._deliver(bandwidth, times, served) == served
+    if bandwidth:  # the cap paces each connection's framed bytes
+        framed = max(sum(sizes) + len(sizes) * bench._HEADER.size for sizes in lengths)
+        assert times[0] >= framed / bandwidth
+
+
+def test_dev_mode_run_is_clean():
+    # a warning (an unclosed socket's is only printed, from its finalizer)
+    # or a pool thread that hangs at exit fails the run
+    code = (
+        "from bdts.bench import BenchConfig, bench_download\n"
+        "assert bench_download(BenchConfig(size_bytes=20_000_000, bandwidth=0, reps=1)).recovery\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    run = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
