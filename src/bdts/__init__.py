@@ -2,8 +2,8 @@
 with escrowed fair exchange, Merkle-verified appeals, and a strategy game
 over seller / consumer / provider behaviors."""
 
-from .actors import RunTranscript, StrategyProfile, all_profiles, cheat_catalog, run_scenario
-from .bench import BenchConfig, BenchReport, bench_download, count_phase_ops
+from .actors import RunTranscript, StrategyProfile, all_profiles, run_scenario
+from .bench import BenchConfig, BenchReport, bench_download
 from .contracts import AppealEvidence, ContractConfig, ContractSystem
 from .game import (
     PayoffVector,
@@ -38,8 +38,6 @@ __all__ = [
     "all_profiles",
     "backward_induction",
     "bench_download",
-    "cheat_catalog",
-    "count_phase_ops",
     "crosscheck_simulation",
     "enforced_payoff",
     "mproof",

@@ -24,7 +24,6 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .actors import Served, StrategyProfile, run_trade
 from .errors import InvalidInput
-from .metrics import OpCounters
 from .sharding import DEFAULT_SLOT
 
 DEFAULT_BANDWIDTH = 60 * 1000 * 1000  # bytes/s per connection
@@ -199,10 +198,3 @@ def bench_download(config: BenchConfig) -> BenchReport:
         elif report.counters != tr.phase_ops:
             raise InvalidInput("operation counts varied between repetitions")
     return report
-
-
-def count_phase_ops(transcript) -> dict[str, OpCounters]:
-    """Per-phase operation counters of a completed run transcript."""
-    return {
-        label: OpCounters(**ops) for label, ops in transcript.phase_ops.items()
-    }

@@ -4,7 +4,11 @@
 All state mutates through sequential method calls against one ledger, so a
 whole run is replayable.  Verdict logic for appeals:
 
-* the evidence ciphertext is first tried against the key the payee posted;
+* the evidence index must fall inside the payee's tree (the data set's n
+  shards for the seller, the shards served for a provider);
+* a posted key that the consumer's private key cannot unwrap, or that does
+  not unwrap to a 32-byte key, upholds the appeal;
+* otherwise the evidence ciphertext is tried against the key the payee posted;
 * if it decrypts, the plaintext must match the committed root for the
   layer below (r_d for seller appeals, r_ed for provider appeals) or the
   appeal is upheld;
@@ -24,6 +28,7 @@ from . import crypto
 from .errors import (
     AlreadyClosed,
     BadState,
+    DecryptError,
     DoublePost,
     DuplicateRoot,
     IncompleteCover,
@@ -72,7 +77,6 @@ def default_exposure_count(n: int) -> int:
 class ContractConfig:
     appeal_window: int = 10  # blocks
     strict_forfeit: bool = False
-    exposure_count: object = None  # callable n -> k; None = default
 
 
 @dataclass
@@ -111,7 +115,6 @@ class Order:
     data_id: str
     tokens: int
     status: str = PLACED
-    assignments: list[tuple[Address, list[int]]] = field(default_factory=list)
     served_counts: dict[Address, int] = field(default_factory=dict)
     provider_roots: dict[Address, bytes] = field(default_factory=dict)
 
@@ -168,10 +171,6 @@ class ContractSystem:
     def min_deposit(self, price: int) -> int:
         return (price + 1) // 2
 
-    def exposure_count(self, n: int) -> int:
-        fn = self.config.exposure_count or default_exposure_count
-        return fn(n)
-
     def ssmc_register_seller(
         self,
         seller: Address,
@@ -218,7 +217,7 @@ class ContractSystem:
     def expected_exposure_indices(self, data_id: str) -> list[int]:
         rec = self._record(data_id)
         seed = self.ledger.seed_at(rec.reg_block + 1)
-        return rand_indices(seed, rec.n, self.exposure_count(rec.n))
+        return rand_indices(seed, rec.n, default_exposure_count(rec.n))
 
     def ssmc_expose(
         self,
@@ -357,7 +356,6 @@ class ContractSystem:
         if set(covered) != set(range(rec.n)):
             missing = sorted(set(range(rec.n)) - set(covered))
             raise IncompleteCover(f"shards {missing} unassigned")
-        order.assignments = [(p, list(ix)) for p, ix in assignments]
         counts: dict[Address, int] = {}
         for i, provider in covered.items():
             counts[provider] = counts.get(provider, 0) + 1
@@ -441,25 +439,35 @@ class ContractSystem:
             raise BadState(f"appeal against {payee} already decided")
         if self.ledger.height > escrow.appeal_deadlines[payee]:
             raise LateAppeal("appeal window closed")
-        posted = crypto.pk_decrypt(pri_cm, escrow.posted_keys[payee])
-        rec = self._record(self._order(order_id).data_id)
+        order = self._order(order_id)
+        rec = self._record(order.data_id)
         i = evidence.index
         if payee == SELLER_PAYEE:
-            shard_key = crypto.derive_keys(posted, i + 1)[i]
-            inner_root, own_root = rec.r_d, rec.r_ed
+            count, inner_root, own_root = rec.n, rec.r_d, rec.r_ed
         else:
-            shard_key = posted
-            order = self._order(order_id)
-            inner_root = rec.r_ed
-            own_root = order.provider_roots.get(escrow.payee_addrs[payee], b"")
+            provider = escrow.payee_addrs[payee]
+            count, inner_root = order.served_counts[provider], rec.r_ed
+            own_root = order.provider_roots.get(provider, b"")
+        # a leaf past the end would verify against the duplicated last digest
+        if not 0 <= i < count:
+            raise WrongIndices(f"appeal index {i} outside [0, {count})")
         try:
-            payload = crypto.sym_decrypt(shard_key, evidence.ciphertext)
-        except Exception:
-            # posted key cannot open the evidence: upheld only when the
-            # evidence is provably the genuine delivered ciphertext
-            upheld = mvrfy(i, own_root, evidence.ciphertext, evidence.auth_proof)
+            posted = crypto.pk_decrypt(pri_cm, escrow.posted_keys[payee])
+        except DecryptError:
+            posted = b""
+        if len(posted) != crypto.KEY_SIZE:
+            # the payee posted no key anyone could open the data with
+            upheld = True
         else:
-            upheld = not mvrfy(i, inner_root, payload, evidence.inner_proof)
+            shard_key = crypto.derive_keys(posted, i + 1)[i] if payee == SELLER_PAYEE else posted
+            try:
+                payload = crypto.sym_decrypt(shard_key, evidence.ciphertext)
+            except DecryptError:
+                # posted key cannot open the evidence: upheld only when the
+                # evidence is provably the genuine delivered ciphertext
+                upheld = mvrfy(i, own_root, evidence.ciphertext, evidence.auth_proof)
+            else:
+                upheld = not mvrfy(i, inner_root, payload, evidence.inner_proof)
         verdict = UPHELD if upheld else DENIED
         escrow.verdicts[payee] = verdict
         self.ledger.log_event("appeal", order_id=order_id, payee=payee, verdict=verdict)

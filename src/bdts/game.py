@@ -23,6 +23,7 @@ from .actors import (
     SELLER_STRATEGIES,
     RunTranscript,
     StrategyProfile,
+    _validate_params,
     all_profiles,
     run_scenario,
 )
@@ -50,13 +51,8 @@ def consumer_payment(cm: str, x: float, y: float) -> float:
     return {"e": PRICE + FEE, "f": x + FEE, "g": y + PRICE, "h": x + y}[cm]
 
 
-def _check_params(x: float, y: float) -> None:
-    if not (0 <= x < 20 and 0 <= y < 4):
-        raise InvalidInput(f"need 0<=x<20 and 0<=y<4, got x={x} y={y}")
-
-
 def raw_payoff(profile: StrategyProfile, x: float, y: float) -> PayoffVector:
-    _check_params(x, y)
+    _validate_params(x, y)
     sl, cm, sp = profile.seller, profile.consumer, profile.provider
     u_sl = SELLER_COST[sl] + (PRICE if cm in "eg" else x)
     u_sp = PROVIDER_COST[sp] + (FEE if cm in "ef" else y)
@@ -76,7 +72,7 @@ def enforced_payoff(profile: StrategyProfile, x: float, y: float) -> PayoffVecto
     mode returns ``aei`` where x+y >= 4 (the tie at 4 breaks toward e) and
     ``ahi`` where x+y < 4.
     """
-    _check_params(x, y)
+    _validate_params(x, y)
     sl, cm, sp = profile.seller, profile.consumer, profile.provider
     if cm != "e":
         # the order is never funded: nobody produces or earns, the
@@ -97,7 +93,7 @@ def token_flows(profile: StrategyProfile, x: float, y: float) -> PayoffVector:
     when the provider layer is broken (the consumer never reaches the
     seller's layer to gather evidence).
     """
-    _check_params(x, y)
+    _validate_params(x, y)
     sl, cm, sp = profile.seller, profile.consumer, profile.provider
     if cm != "e":
         return PayoffVector(0, -consumer_payment(cm, x, y), 0)
@@ -187,10 +183,6 @@ def verify_table(x: float, y: float) -> list[dict]:
         if got != want:
             mismatches.append({"profile": str(profile), "expected": want, "got": got})
     return mismatches
-
-
-def system_total(payoff_fn: PayoffFn, profile: StrategyProfile, x: float, y: float) -> float:
-    return sum(payoff_fn(profile, x, y))
 
 
 def nash_equilibria(payoff_fn: PayoffFn, x: float, y: float) -> set[str]:

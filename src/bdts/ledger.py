@@ -109,13 +109,6 @@ class Ledger:
             raise NotFound(f"no block at height {height}")
         return self.blocks[height].hash
 
-    # -- export -----------------------------------------------------------
-
-    def export_events(self) -> str:
-        """Event log as JSON lines."""
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.events)
-
-
 def rand_indices(seed: bytes, n: int, k: int) -> list[int]:
     """k distinct indices in [0, n), drawn deterministically from ``seed``.
 

@@ -4,16 +4,16 @@ Leaves and internal nodes are hashed with distinct domain-separation
 prefixes (0x00 / 0x01) so a proof for an internal node can never be
 replayed as a leaf.  Odd-width levels duplicate their last digest.
 
-A large tree hashes its leaves on a shared thread pool, one contiguous
-slice per usable CPU: ``hashlib`` releases the GIL while it hashes inputs
-of 2 KiB or more.  The levels above the leaves are 32-byte nodes and stay
-serial.  The digests do not depend on which path ran.
+A large tree hashes its leaves on threads started for that build and
+joined before it returns, one contiguous slice per usable CPU: ``hashlib``
+releases the GIL while it hashes inputs of 2 KiB or more.  The levels
+above the leaves are 32-byte nodes and stay serial.  The digests do not
+depend on which path ran.
 """
 from __future__ import annotations
 
 import hashlib
 import os
-import threading
 from dataclasses import dataclass
 
 from . import metrics
@@ -34,13 +34,9 @@ def _hash_node(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE_PREFIX + left + right).digest()
 
 
-# Trees below either bound stay on the serial loop, where a pool round trip
-# costs more than it saves.
+# Trees whose leaves total less than this stay on the serial loop, where
+# starting threads costs more than it saves.
 _POOL_MIN_BYTES = 4 << 20
-_POOL_MIN_LEAVES = 2
-
-_pool = None  # (ThreadPoolExecutor, worker count), started by the first large tree
-_pool_lock = threading.Lock()
 
 
 def _usable_cpus() -> int:
@@ -50,45 +46,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _leaf_pool():
-    """The shared leaf-hashing pool and its worker count, started on first
-    use; None on one CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            workers = _usable_cpus()
-            if workers < 2:
-                return None
-            from concurrent.futures import ThreadPoolExecutor  # ~9 ms; large trees only
-
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="merkle-leaves"), workers
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _hash_leaves(leaves: list[bytes]) -> list[bytes]:
     return [_hash_leaf(leaf) for leaf in leaves]
 
 
 def _leaf_digests(leaves: list[bytes]) -> list[bytes]:
-    if len(leaves) < _POOL_MIN_LEAVES or sum(map(len, leaves)) < _POOL_MIN_BYTES:
+    workers = min(_usable_cpus(), len(leaves))
+    if workers < 2 or sum(map(len, leaves)) < _POOL_MIN_BYTES:
         return _hash_leaves(leaves)
-    pool = _leaf_pool()
-    if pool is None:
-        return _hash_leaves(leaves)
-    executor, workers = pool
+    from concurrent.futures import ThreadPoolExecutor  # ~9 ms; large trees only
+
     width = -(-len(leaves) // workers)  # one contiguous slice per worker
     slices = [leaves[i : i + width] for i in range(0, len(leaves), width)]
-    return [digest for part in executor.map(_hash_leaves, slices) for digest in part]
+    with ThreadPoolExecutor(workers, thread_name_prefix="merkle-leaves") as executor:
+        return [digest for part in executor.map(_hash_leaves, slices) for digest in part]
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,6 @@ class OpCounters:
     def bump(self, name: str, amount: int = 1) -> None:
         setattr(self, name, getattr(self, name) + amount)
 
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, f) for f in FIELDS)
-
     def as_dict(self) -> dict[str, int]:
         return {f: getattr(self, f) for f in FIELDS}
 

@@ -15,13 +15,14 @@ import time
 
 import pytest
 
-from bdts import bench, crypto, game
-from bdts.actors import all_profiles, cheat_catalog, run_scenario
+from bdts import bench, crypto, game, metrics
+from bdts.actors import all_profiles, run_scenario
 from bdts.contracts import CLOSED, ContractConfig, ContractSystem, SELLER_PAYEE, provider_payee
 from bdts.errors import BdtsError, DecryptError
 from bdts.ledger import Ledger, address_for
 from bdts.merkle import mproof, mtree, mvrfy
 from bdts.sharding import provider_encrypt, shard_encrypt
+from cheat_catalog import cheat_catalog
 
 GRID = [(x, y) for x in (0, 5, 10, 19) for y in (0, 1, 2, 3)]
 
@@ -43,7 +44,7 @@ def test_criterion_2_raw_totals_maximal():
     start = time.perf_counter()
     for x, y in GRID:
         totals = {
-            str(p): game.system_total(game.raw_payoff, p, x, y) for p in all_profiles()
+            str(p): sum(game.raw_payoff(p, x, y)) for p in all_profiles()
         }
         assert totals["aei"] == totals["afi"] == totals["agi"] == 7
         assert max(totals.values()) == 7
@@ -285,19 +286,25 @@ def test_criterion_7_scaling_trend():
 # -- 8. complexity-counter shape -------------------------------------------
 
 
+def phase_op_tuples(tr):
+    """Each phase's op counts in ``metrics.FIELDS`` order."""
+    return {
+        label: tuple(ops[f] for f in metrics.FIELDS) for label, ops in tr.phase_ops.items()
+    }
+
+
 @pytest.mark.parametrize("n", (1, 4, 16))
 def test_criterion_8_phase_counters(n):
     start = time.perf_counter()
     tr = run_scenario("aei", n=n, slot=1024)
-    ops = bench.count_phase_ops(tr)
+    ops = phase_op_tuples(tr)
     k = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-    assert ops["upload"].as_tuple() == (n, 0, 0, 0, 2, 2 * k)
-    assert ops["download"].as_tuple() == (n, 1, n, 1, 1, n)
-    assert ops["decrypt"].as_tuple() == (0, 1, n, 1, 1, n)
+    assert ops["upload"] == (n, 0, 0, 0, 2, 2 * k)
+    assert ops["download"] == (n, 1, n, 1, 1, n)
+    assert ops["decrypt"] == (0, 1, n, 1, 1, n)
     assert time.perf_counter() - start < 5.0
 
 
 def test_criterion_8_appeal_delta():
     tr = run_scenario("cei", n=4, slot=1024)
-    ops = bench.count_phase_ops(tr)
-    assert ops["appeal"].as_tuple() == (0, 0, 1, 1, 0, 1)
+    assert phase_op_tuples(tr)["appeal"] == (0, 0, 1, 1, 0, 1)

@@ -65,14 +65,6 @@ def test_more_providers_than_shards():
     assert bench.bench_download(cfg).recovery  # only 2 shards to serve
 
 
-def test_count_phase_ops_from_transcript():
-    tr = run_scenario("aei", n=4, slot=512)
-    ops = bench.count_phase_ops(tr)
-    assert ops["upload"].as_tuple() == (4, 0, 0, 0, 2, 2 * 2)
-    assert ops["decrypt"].sym_decryptions == 4
-    assert ops["decrypt"].asym_decryptions == 1
-
-
 def test_bench_counters_match_scenario():
     n, slot = 8, 4096
     report = bench.bench_download(
@@ -124,7 +116,7 @@ def test_wire_delivers_odd_length_shards_exactly(bandwidth):
 
 def test_dev_mode_run_is_clean():
     # a warning (an unclosed socket's is only printed, from its finalizer)
-    # or a pool thread that hangs at exit fails the run
+    # or a thread that hangs at exit fails the run
     code = (
         "from bdts.bench import BenchConfig, bench_download\n"
         "assert bench_download(BenchConfig(size_bytes=20_000_000, bandwidth=0, reps=1)).recovery\n"

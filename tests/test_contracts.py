@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from bdts import crypto
+from bdts import contracts, crypto
 from bdts.contracts import (
     AppealEvidence,
     ContractConfig,
@@ -35,7 +35,7 @@ from bdts.errors import (
     WrongIndices,
 )
 from bdts.ledger import Ledger, address_for
-from bdts.merkle import mproof
+from bdts.merkle import MerkleProof, mproof, mvrfy
 from bdts.sharding import provider_encrypt, shard_encrypt
 
 SELLER = address_for("t:seller")
@@ -159,9 +159,10 @@ def test_expose_bad_proof_forfeits_deposit():
     assert s.ledger.balance(SELLER) == 1000 - 20  # forfeited, not returned
 
 
-def test_plagiarism_detected_on_overlapping_pieces():
+def test_plagiarism_detected_on_overlapping_pieces(monkeypatch):
     # expose every shard (k = n) so overlapping content is guaranteed visible
-    s = make_system(exposure_count=lambda n: n)
+    monkeypatch.setattr(contracts, "default_exposure_count", lambda n: n)
+    s = make_system()
     base = b"0123456789abcdef" * 8
     data_id, shards = register(s, data=base)
     expose(s, data_id, shards)
@@ -260,10 +261,11 @@ def test_duplicate_indices_served_by_first_listed():
 # -- CPC --------------------------------------------------------------------
 
 
-def open_escrow(s, wrap_honest=True):
-    data_id, shards = go_live(s)
-    order = s.scmc_place_order(CONSUMER, data_id, 48)
-    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+def open_escrow(s, **listing):
+    data_id, shards = go_live(s, **listing)
+    rec = s.records[data_id]
+    order = s.scmc_place_order(CONSUMER, data_id, rec.price + rec.n * rec.unit_price)
+    s.scmc_select(order, [(PROVIDER, list(range(rec.n)))])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
     s.scmc_record_provider_root(order, PROVIDER, pkg.root)
     escrow = s.cpc_open(order)
@@ -351,6 +353,59 @@ def test_fabricated_evidence_denied():
     ev = AppealEvidence(0, b"\x99" * 64, mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
     assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == DENIED
+
+
+def test_appeal_past_the_last_shard_rejected():
+    s = make_system()
+    _, shards, order, _, escrow = open_escrow(s, data=b"0123456789abcdef" * 6, n=3)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp)  # honest key
+    # index 3 of a 3-leaf tree pairs with the duplicated last digest, so the
+    # genuine last ciphertext proves there; K_3 cannot open it
+    tree = shards.tree_enc
+    proof = MerkleProof(3, ((tree.levels[0][2], False), (tree.levels[1][0], False)))
+    assert mvrfy(3, tree.root, shards.enc_shards[2], proof)
+    ev = AppealEvidence(3, shards.enc_shards[2], proof, proof)
+    with pytest.raises(WrongIndices):
+        s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev)
+    assert escrow.verdicts == {}
+
+
+@pytest.mark.parametrize("index", (4, -1))
+def test_appeal_outside_the_served_shards_rejected(index):
+    s = make_system()
+    _, shards, order, pkg, escrow = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp)
+    payee = provider_payee(PROVIDER)
+    s.cpc_post_key(order, payee, crypto.pk_encrypt(kp.public, pkg.key))
+    ev = AppealEvidence(index, pkg.eed_shards[0], mproof(pkg.tree_eed, 0),
+                        mproof(shards.tree_enc, 0))
+    with pytest.raises(WrongIndices):
+        s.cpc_appeal(order, payee, kp.private, ev)
+    assert escrow.verdicts == {}
+
+
+@pytest.mark.parametrize(
+    "payee,wrap",
+    [
+        (SELLER_PAYEE, lambda kp, pkg: b"\x07" * 80),
+        (SELLER_PAYEE, lambda kp, pkg: crypto.pk_encrypt(kp.public, MASTER[:16])),
+        (provider_payee(PROVIDER), lambda kp, pkg: crypto.pk_encrypt(kp.public, pkg.key[:16])),
+    ],
+    ids=("seller-unwrappable", "seller-16-byte-master", "provider-16-byte-key"),
+)
+def test_unusable_posted_key_upholds_appeal(payee, wrap):
+    s = make_system()
+    _, _, order, pkg, escrow = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    s.cpc_post_pubkey(order, kp.public)
+    s.cpc_post_key(order, payee, wrap(kp, pkg))
+    # no posted key opens anything, so the evidence cannot matter
+    ev = AppealEvidence(0, b"\x99" * 64, mproof(pkg.tree_eed, 0), mproof(pkg.tree_eed, 0))
+    assert s.cpc_appeal(order, payee, kp.private, ev) == UPHELD
+    transfers = settle_after_windows(s, order)
+    assert transfers[f"refund:{payee}"] == escrow.tranches[payee]
 
 
 def test_second_appeal_rejected():

@@ -49,7 +49,7 @@ def test_param_validation():
 
 @pytest.mark.parametrize("x,y", GRID)
 def test_top_raw_totals(x, y):
-    totals = {str(p): game.system_total(game.raw_payoff, p, x, y) for p in all_profiles()}
+    totals = {str(p): sum(game.raw_payoff(p, x, y)) for p in all_profiles()}
     assert totals["aei"] == totals["afi"] == totals["agi"] == 7
     assert max(totals.values()) == 7
 

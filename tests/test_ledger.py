@@ -73,15 +73,7 @@ def test_replay_determinism():
 
     x, y = build(), build()
     assert [b.hash for b in x.blocks] == [b.hash for b in y.blocks]
-    assert x.export_events() == y.export_events()
-
-
-def test_event_export_is_jsonl():
-    led = Ledger({})
-    led.log_event("hello", k=1)
-    led.mine_block()
-    lines = led.export_events().splitlines()
-    assert len(lines) == 1 and '"hello"' in lines[0]
+    assert x.events == y.events
 
 
 # -- rand_indices -----------------------------------------------------------

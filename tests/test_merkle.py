@@ -138,32 +138,51 @@ def serial_levels(leaves):
     return levels
 
 
+LEAF_THREAD = "merkle-leaves"
+
+
 @pytest.fixture
-def fresh_pool(monkeypatch):
-    """No leaf pool yet, and three usable CPUs so slices come out uneven."""
-    monkeypatch.setattr(merkle, "_pool", None)
+def leaf_threads(monkeypatch):
+    """Three usable CPUs, so slices come out uneven; returns the list that
+    collects the name of the thread each slice of leaves is hashed on."""
+    names = []
+    hash_leaves = merkle._hash_leaves
+
+    def recording(leaves):
+        names.append(threading.current_thread().name)
+        return hash_leaves(leaves)
+
     monkeypatch.setattr(merkle, "_usable_cpus", lambda: 3)
-    yield
-    if merkle._pool is not None:
-        merkle._pool[0].shutdown()
+    monkeypatch.setattr(merkle, "_hash_leaves", recording)
+    return names
+
+
+def ran_in_parallel(names):
+    return any(name.startswith(LEAF_THREAD) for name in names)
 
 
 def large_leaves(count):
-    """``count`` leaves reaching the pool threshold, the last one short."""
+    """``count`` leaves reaching the parallel threshold, the last one short."""
     width = -(-merkle._POOL_MIN_BYTES // (count - 1))
     blob = random.Random(count).randbytes(width * (count - 1) + 17)
     return [blob[i : i + width] for i in range(0, len(blob), width)]
 
 
 @pytest.mark.parametrize("count", [2, 3, 4, 7, 10])
-def test_large_tree_levels_equal_serial(fresh_pool, count):
+def test_large_tree_levels_equal_serial(leaf_threads, count):
     leaves = large_leaves(count)
     assert len(leaves) == count and len(leaves[-1]) == 17
     assert mtree(leaves).levels == serial_levels(leaves)
-    assert merkle._pool is not None  # the parallel path ran
+    assert ran_in_parallel(leaf_threads)
 
 
-def test_large_tree_counts_one_build_in_callers_phase(fresh_pool):
+def test_large_tree_leaves_no_thread_running(leaf_threads):
+    mtree(large_leaves(4))
+    assert ran_in_parallel(leaf_threads)
+    assert [t.name for t in threading.enumerate() if t.name.startswith(LEAF_THREAD)] == []
+
+
+def test_large_tree_counts_one_build_in_callers_phase(leaf_threads):
     with metrics.collect() as col:
         with col.phase("upload"):
             mtree(large_leaves(5))
@@ -172,7 +191,7 @@ def test_large_tree_counts_one_build_in_callers_phase(fresh_pool):
     }
 
 
-def test_large_tree_from_another_thread(fresh_pool):
+def test_large_tree_from_another_thread(leaf_threads):
     leaves = large_leaves(6)
     roots = []
     worker = threading.Thread(target=lambda: roots.append(mtree(leaves).root))
@@ -180,16 +199,17 @@ def test_large_tree_from_another_thread(fresh_pool):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert roots == [serial_levels(leaves)[-1][0]]
+    assert ran_in_parallel(leaf_threads)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_forked_child_starts_its_own_pool(fresh_pool):
+def test_forked_child_starts_its_own_pool(leaf_threads):
     leaves = large_leaves(4)
-    root = mtree(leaves).root  # the parent's pool now has threads
+    root = mtree(leaves).root
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
         pid = os.fork()
-    if pid == 0:  # the child must not submit to its parent's dead threads
+    if pid == 0:  # the child has none of its parent's threads
         try:
             os._exit(0 if mtree(leaves).root == root else 1)
         finally:
@@ -204,14 +224,14 @@ def test_forked_child_starts_its_own_pool(fresh_pool):
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-def test_small_trees_start_no_pool(fresh_pool):
+def test_small_trees_start_no_pool(leaf_threads):
     mtree([bytes(4096)] * 8)
     mtree([bytes(1024)] * 8)
     mtree([bytes(2)] * 4000)
     half = merkle._POOL_MIN_BYTES // 2
     mtree([bytes(half), bytes(half - 1)])  # one byte short in total
     mtree([bytes(merkle._POOL_MIN_BYTES)])  # one leaf
-    assert merkle._pool is None
+    assert leaf_threads and not ran_in_parallel(leaf_threads)
 
 
 def test_small_trades_import_no_thread_pool():
