@@ -24,11 +24,8 @@ failure, routing the appeal by which posted key opens the delivered layer:
 an outer layer that will not open (or that opens to bytes outside the
 seller's commitment) implicates the provider; an inner layer that opens to
 bad plaintext, or that is genuine but will not open, implicates the seller.
-Multi-provider appeals are not sound yet: the contract reads a provider
-appeal's ``AppealEvidence.index`` within the provider's package (its range
-and the provider's root) and also across the whole data set (``r_ed``).
-The expected outcome of each cheat profile is pinned by the tests'
-cheat catalog.
+Every appeal names the shard by its global index.  The expected outcome of
+each cheat profile is pinned by the tests' cheat catalog.
 """
 from __future__ import annotations
 
@@ -54,6 +51,9 @@ from .sharding import provider_encrypt, reassemble, shard_encrypt
 SELLER_STRATEGIES = "abcd"
 CONSUMER_STRATEGIES = "efgh"
 PROVIDER_STRATEGIES = "ijkl"
+
+PRICE = 20  # units paid to the seller
+FEE = 4  # units paid to the provider(s)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class RunTranscript:
 
 
 def _validate_params(x: float, y: float) -> None:
-    if not (0 <= x < 20 and 0 <= y < 4):
-        raise InvalidInput(f"need 0<=x<20 and 0<=y<4, got x={x} y={y}")
+    if not (0 <= x < PRICE and 0 <= y < FEE):
+        raise InvalidInput(f"need 0<=x<{PRICE} and 0<=y<{FEE}, got x={x} y={y}")
 
 
 def run_scenario(
@@ -209,8 +209,8 @@ def run_trade(
             ledger.mine_block()
 
         required = price + n * unit_price
-        x_tokens = round(x * price / 20)
-        y_tokens = round(y * n * unit_price / 4)
+        x_tokens = round(x * price / PRICE)
+        y_tokens = round(y * n * unit_price / FEE)
         offer = {
             "e": required,
             "f": x_tokens + n * unit_price,
@@ -230,6 +230,10 @@ def run_trade(
 
         with col.phase("download"):
             system.scmc_select(order_id, list(zip(providers, assignment)))
+            # each provider serves the package the contract recorded for it: its
+            # shards in listed order, less those a provider listed earlier serves
+            served = system.orders[order_id].served
+            assignment = [served.get(provider, []) for provider in providers]
             # the seller hands the providers one shard set (honest or substituted)
             if profile.seller in "bd":
                 basis = master if profile.seller == "b" else wrong_master
@@ -276,7 +280,7 @@ def run_trade(
                 root = system.orders[order_id].provider_roots[provider]
                 for j, i in enumerate(indices):
                     proof = mproof(packages[p].tree_eed, j)
-                    if not mvrfy(j, root, received[p].get(i, b""), proof):
+                    if not mvrfy(j, root, received[p].get(i, b""), proof, len(indices)):
                         raise ProofFailure(f"shard {i} does not match {provider}'s root")
                 for i in indices:
                     try:
@@ -288,10 +292,9 @@ def run_trade(
                     break
 
         def provider_evidence(i: int) -> tuple[str, AppealEvidence]:
-            # provider trees are indexed within the package, r_ed globally
             p, j = source[i]
             return provider_payee(providers[p]), AppealEvidence(
-                j, received[p][i], auth_proof=mproof(packages[p].tree_eed, j),
+                i, received[p][i], auth_proof=mproof(packages[p].tree_eed, j),
                 inner_proof=proofs_ed[i],
             )
 
@@ -310,7 +313,7 @@ def run_trade(
                 shard_keys = crypto.derive_keys(posted_master, n)
                 plain_got: list[bytes] = []
                 for i, enc_i in enumerate(inner_got):
-                    ed_ok = mvrfy(i, shards.root_enc, enc_i, proofs_ed[i])
+                    ed_ok = mvrfy(i, shards.root_enc, enc_i, proofs_ed[i], n)
                     try:
                         plain = crypto.sym_decrypt(shard_keys[i], enc_i)
                     except DecryptError:

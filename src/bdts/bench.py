@@ -31,16 +31,9 @@ _HONEST = StrategyProfile("a", "e", "i")
 _HEADER = struct.Struct("!II")  # shard index, payload length
 _CHUNK = 64 * 1024
 
-_TYPE_MAGIC = {
-    "text": b"",
-    "image": b"\x89PNG\r\n\x1a\n",
-    "video": b"\x00\x00\x00\x18ftypmp42",
-}
-
 
 @dataclass
 class BenchConfig:
-    data_type: str = "text"
     size_bytes: int = 10 * 1000 * 1000
     providers: int = 1
     slot: int = DEFAULT_SLOT
@@ -53,8 +46,6 @@ class BenchConfig:
             raise InvalidInput("provider count must be in 1..6")
         if self.size_bytes < 1 or self.slot < 1 or self.reps < 1:
             raise InvalidInput("size, slot, and reps must be >= 1")
-        if self.data_type not in _TYPE_MAGIC:
-            raise InvalidInput(f"data type must be one of {sorted(_TYPE_MAGIC)}")
         if self.bandwidth < 0:
             raise InvalidInput("bandwidth must be >= 0 (0: no cap)")
 
@@ -63,7 +54,6 @@ class BenchConfig:
 class BenchReport:
     config: BenchConfig
     download_times: list[float] = field(default_factory=list)
-    throughputs: list[float] = field(default_factory=list)
     counters: dict[str, dict[str, int]] = field(default_factory=dict)
     recovery: bool = False
 
@@ -73,7 +63,6 @@ class BenchReport:
 
     def summary(self) -> dict:
         return {
-            "data_type": self.config.data_type,
             "size_bytes": self.config.size_bytes,
             "providers": self.config.providers,
             "reps": self.config.reps,
@@ -84,22 +73,20 @@ class BenchReport:
                 if len(self.download_times) > 1
                 else 0.0
             ),
-            "mean_throughput_mb_s": statistics.mean(self.throughputs) / 1e6,
+            "mean_throughput_mb_s": statistics.mean(
+                self.config.size_bytes / t for t in self.download_times
+            ) / 1e6,
             "recovery": self.recovery,
             "counters": self.counters,
         }
 
 
-def synthetic_data(data_type: str, size: int, seed: int) -> bytes:
-    """Seeded incompressible bytes; image/video tags get a realistic header.
-
-    The body is an AES-256-CTR keystream under a key hashed from the
-    arguments, several times faster than ``random.randbytes``."""
-    magic = _TYPE_MAGIC[data_type]
-    key = hashlib.sha256(repr(("bench", data_type, size, seed)).encode()).digest()
+def synthetic_data(size: int, seed: int) -> bytes:
+    """Seeded incompressible bytes: an AES-256-CTR keystream under a key
+    hashed from the arguments, several times faster than ``random.randbytes``."""
+    key = hashlib.sha256(repr(("bench", size, seed)).encode()).digest()
     keystream = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor()
-    body = keystream.update(bytes(max(size - len(magic), 0)))
-    return (magic + body)[:size]
+    return keystream.update(bytes(size))
 
 
 def _serve(sock: socket.socket, shards: dict[int, bytes], bandwidth: int) -> None:
@@ -182,7 +169,7 @@ def _ranges(n: int, parts: int) -> list[list[int]]:
 def bench_download(config: BenchConfig) -> BenchReport:
     """Run ``config.reps`` honest trades with the shards split across
     ``config.providers`` providers and delivered over the throttled wire."""
-    data = synthetic_data(config.data_type, config.size_bytes, config.seed)
+    data = synthetic_data(config.size_bytes, config.seed)
     report = BenchReport(config=config)
     assignment = _ranges(-(-config.size_bytes // config.slot), config.providers)
     deliver = functools.partial(_deliver, config.bandwidth, report.download_times)
@@ -191,7 +178,6 @@ def bench_download(config: BenchConfig) -> BenchReport:
             _HONEST, data, config.slot, assignment, deliver, random.Random(config.seed),
             seed=config.seed,
         )
-        report.throughputs.append(config.size_bytes / report.download_times[-1])
         report.recovery = tr.recovery if rep == 0 else (report.recovery and tr.recovery)
         if rep == 0:
             report.counters = tr.phase_ops

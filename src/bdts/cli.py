@@ -93,8 +93,8 @@ def _cmd_game(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = bench.BenchConfig(
-        data_type=args.type, size_bytes=args.size, providers=args.providers,
-        slot=args.slot, reps=args.reps, seed=args.seed, bandwidth=args.bandwidth,
+        size_bytes=args.size, providers=args.providers, slot=args.slot,
+        reps=args.reps, seed=args.seed, bandwidth=args.bandwidth,
     )
     report = bench.bench_download(config)
     print(json.dumps(report.summary(), sort_keys=True))
@@ -176,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="parallel download benchmark")
     p.add_argument("--size", type=int, default=10 * 1000 * 1000)
     p.add_argument("--providers", type=int, default=1)
-    p.add_argument("--type", choices=("text", "image", "video"), default="text")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--bandwidth", type=int, default=bench.DEFAULT_BANDWIDTH)
     common(p, slot=1 << 20)

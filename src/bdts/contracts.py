@@ -4,8 +4,10 @@
 All state mutates through sequential method calls against one ledger, so a
 whole run is replayable.  Verdict logic for appeals:
 
-* the evidence index must fall inside the payee's tree (the data set's n
-  shards for the seller, the shards served for a provider);
+* the evidence index is a global shard index, and it must name a shard
+  the payee is paid for (any of the data set's n shards for the seller, a
+  shard the provider served); the contract derives the shard's position in
+  the provider's package and both trees' leaf counts itself;
 * a posted key that the consumer's private key cannot unwrap, or that does
   not unwrap to a 32-byte key, upholds the appeal;
 * otherwise the evidence ciphertext is tried against the key the payee posted;
@@ -115,7 +117,8 @@ class Order:
     data_id: str
     tokens: int
     status: str = PLACED
-    served_counts: dict[Address, int] = field(default_factory=dict)
+    # provider -> the global shard indices it serves, in package order
+    served: dict[Address, list[int]] = field(default_factory=dict)
     provider_roots: dict[Address, bytes] = field(default_factory=dict)
 
 
@@ -136,9 +139,11 @@ class Escrow:
 class AppealEvidence:
     """Consumer-supplied material for one appeal.
 
-    ``auth_proof`` places the ciphertext in its own layer's tree
-    (r_ed for seller appeals, the provider's r_eed for provider appeals);
-    ``inner_proof`` places the decrypted payload in the layer below.
+    ``index`` is the shard's global index, whoever the payee is.
+    ``auth_proof`` places the ciphertext in its own layer's tree (r_ed for
+    seller appeals; the provider's r_eed, at the shard's position in the
+    package, for provider appeals); ``inner_proof`` places the decrypted
+    payload in the layer below.
     """
 
     index: int
@@ -232,7 +237,9 @@ class ContractSystem:
         if sorted(i for i, *_ in pieces) != expected:
             raise WrongIndices(f"expected indices {expected}")
         for i, plain, p_d, p_ed, enc in pieces:
-            if not (mvrfy(i, rec.r_d, plain, p_d) and mvrfy(i, rec.r_ed, enc, p_ed)):
+            if not (
+                mvrfy(i, rec.r_d, plain, p_d, rec.n) and mvrfy(i, rec.r_ed, enc, p_ed, rec.n)
+            ):
                 self._reject(rec, reason="exposure proof failed")
                 raise ProofFailure(f"exposure proof failed at index {i}")
         for i, plain, *_ in pieces:
@@ -356,10 +363,8 @@ class ContractSystem:
         if set(covered) != set(range(rec.n)):
             missing = sorted(set(range(rec.n)) - set(covered))
             raise IncompleteCover(f"shards {missing} unassigned")
-        counts: dict[Address, int] = {}
         for i, provider in covered.items():
-            counts[provider] = counts.get(provider, 0) + 1
-        order.served_counts = counts
+            order.served.setdefault(provider, []).append(i)
         order.status = DOWNLOADING
         self.ledger.log_event("order_selected", order_id=order_id)
 
@@ -367,7 +372,7 @@ class ContractSystem:
         self, order_id: str, provider: Address, r_eed: bytes
     ) -> None:
         order = self._order(order_id)
-        if provider not in order.served_counts:
+        if provider not in order.served:
             raise UnconfirmedProvider(f"{provider} is not serving order {order_id}")
         order.provider_roots[provider] = r_eed
         self.ledger.log_event("provider_root", order_id=order_id, provider=provider)
@@ -384,8 +389,8 @@ class ContractSystem:
         self.ledger.transfer(self.scmc_addr, self.cpc_addr, order.tokens, memo="escrow-cpc")
         tranches = {SELLER_PAYEE: rec.price}
         payee_addrs = {SELLER_PAYEE: rec.seller}
-        for provider, count in order.served_counts.items():
-            tranches[provider_payee(provider)] = count * rec.unit_price
+        for provider, package in order.served.items():
+            tranches[provider_payee(provider)] = len(package) * rec.unit_price
             payee_addrs[provider_payee(provider)] = provider
         escrow = Escrow(
             order_id=order_id,
@@ -443,14 +448,13 @@ class ContractSystem:
         rec = self._record(order.data_id)
         i = evidence.index
         if payee == SELLER_PAYEE:
-            count, inner_root, own_root = rec.n, rec.r_d, rec.r_ed
+            package, inner_root, own_root = range(rec.n), rec.r_d, rec.r_ed
         else:
             provider = escrow.payee_addrs[payee]
-            count, inner_root = order.served_counts[provider], rec.r_ed
+            package, inner_root = order.served[provider], rec.r_ed
             own_root = order.provider_roots.get(provider, b"")
-        # a leaf past the end would verify against the duplicated last digest
-        if not 0 <= i < count:
-            raise WrongIndices(f"appeal index {i} outside [0, {count})")
+        if i not in package:
+            raise WrongIndices(f"shard {i} is not one that {payee} is paid for")
         try:
             posted = crypto.pk_decrypt(pri_cm, escrow.posted_keys[payee])
         except DecryptError:
@@ -465,9 +469,12 @@ class ContractSystem:
             except DecryptError:
                 # posted key cannot open the evidence: upheld only when the
                 # evidence is provably the genuine delivered ciphertext
-                upheld = mvrfy(i, own_root, evidence.ciphertext, evidence.auth_proof)
+                upheld = mvrfy(
+                    package.index(i), own_root, evidence.ciphertext, evidence.auth_proof,
+                    len(package),
+                )
             else:
-                upheld = not mvrfy(i, inner_root, payload, evidence.inner_proof)
+                upheld = not mvrfy(i, inner_root, payload, evidence.inner_proof, rec.n)
         verdict = UPHELD if upheld else DENIED
         escrow.verdicts[payee] = verdict
         self.ledger.log_event("appeal", order_id=order_id, payee=payee, verdict=verdict)

@@ -19,6 +19,8 @@ from typing import Callable, NamedTuple
 
 from .actors import (
     CONSUMER_STRATEGIES,
+    FEE,
+    PRICE,
     PROVIDER_STRATEGIES,
     SELLER_STRATEGIES,
     RunTranscript,
@@ -29,8 +31,6 @@ from .actors import (
 )
 from .errors import InvalidInput, Mismatch
 
-PRICE = 20  # units paid to the seller
-FEE = 4  # units paid to the provider(s)
 UTILITY = 20  # value of recovered data to the consumer
 
 SELLER_COST = {"a": -11, "b": -1, "c": -10, "d": 0}
@@ -41,6 +41,10 @@ class PayoffVector(NamedTuple):
     u_sl: float
     u_cm: float
     u_sp: float
+
+
+# each role's strategy letters, in move order and in PayoffVector's order
+ROLES = (SELLER_STRATEGIES, CONSUMER_STRATEGIES, PROVIDER_STRATEGIES)
 
 
 PayoffFn = Callable[[StrategyProfile, float, float], PayoffVector]
@@ -188,22 +192,15 @@ def verify_table(x: float, y: float) -> list[dict]:
 def nash_equilibria(payoff_fn: PayoffFn, x: float, y: float) -> set[str]:
     """Profiles where no player's unilateral deviation strictly improves him."""
     table = {str(p): payoff_fn(p, x, y) for p in all_profiles()}
-    out = set()
-    for p in all_profiles():
-        base = table[str(p)]
-        stable = all(
-            table[str(StrategyProfile(alt, p.consumer, p.provider))].u_sl <= base.u_sl
-            for alt in SELLER_STRATEGIES
-        ) and all(
-            table[str(StrategyProfile(p.seller, alt, p.provider))].u_cm <= base.u_cm
-            for alt in CONSUMER_STRATEGIES
-        ) and all(
-            table[str(StrategyProfile(p.seller, p.consumer, alt))].u_sp <= base.u_sp
-            for alt in PROVIDER_STRATEGIES
+    return {
+        name
+        for name, payoff in table.items()
+        if all(
+            table[name[:role] + alt + name[role + 1 :]][role] <= payoff[role]
+            for role, letters in enumerate(ROLES)
+            for alt in letters
         )
-        if stable:
-            out.add(str(p))
-    return out
+    }
 
 
 def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> StrategyProfile:
@@ -218,38 +215,15 @@ def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> StrategyProfi
     beats paying, and the unfunded order ties seller and provider at 0.
     """
 
-    def best(options):
-        # options: iterable of (strategy_letter, own_payoff), in listed order
-        choice, top = None, None
-        for letter, value in options:
-            if top is None or value > top:
-                choice, top = letter, value
-        return choice
+    def solve(prefix: str) -> tuple[str, PayoffVector]:
+        # the profile and payoffs that play after the moves in ``prefix`` reaches
+        if len(prefix) == len(ROLES):
+            return prefix, payoff_fn(StrategyProfile.parse(prefix), x, y)
+        role = len(prefix)
+        # max keeps the first of equal payoffs, i.e. the earlier-listed letter
+        return max((solve(prefix + s) for s in ROLES[role]), key=lambda out: out[1][role])
 
-    sp_policy = {}
-    for sl in SELLER_STRATEGIES:
-        for cm in CONSUMER_STRATEGIES:
-            sp_policy[sl, cm] = best(
-                (sp, payoff_fn(StrategyProfile(sl, cm, sp), x, y).u_sp)
-                for sp in PROVIDER_STRATEGIES
-            )
-    cm_policy = {}
-    for sl in SELLER_STRATEGIES:
-        cm_policy[sl] = best(
-            (cm, payoff_fn(StrategyProfile(sl, cm, sp_policy[sl, cm]), x, y).u_cm)
-            for cm in CONSUMER_STRATEGIES
-        )
-    sl_choice = best(
-        (
-            sl,
-            payoff_fn(
-                StrategyProfile(sl, cm_policy[sl], sp_policy[sl, cm_policy[sl]]), x, y
-            ).u_sl,
-        )
-        for sl in SELLER_STRATEGIES
-    )
-    cm_choice = cm_policy[sl_choice]
-    return StrategyProfile(sl_choice, cm_choice, sp_policy[sl_choice, cm_choice])
+    return StrategyProfile.parse(solve("")[0])
 
 
 def crosscheck_transcript(tr: RunTranscript) -> bool:

@@ -66,12 +66,12 @@ def _leaf_digests(leaves: list[bytes]) -> list[bytes]:
 class MerkleProof:
     """Inclusion proof for one leaf: sibling digests from bottom to top.
 
-    Each sibling carries a flag telling whether it sits to the right of
-    the running hash.
+    As in RFC 6962's audit paths, the side of each sibling follows from the
+    leaf index, so the proof carries no side flags.
     """
 
     index: int
-    siblings: tuple[tuple[bytes, bool], ...]
+    siblings: tuple[bytes, ...]
 
 
 class MerkleTree:
@@ -111,27 +111,29 @@ def mproof(tree: MerkleTree, index: int) -> MerkleProof:
     for level in tree.levels[:-1]:
         # past the end of an odd level the sibling is the duplicated last digest
         sibling = pos ^ 1 if pos ^ 1 < len(level) else pos
-        siblings.append((level[sibling], pos % 2 == 0))
+        siblings.append(level[sibling])
         pos //= 2
     return MerkleProof(index=index, siblings=tuple(siblings))
 
 
-def mvrfy(index: int, root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
-    """True iff ``leaf`` at ``index`` reproduces ``root`` along ``proof``.
+def mvrfy(index: int, root: bytes, leaf: bytes, proof: MerkleProof, leaf_count: int) -> bool:
+    """True iff ``leaf`` at ``index`` of a ``leaf_count``-leaf tree
+    reproduces ``root`` along ``proof``.
 
-    Malformed proofs return False rather than raising.
+    The index must lie in ``[0, leaf_count)`` and the proof must hold one
+    sibling per level, so a proof cannot be replayed at another position or
+    past the last leaf.  Malformed proofs return False rather than raising.
     """
     metrics.record("proof_verifications")
-    if proof.index != index or index < 0:
+    if proof.index != index or not 0 <= index < leaf_count:
+        return False
+    if len(proof.siblings) != (leaf_count - 1).bit_length():
         return False
     acc = _hash_leaf(leaf)
     pos = index
-    for sibling, is_right in proof.siblings:
+    for sibling in proof.siblings:
         if not isinstance(sibling, bytes) or len(sibling) != DIGEST_SIZE:
             return False
-        # side flags must agree with the claimed index path
-        if is_right != (pos % 2 == 0):
-            return False
-        acc = _hash_node(acc, sibling) if is_right else _hash_node(sibling, acc)
+        acc = _hash_node(sibling, acc) if pos % 2 else _hash_node(acc, sibling)
         pos //= 2
     return acc == root

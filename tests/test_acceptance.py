@@ -132,14 +132,14 @@ def test_criterion_5_merkle_proofs_1000():
         t = mtree(leaves)
         i = rng.randrange(len(leaves))
         proof = mproof(t, i)
-        assert mvrfy(i, t.root, leaves[i], proof)
+        assert mvrfy(i, t.root, leaves[i], proof, len(leaves))
         # invalidity: wrong leaf, or transplanted index
         if rng.random() < 0.5:
-            assert not mvrfy(i, t.root, leaves[i] + b"x", proof)
+            assert not mvrfy(i, t.root, leaves[i] + b"x", proof, len(leaves))
         else:
             j = rng.randrange(len(leaves))
             if j != i:
-                assert not mvrfy(j, t.root, leaves[j], proof)
+                assert not mvrfy(j, t.root, leaves[j], proof, len(leaves))
 
 
 # -- 6. escrow conservation fuzz -------------------------------------------

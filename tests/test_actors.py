@@ -139,6 +139,20 @@ def test_honest_multi_provider_trade(providers, deliver):
     assert escrow_in == escrow_out == tr.price + n * tr.unit_price
 
 
+def test_providers_serve_the_packages_the_contract_recorded():
+    # shard 3 is listed for both providers; the contract gives it to the first
+    delivered = []
+
+    def record(served):
+        delivered.extend(sorted(shards) for shards in served)
+        return served
+
+    data = random.Random(8).randbytes(8 * SLOT)
+    tr = run_trade(HONEST, data, SLOT, [[0, 1, 2, 3], [3, 4, 5, 6, 7]], record, random.Random(0))
+    assert delivered == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    assert tr.recovery and tr.deltas["provider1"] == 4 * tr.unit_price
+
+
 def test_tampered_delivery_is_refused():
     def flip_a_bit(served):
         shards = served[0]

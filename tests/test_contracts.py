@@ -255,7 +255,7 @@ def test_duplicate_indices_served_by_first_listed():
     data_id, _ = go_live(s)
     order = s.scmc_place_order(CONSUMER, data_id, 48)
     s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3, 3, 2])])
-    assert s.orders[order].served_counts == {PROVIDER: 4}
+    assert s.orders[order].served == {PROVIDER: [0, 1, 2, 3]}
 
 
 # -- CPC --------------------------------------------------------------------
@@ -360,11 +360,11 @@ def test_appeal_past_the_last_shard_rejected():
     _, shards, order, _, escrow = open_escrow(s, data=b"0123456789abcdef" * 6, n=3)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp)  # honest key
-    # index 3 of a 3-leaf tree pairs with the duplicated last digest, so the
-    # genuine last ciphertext proves there; K_3 cannot open it
+    # index 3 of a 3-leaf tree pairs with the duplicated last digest; K_3
+    # cannot open the genuine last ciphertext, and mvrfy refuses the index
     tree = shards.tree_enc
-    proof = MerkleProof(3, ((tree.levels[0][2], False), (tree.levels[1][0], False)))
-    assert mvrfy(3, tree.root, shards.enc_shards[2], proof)
+    proof = MerkleProof(3, (tree.levels[0][2], tree.levels[1][0]))
+    assert not mvrfy(3, tree.root, shards.enc_shards[2], proof, 3)
     ev = AppealEvidence(3, shards.enc_shards[2], proof, proof)
     with pytest.raises(WrongIndices):
         s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev)
@@ -384,6 +384,70 @@ def test_appeal_outside_the_served_shards_rejected(index):
     with pytest.raises(WrongIndices):
         s.cpc_appeal(order, payee, kp.private, ev)
     assert escrow.verdicts == {}
+
+
+PROVIDER2 = address_for("t:provider2")
+
+
+def open_two_provider_escrow(s, kp, sp2_key=None):
+    """An 8-shard order served by PROVIDER (shards 0-3) and PROVIDER2 (4-7);
+    the seller and PROVIDER post honest keys, PROVIDER2 posts ``sp2_key``
+    (its genuine key by default)."""
+    data_id, shards = go_live(s, n=8)
+    s.ssmc_register_provider(PROVIDER2, "ep", data_id)
+    s.ssmc_confirm_provider(SELLER, PROVIDER2, data_id)
+    rec = s.records[data_id]
+    order = s.scmc_place_order(CONSUMER, data_id, rec.price + rec.n * rec.unit_price)
+    ranges = [[0, 1, 2, 3], [4, 5, 6, 7]]
+    s.scmc_select(order, list(zip((PROVIDER, PROVIDER2), ranges)))
+    pkgs = []
+    for provider, indices in zip((PROVIDER, PROVIDER2), ranges):
+        pkg = provider_encrypt([shards.enc_shards[i] for i in indices], provider.encode())
+        s.scmc_record_provider_root(order, provider, pkg.root)
+        pkgs.append(pkg)
+    s.cpc_open(order)
+    seller_posts(s, order, kp)
+    posted = (pkgs[0].key, sp2_key or pkgs[1].key)
+    for provider, key in zip((PROVIDER, PROVIDER2), posted):
+        s.cpc_post_key(order, provider_payee(provider), crypto.pk_encrypt(kp.public, key))
+    return shards, order, pkgs[1]
+
+
+def second_provider_evidence(shards, pkg2, index):
+    """PROVIDER2's genuine first shard (global index 4) offered at ``index``."""
+    return AppealEvidence(
+        index, pkg2.eed_shards[0], mproof(pkg2.tree_eed, 0), mproof(shards.tree_enc, 4)
+    )
+
+
+def test_honest_second_provider_appeal_denied_at_global_index():
+    s = make_system()
+    kp = crypto.pk_keygen(b"cm")
+    shards, order, pkg2 = open_two_provider_escrow(s, kp)
+    ev = second_provider_evidence(shards, pkg2, 4)
+    assert s.cpc_appeal(order, provider_payee(PROVIDER2), kp.private, ev) == DENIED
+
+
+def test_appeal_at_a_shard_another_provider_served_rejected():
+    s = make_system()
+    kp = crypto.pk_keygen(b"cm")
+    shards, order, pkg2 = open_two_provider_escrow(s, kp)
+    ev = second_provider_evidence(shards, pkg2, 0)  # shard 0 is PROVIDER's
+    with pytest.raises(WrongIndices):
+        s.cpc_appeal(order, provider_payee(PROVIDER2), kp.private, ev)
+    assert s.escrows[order].verdicts == {}
+
+
+def test_second_provider_wrong_key_appeal_upheld():
+    s = make_system()
+    kp = crypto.pk_keygen(b"cm")
+    wrong = hashlib.sha256(b"wrong").digest()
+    shards, order, pkg2 = open_two_provider_escrow(s, kp, sp2_key=wrong)
+    ev = second_provider_evidence(shards, pkg2, 4)
+    assert s.cpc_appeal(order, provider_payee(PROVIDER2), kp.private, ev) == UPHELD
+    transfers = settle_after_windows(s, order)
+    assert transfers[f"refund:{provider_payee(PROVIDER2)}"] == 8
+    assert transfers[f"pay:{provider_payee(PROVIDER)}"] == 8
 
 
 @pytest.mark.parametrize(

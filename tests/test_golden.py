@@ -1,0 +1,59 @@
+"""Golden transcripts: refactors must leave every run byte-identical.
+
+``golden_transcripts.json`` maps each case name to the sha256 of its
+``RunTranscript.to_json()``.  Regenerate it only for a change that is meant
+to alter transcripts, and say why in the change log:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import hashlib
+import json
+import os
+import random
+
+from bdts import bench
+from bdts.actors import StrategyProfile, all_profiles, deliver_in_memory, run_scenario, run_trade
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_transcripts.json")
+SLOT = 1024  # a transcript holds no shard bytes, so small shards suffice
+
+
+def cases():
+    """Yield (name, thunk returning the transcript JSON), in a fixed order."""
+    for seed in (0, 7):
+        for p in all_profiles():
+            yield f"{p}/seed{seed}", lambda p=p, seed=seed: run_scenario(
+                p, seed=seed, slot=SLOT
+            ).to_json()
+    for p in ("aei", "cei"):
+        yield f"{p}/default-slot", lambda p=p: run_scenario(p).to_json()
+    for providers in (2, 3):
+        # the honest multi-provider trade of test_actors, in memory
+        def trade(providers=providers):
+            n = 7
+            data = random.Random(providers).randbytes(n * SLOT - 100)
+            return run_trade(
+                StrategyProfile.parse("aei"), data, SLOT, bench._ranges(n, providers),
+                deliver_in_memory, random.Random(0),
+            ).to_json()
+
+        yield f"aei/{providers}-providers", trade
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_transcripts_match_golden():
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    names = [name for name, _ in cases()]
+    assert names == list(want), "the case list and the golden file disagree"
+    for name, thunk in cases():
+        assert digest(thunk()) == want[name], f"first differing transcript: {name}"
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w") as fh:
+        json.dump({name: digest(thunk()) for name, thunk in cases()}, fh, indent=1)
+        fh.write("\n")

@@ -50,7 +50,7 @@ def test_proof_roundtrip_small():
     leaves = [bytes([i]) * 3 for i in range(7)]
     t = mtree(leaves)
     for i, leaf in enumerate(leaves):
-        assert mvrfy(i, t.root, leaf, mproof(t, i))
+        assert mvrfy(i, t.root, leaf, mproof(t, i), len(leaves))
 
 
 def test_proof_out_of_range():
@@ -62,11 +62,36 @@ def test_proof_out_of_range():
 def test_malformed_proof_returns_false():
     t = mtree([b"a", b"b"])
     p = mproof(t, 0)
-    assert not mvrfy(1, t.root, b"a", p)  # index mismatch
-    assert not mvrfy(0, t.root, b"a", MerkleProof(0, ((b"short", True),)))
-    # side flag inconsistent with the index path
-    flipped = MerkleProof(0, tuple((s, not d) for s, d in p.siblings))
-    assert not mvrfy(0, t.root, b"a", flipped)
+    assert not mvrfy(1, t.root, b"a", p, 2)  # index mismatch
+    assert not mvrfy(0, t.root, b"a", MerkleProof(0, (b"short",)), 2)
+    # one sibling too many or too few for the leaf count
+    assert not mvrfy(0, t.root, b"a", MerkleProof(0, p.siblings * 2), 2)
+    assert not mvrfy(0, t.root, b"a", MerkleProof(0, ()), 2)
+    # past the end of the tree
+    assert not mvrfy(2, t.root, b"a", MerkleProof(2, p.siblings), 2)
+
+
+def test_siblings_relabelled_past_the_end_rejected():
+    t = mtree([b"a", b"b", b"c", b"d"])
+    # index 4 walks the same sides as index 0 but overflows the tree
+    assert not mvrfy(4, t.root, b"a", MerkleProof(4, mproof(t, 0).siblings), 4)
+
+
+def test_duplicated_last_digest_proves_no_extra_leaf():
+    t = mtree([b"a", b"b", b"c"])
+    siblings = (t.levels[0][2], t.levels[1][0])  # c pairs with its own copy
+    assert mvrfy(2, t.root, b"c", MerkleProof(2, siblings), 3)
+    assert not mvrfy(3, t.root, b"c", MerkleProof(3, siblings), 3)
+
+
+def test_proof_binds_the_leaf_count():
+    four = mtree([b"a", b"b", b"c", b"d"])
+    assert mvrfy(0, four.root, b"a", mproof(four, 0), 4)
+    # a root over more leaves than the count claims: one sibling too many
+    assert not mvrfy(0, four.root, b"a", mproof(four, 0), 2)
+    # a root over fewer leaves than the count claims: one sibling too few
+    two = mtree([b"a", b"b"])
+    assert not mvrfy(1, two.root, b"b", mproof(two, 1), 4)
 
 
 @given(
@@ -77,9 +102,9 @@ def test_every_leaf_proves_and_wrong_leaf_fails(leaves, data):
     t = mtree(leaves)
     i = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
     proof = mproof(t, i)
-    assert mvrfy(i, t.root, leaves[i], proof)
+    assert mvrfy(i, t.root, leaves[i], proof, len(leaves))
     wrong = leaves[i] + b"!"
-    assert not mvrfy(i, t.root, wrong, proof)
+    assert not mvrfy(i, t.root, wrong, proof, len(leaves))
 
 
 @given(st.lists(st.binary(max_size=16), min_size=2, max_size=16), st.data())
@@ -89,7 +114,7 @@ def test_proof_not_transferable_between_indices(leaves, data):
     j = data.draw(
         st.integers(min_value=0, max_value=len(leaves) - 1).filter(lambda v: v != i)
     )
-    assert not mvrfy(j, t.root, leaves[j], mproof(t, i))
+    assert not mvrfy(j, t.root, leaves[j], mproof(t, i), len(leaves))
 
 
 @given(st.lists(st.binary(max_size=16), min_size=1, max_size=16))
@@ -112,9 +137,9 @@ def old_mproof(tree, index):
         if len(level) % 2:
             level = level + [level[-1]]
         if pos % 2 == 0:
-            siblings.append((level[pos + 1], True))
+            siblings.append(level[pos + 1])
         else:
-            siblings.append((level[pos - 1], False))
+            siblings.append(level[pos - 1])
         pos //= 2
     return MerkleProof(index=index, siblings=tuple(siblings))
 

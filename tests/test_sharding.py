@@ -30,8 +30,8 @@ def test_shard_encrypt_roundtrip():
 def test_roots_commit_both_layers():
     ss = sharding.shard_encrypt(MASTER, b"hello world" * 40, slot=64)
     for i in range(ss.n):
-        assert mvrfy(i, ss.root_plain, ss.plain_shards[i], mproof(ss.tree_plain, i))
-        assert mvrfy(i, ss.root_enc, ss.enc_shards[i], mproof(ss.tree_enc, i))
+        assert mvrfy(i, ss.root_plain, ss.plain_shards[i], mproof(ss.tree_plain, i), ss.n)
+        assert mvrfy(i, ss.root_enc, ss.enc_shards[i], mproof(ss.tree_enc, i), ss.n)
     assert ss.root_plain != ss.root_enc
 
 
@@ -46,7 +46,7 @@ def test_provider_layer_roundtrip():
     assert len(pkg.eed_shards) == ss.n
     for i, eed in enumerate(pkg.eed_shards):
         assert crypto.sym_decrypt(pkg.key, eed) == ss.enc_shards[i]
-        assert mvrfy(i, pkg.root, eed, mproof(pkg.tree_eed, i))
+        assert mvrfy(i, pkg.root, eed, mproof(pkg.tree_eed, i), ss.n)
 
 
 def test_provider_keys_differ_by_seed():
