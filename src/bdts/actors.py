@@ -18,14 +18,16 @@ benchmark runs it over throttled sockets.  Cheating variants:
 * consumer ``f``/``g``/``h`` offer less than the listed price + fees, so
   the order is never funded.
 
-The consumer first checks every delivered shard against its provider's
-on-chain root.  The honest consumer appeals on the first verification
-failure, routing the appeal by which posted key opens the delivered layer:
-an outer layer that will not open (or that opens to bytes outside the
-seller's commitment) implicates the provider; an inner layer that opens to
-bad plaintext, or that is genuine but will not open, implicates the seller.
-Every appeal names the shard by its global index.  The expected outcome of
-each cheat profile is pinned by the tests' cheat catalog.
+The honest consumer files one appeal per cheating payee, peeling the
+layers in the phase that posts their keys.  In the download phase it checks
+each provider's delivered shards against that provider's on-chain root and
+opens them with the provider's posted key; a package that will not open
+implicates its provider.  In the decrypt phase it opens the other shards
+under the seller's posted key: a genuine seller-layer shard that will not
+open, or plaintext off the seller's commitment, implicates the seller; any
+other shard that will not open was swapped by its provider.  Every appeal
+names the shard by its global index.  The expected outcome of each cheat
+profile is pinned by the tests' cheat catalog.
 """
 from __future__ import annotations
 
@@ -166,7 +168,8 @@ def run_trade(
 
     Provider ``p`` serves the shard indices ``assignment[p]``; ``deliver``
     carries the shards the providers serve to the consumer.  Cheating
-    sellers and providers draw the garbage they serve from ``rng``.
+    sellers and providers draw the garbage they serve from ``rng``.  The
+    consumer appeals once against each payee it catches cheating.
     """
     seed_tag = str(seed).encode()
     labels = ["seller", "consumer", "provider"] + [
@@ -230,10 +233,7 @@ def run_trade(
 
         with col.phase("download"):
             system.scmc_select(order_id, list(zip(providers, assignment)))
-            # each provider serves the package the contract recorded for it: its
-            # shards in listed order, less those a provider listed earlier serves
-            served = system.orders[order_id].served
-            assignment = [served.get(provider, []) for provider in providers]
+            order = system.orders[order_id]
             # the seller hands the providers one shard set (honest or substituted)
             if profile.seller in "bd":
                 basis = master if profile.seller == "b" else wrong_master
@@ -243,62 +243,36 @@ def run_trade(
                 )
             else:
                 inner_served = shards.enc_shards
-            proofs_ed = [mproof(shards.tree_enc, i) for i in range(n)]
-            # each provider wraps what it actually serves and commits that root
-            packages = []
-            for p, (provider, indices) in enumerate(zip(providers, assignment)):
+            # each provider wraps the package the contract recorded for it (its
+            # listed shards less those an earlier-listed provider serves) and
+            # commits that root; a listed provider left with none serves nothing
+            packages = {}
+            for p, (provider, indices) in enumerate(order.served.items()):
                 to_wrap = [inner_served[i] for i in indices]
                 if profile.provider in "kl":
                     to_wrap = [rng.randbytes(len(s)) for s in to_wrap]
                 sp_seed = hashlib.sha256(b"sp" + bytes([p]) + seed_tag).digest()
-                pkg = provider_encrypt(to_wrap, sp_seed)
-                system.scmc_record_provider_root(order_id, provider, pkg.root)
-                packages.append(pkg)
+                packages[provider] = provider_encrypt(to_wrap, sp_seed)
+                system.scmc_record_provider_root(order_id, provider, packages[provider].root)
             escrow = system.cpc_open(order_id)
             kp = crypto.pk_keygen(b"consumer" + str((str(profile), seed)).encode())
             system.cpc_post_pubkey(order_id, kp.public)
             wrong_sp_key = hashlib.sha256(b"not-the-sp-key" + seed_tag).digest()
-            for provider, pkg in zip(providers, packages):
+            for provider, pkg in packages.items():
                 sp_key_posted = pkg.key if profile.provider in "ik" else wrong_sp_key
                 system.cpc_post_key(
                     order_id, provider_payee(provider),
                     crypto.pk_encrypt(kp.public, sp_key_posted),
                 )
             ledger.mine_block()
-            received = deliver(
-                [dict(zip(ix, pkg.eed_shards)) for ix, pkg in zip(assignment, packages)]
+            delivered = deliver(
+                [dict(zip(order.served[sp], pkg.eed_shards)) for sp, pkg in packages.items()]
             )
-            # consumer: check every package against its provider's on-chain
-            # root, unwrap the provider keys and peel the outer layer
-            source = {i: (p, j) for p, ix in enumerate(assignment) for j, i in enumerate(ix)}
-            inner_got = [b""] * n
-            outer_fail = None
-            for p, (provider, indices) in enumerate(zip(providers, assignment)):
-                posted_sp = crypto.pk_decrypt(
-                    kp.private, escrow.posted_keys[provider_payee(provider)]
-                )
-                root = system.orders[order_id].provider_roots[provider]
-                for j, i in enumerate(indices):
-                    proof = mproof(packages[p].tree_eed, j)
-                    if not mvrfy(j, root, received[p].get(i, b""), proof, len(indices)):
-                        raise ProofFailure(f"shard {i} does not match {provider}'s root")
-                for i in indices:
-                    try:
-                        inner_got[i] = crypto.sym_decrypt(posted_sp, received[p][i])
-                    except DecryptError:
-                        outer_fail = i
-                        break
-                if outer_fail is not None:
-                    break
-
-        def provider_evidence(i: int) -> tuple[str, AppealEvidence]:
-            p, j = source[i]
-            return provider_payee(providers[p]), AppealEvidence(
-                i, received[p][i], auth_proof=mproof(packages[p].tree_eed, j),
-                inner_proof=proofs_ed[i],
+            received = dict(zip(packages, delivered))
+            opened, appeals = _open_provider_layer(
+                order, escrow, kp.private, packages, received, shards.tree_enc
             )
 
-        appeal_payee = appeal_ev = None
         with col.phase("decrypt"):
             sl_key_posted = wrong_master if profile.seller in "cd" else master
             system.cpc_post_key(
@@ -306,55 +280,100 @@ def run_trade(
             )
             ledger.mine_block()
             posted_master = crypto.pk_decrypt(kp.private, escrow.posted_keys[SELLER_PAYEE])
-            if outer_fail is not None:
-                # outer layer will not open: the provider's posted key is bad
-                appeal_payee, appeal_ev = provider_evidence(outer_fail)
-            else:
-                shard_keys = crypto.derive_keys(posted_master, n)
-                plain_got: list[bytes] = []
-                for i, enc_i in enumerate(inner_got):
-                    ed_ok = mvrfy(i, shards.root_enc, enc_i, proofs_ed[i], n)
-                    try:
-                        plain = crypto.sym_decrypt(shard_keys[i], enc_i)
-                    except DecryptError:
-                        # genuine seller layer the posted key cannot open points
-                        # at the seller; anything else was swapped in transit
-                        if ed_ok:
-                            appeal_payee, appeal_ev = SELLER_PAYEE, AppealEvidence(
-                                i, enc_i, auth_proof=proofs_ed[i], inner_proof=proofs_ed[i]
-                            )
-                        else:
-                            appeal_payee, appeal_ev = provider_evidence(i)
-                        break
-                    plain_got.append(plain)
-                if appeal_payee is None:
-                    check = mtree(plain_got)
-                    if check.root == shards.root_plain and reassemble(plain_got) == data:
-                        tr.recovery = True
-                    else:
-                        # opened under the seller's posted key but off-commitment
-                        i = next(
-                            j for j in range(n)
-                            if check.levels[0][j] != shards.tree_plain.levels[0][j]
-                        )
-                        appeal_payee = SELLER_PAYEE
-                        appeal_ev = AppealEvidence(
-                            i, inner_got[i], auth_proof=proofs_ed[i],
-                            inner_proof=mproof(check, i),
-                        )
-
-        if appeal_payee is not None:
-            with col.phase("appeal"):
-                verdict = system.cpc_appeal(order_id, appeal_payee, kp.private, appeal_ev)
-            tr.appeals.append(
-                {"payee": appeal_payee, "index": appeal_ev.index, "verdict": verdict}
+            appeals += _open_seller_layer(
+                shards, posted_master, data, opened, order, packages, received
             )
+        tr.recovery = not appeals
+
+        with col.phase("appeal"):
+            for payee, evidence in appeals:
+                verdict = system.cpc_appeal(order_id, payee, kp.private, evidence)
+                tr.appeals.append({"payee": payee, "index": evidence.index, "verdict": verdict})
         for _ in range(system.config.appeal_window + 1):
             ledger.mine_block()
         system.cpc_settle(order_id)
         ledger.mine_block()
         tr.verdicts = dict(system.escrows[order_id].verdicts)
     return _finalize(tr, ledger, col, addrs, endow)
+
+
+def _open_provider_layer(order, escrow, private, packages, received, tree_enc):
+    """The consumer's provider layer, in the download phase.
+
+    Checks each provider's delivered shards against its on-chain root, then
+    opens them in package order with its posted key.  Returns the opened
+    seller-layer shards (global index -> (provider, shard)) and one appeal
+    against each provider with a shard that will not open, whose package is
+    dropped.
+    """
+    opened, appeals = {}, []
+    for provider, indices in order.served.items():
+        key = crypto.pk_decrypt(private, escrow.posted_keys[provider_payee(provider)])
+        tree, got = packages[provider].tree_eed, received[provider]
+        root = order.provider_roots[provider]
+        for j, i in enumerate(indices):
+            if not mvrfy(j, root, got.get(i, b""), mproof(tree, j), len(indices)):
+                raise ProofFailure(f"shard {i} does not match {provider}'s root")
+        package = {}
+        for i in indices:
+            try:
+                package[i] = provider, crypto.sym_decrypt(key, got[i])
+            except DecryptError:
+                appeals.append(_provider_appeal(order, packages, received, tree_enc, provider, i))
+                break
+        else:
+            opened.update(package)
+    return opened, appeals
+
+
+def _open_seller_layer(shards, posted_master, data, opened, order, packages, received):
+    """The consumer's seller layer, in the decrypt phase.
+
+    Opens the shards of the providers not yet caught, in index order, each
+    under its K_i.  A genuine shard (on r_ed) that will not open implicates
+    the seller and ends the scan; any other shard that will not open
+    implicates its provider, whose other shards are skipped.  Only when
+    every shard opened is the plaintext checked against r_d; the first shard
+    off it implicates the seller.
+    """
+    n = shards.n
+    shard_keys = crypto.derive_keys(posted_master, n)
+    plain, appeals, caught = [], [], set()
+    for i in sorted(opened):
+        provider, enc_i = opened[i]
+        if provider in caught:
+            continue
+        proof = mproof(shards.tree_enc, i)
+        on_r_ed = mvrfy(i, shards.root_enc, enc_i, proof, n)
+        try:
+            plain.append(crypto.sym_decrypt(shard_keys[i], enc_i))
+        except DecryptError:
+            if on_r_ed:
+                return appeals + [(SELLER_PAYEE, AppealEvidence(i, enc_i, proof, proof))]
+            # anything off r_ed was swapped in transit
+            appeals.append(
+                _provider_appeal(order, packages, received, shards.tree_enc, provider, i)
+            )
+            caught.add(provider)
+    if appeals or len(plain) < n:  # a caught payee's shards never reach r_d
+        return appeals
+    check = mtree(plain)
+    if check.root == shards.root_plain and reassemble(plain) == data:
+        return []
+    # opened under the seller's posted key but off-commitment
+    i = next(j for j in range(n) if check.levels[0][j] != shards.tree_plain.levels[0][j])
+    return [(SELLER_PAYEE, AppealEvidence(
+        i, opened[i][1], auth_proof=mproof(shards.tree_enc, i), inner_proof=mproof(check, i)
+    ))]
+
+
+def _provider_appeal(order, packages, received, tree_enc, provider, i):
+    """An appeal against ``provider`` with the outer-layer shard it delivered at ``i``."""
+    j = order.served[provider].index(i)
+    return provider_payee(provider), AppealEvidence(
+        i, received[provider][i], auth_proof=mproof(packages[provider].tree_eed, j),
+        inner_proof=mproof(tree_enc, i),
+    )
 
 
 def _finalize(tr, ledger, col, addrs, endow) -> RunTranscript:

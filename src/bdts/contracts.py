@@ -385,6 +385,9 @@ class ContractSystem:
             raise BadState(f"order {order_id} is {order.status}, expected {DOWNLOADING}")
         if order_id in self.escrows:
             raise BadState(f"escrow for {order_id} already open")
+        if set(order.provider_roots) != set(order.served):
+            # every r_eed is fixed before any key can be posted
+            raise BadState(f"order {order_id} lacks a serving provider's root")
         rec = self._record(order.data_id)
         self.ledger.transfer(self.scmc_addr, self.cpc_addr, order.tokens, memo="escrow-cpc")
         tranches = {SELLER_PAYEE: rec.price}
@@ -452,7 +455,7 @@ class ContractSystem:
         else:
             provider = escrow.payee_addrs[payee]
             package, inner_root = order.served[provider], rec.r_ed
-            own_root = order.provider_roots.get(provider, b"")
+            own_root = order.provider_roots[provider]
         if i not in package:
             raise WrongIndices(f"shard {i} is not one that {payee} is paid for")
         try:

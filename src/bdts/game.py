@@ -227,7 +227,8 @@ def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> StrategyProfi
 
 
 def crosscheck_transcript(tr: RunTranscript) -> bool:
-    """Compare a run's balance deltas with ``token_flows``.
+    """Compare a run's balance deltas with ``token_flows``, the providers'
+    deltas summed into one (the model's provider is all of them).
 
     The run's ``price`` must be a multiple of 20 and its ``n * unit_price``
     must scale the 4-unit fee by the same factor, so unit amounts map to
@@ -242,7 +243,7 @@ def crosscheck_transcript(tr: RunTranscript) -> bool:
     got = PayoffVector(
         tr.deltas["seller"] / scale,
         tr.deltas["consumer"] / scale,
-        tr.deltas["provider"] / scale,
+        sum(v for k, v in tr.deltas.items() if k.startswith("provider")) / scale,
     )
     if tuple(got) != tuple(want):
         raise Mismatch(

@@ -12,6 +12,7 @@ from bdts.actors import (
     run_scenario,
     run_trade,
 )
+from bdts.contracts import SELLER_PAYEE, UPHELD, provider_payee
 from bdts.errors import InvalidInput, ProofFailure
 from bdts.ledger import address_for
 from cheat_catalog import cheat_catalog
@@ -119,6 +120,19 @@ HONEST = StrategyProfile.parse("aei")
 OVER_SOCKETS = functools.partial(bench._deliver, 0, [])
 
 
+def provider_labels(providers):
+    return ["provider"] + [f"provider{p}" for p in range(1, providers)]
+
+
+def escrow_in_out(tr):
+    cpc = address_for("contract:CPC")
+    moved = [e for e in tr.events if e["type"] == "transfer" and e["status"] == "applied"]
+    return (
+        sum(e["amount"] for e in moved if e["to"] == cpc),
+        sum(e["amount"] for e in moved if e["from"] == cpc),
+    )
+
+
 @pytest.mark.parametrize("deliver", (deliver_in_memory, OVER_SOCKETS), ids=("memory", "sockets"))
 @pytest.mark.parametrize("providers", (2, 3))
 def test_honest_multi_provider_trade(providers, deliver):
@@ -127,16 +141,56 @@ def test_honest_multi_provider_trade(providers, deliver):
     ranges = bench._ranges(n, providers)
     tr = run_trade(HONEST, data, SLOT, ranges, deliver, random.Random(0))
     assert tr.funded and tr.recovery and not tr.appeals and not tr.verdicts
-    labels = ["provider"] + [f"provider{p}" for p in range(1, providers)]
+    labels = provider_labels(providers)
     assert [tr.deltas[label] for label in labels] == [len(r) * tr.unit_price for r in ranges]
     assert tr.deltas["seller"] == tr.price
     assert tr.deltas["consumer"] == -(tr.price + n * tr.unit_price)
     assert sum(tr.deltas.values()) == 0  # supply conserved, no contract keeps tokens
-    cpc = address_for("contract:CPC")
-    moved = [e for e in tr.events if e["type"] == "transfer" and e["status"] == "applied"]
-    escrow_in = sum(e["amount"] for e in moved if e["to"] == cpc)
-    escrow_out = sum(e["amount"] for e in moved if e["from"] == cpc)
-    assert escrow_in == escrow_out == tr.price + n * tr.unit_price
+    assert escrow_in_out(tr) == (tr.price + n * tr.unit_price,) * 2
+
+
+def cheat_over(profile, providers, n=8):
+    """``profile`` traded over ``n`` shards split evenly across ``providers``."""
+    data = random.Random(profile).randbytes(n * SLOT)
+    ranges = bench._ranges(n, providers)
+    tr = run_trade(StrategyProfile.parse(profile), data, SLOT, ranges, deliver_in_memory,
+                   random.Random(0))
+    return ranges, tr
+
+
+@pytest.mark.parametrize("providers", (2, 3))
+@pytest.mark.parametrize("profile", ("aej", "aek", "ael"))
+def test_every_cheating_provider_is_appealed(profile, providers):
+    _, tr = cheat_over(profile, providers)
+    labels = provider_labels(providers)
+    payees = [provider_payee(address_for(f"actor:{label}")) for label in labels]
+    assert [(a["payee"], a["verdict"]) for a in tr.appeals] == [(p, UPHELD) for p in payees]
+    assert not tr.recovery
+    assert [tr.deltas[label] for label in labels] == [0] * providers
+    # the consumer gets back exactly the providers' tranches and pays the seller
+    assert tr.deltas["consumer"] == -tr.price
+    assert escrow_in_out(tr) == (tr.price + 8 * tr.unit_price,) * 2
+
+
+@pytest.mark.parametrize("providers", (2, 3))
+@pytest.mark.parametrize("profile", ("bei", "cei", "dei"))
+def test_cheating_seller_is_appealed_once_over_providers(profile, providers):
+    ranges, tr = cheat_over(profile, providers)
+    assert [(a["payee"], a["verdict"]) for a in tr.appeals] == [(SELLER_PAYEE, UPHELD)]
+    assert not tr.recovery
+    labels = provider_labels(providers)
+    assert [tr.deltas[label] for label in labels] == [len(r) * tr.unit_price for r in ranges]
+    assert tr.deltas["seller"] <= 0
+    assert tr.deltas["consumer"] == -8 * tr.unit_price
+
+
+def test_provider_left_without_shards_serves_nothing():
+    # every shard listed for provider1 is served by the provider listed first
+    data = random.Random(4).randbytes(4 * SLOT)
+    tr = run_trade(HONEST, data, SLOT, [[0, 1, 2, 3], [3]], deliver_in_memory, random.Random(0))
+    assert tr.recovery and not tr.appeals
+    assert tr.deltas["provider"] == 4 * tr.unit_price and tr.deltas["provider1"] == 0
+    assert escrow_in_out(tr) == (tr.price + 4 * tr.unit_price,) * 2
 
 
 def test_providers_serve_the_packages_the_contract_recorded():

@@ -272,6 +272,19 @@ def open_escrow(s, **listing):
     return data_id, shards, order, pkg, escrow
 
 
+def test_open_requires_every_serving_providers_root():
+    s = make_system()
+    data_id, _ = go_live(s)
+    rec = s.records[data_id]
+    order = s.scmc_place_order(CONSUMER, data_id, rec.price + rec.n * rec.unit_price)
+    s.scmc_select(order, [(PROVIDER, list(range(rec.n)))])
+    held = {addr: s.ledger.balance(addr) for addr in (CONSUMER, s.scmc_addr, s.cpc_addr)}
+    with pytest.raises(BadState):
+        s.cpc_open(order)  # PROVIDER never recorded its r_eed
+    assert order not in s.escrows
+    assert {addr: s.ledger.balance(addr) for addr in held} == held
+
+
 def test_escrow_tranches():
     s = make_system()
     *_, escrow = open_escrow(s)

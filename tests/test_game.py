@@ -1,9 +1,11 @@
 """Payoff rules against the transcribed profit table, equilibrium search,
 and the model/simulation crosscheck."""
+import random
+
 import pytest
 
-from bdts import game
-from bdts.actors import StrategyProfile, all_profiles
+from bdts import bench, game
+from bdts.actors import StrategyProfile, all_profiles, deliver_in_memory, run_trade
 from bdts.errors import InvalidInput, Mismatch
 
 GRID = [(x, y) for x in (0, 5, 10, 19) for y in (0, 1, 2, 3)]
@@ -103,6 +105,16 @@ def test_crosscheck_honest_and_cheating():
     assert game.crosscheck_simulation("aei", slot=512)
     assert game.crosscheck_simulation("cei", slot=512)
     assert game.crosscheck_simulation("ahl", slot=512)
+
+
+@pytest.mark.parametrize("providers", (2, 3))
+def test_crosscheck_over_several_providers(providers):
+    # the model's provider is every provider together
+    ranges = bench._ranges(8, providers)
+    for p in all_profiles():
+        data = random.Random(str(p)).randbytes(8 * 1024)
+        tr = run_trade(p, data, 1024, ranges, deliver_in_memory, random.Random(0), price=40)
+        assert game.crosscheck_transcript(tr), str(p)
 
 
 def test_crosscheck_runs_the_scenario_once(monkeypatch):
