@@ -9,7 +9,8 @@ benchmark runs it over throttled sockets.  Cheating variants:
 
 * seller ``b``/``d`` substitute garbage shards after passing exposure (the
   exposure step kills pre-exposure fakery outright, which would make those
-  strategies unreachable);
+  strategies unreachable), sealed under the ``SUBSTITUTE`` nonce tag so that
+  ``b`` never reuses a nonce its honest seal took under the same K_i;
 * seller ``c``/``d`` post a key unrelated to the one the shards were
   encrypted under; ``d`` encrypts its garbage under the key it posts, so
   the substitution is only detectable through the plaintext commitment;
@@ -48,7 +49,7 @@ from .contracts import (
 from .errors import DecryptError, InsufficientTokens, InvalidInput, ProofFailure
 from .ledger import Ledger, address_for
 from .merkle import mproof, mtree, mvrfy
-from .sharding import provider_encrypt, reassemble, shard_encrypt
+from .sharding import provider_encrypt, shard_encrypt
 
 SELLER_STRATEGIES = "abcd"
 CONSUMER_STRATEGIES = "efgh"
@@ -56,6 +57,7 @@ PROVIDER_STRATEGIES = "ijkl"
 
 PRICE = 20  # units paid to the seller
 FEE = 4  # units paid to the provider(s)
+SUBSTITUTE = b"subs"  # nonce layer tag of a cheating seller's garbage shards
 
 
 @dataclass(frozen=True)
@@ -239,7 +241,8 @@ def run_trade(
                 basis = master if profile.seller == "b" else wrong_master
                 keys = crypto.derive_keys(basis, n)
                 inner_served = tuple(
-                    crypto.sym_encrypt(k, rng.randbytes(slot)) for k in keys
+                    crypto.sym_encrypt(k, rng.randbytes(slot), SUBSTITUTE, i)
+                    for i, k in enumerate(keys)
                 )
             else:
                 inner_served = shards.enc_shards
@@ -281,7 +284,7 @@ def run_trade(
             ledger.mine_block()
             posted_master = crypto.pk_decrypt(kp.private, escrow.posted_keys[SELLER_PAYEE])
             appeals += _open_seller_layer(
-                shards, posted_master, data, opened, order, packages, received
+                shards, posted_master, data, slot, opened, order, packages, received
             )
         tr.recovery = not appeals
 
@@ -326,19 +329,23 @@ def _open_provider_layer(order, escrow, private, packages, received, tree_enc):
     return opened, appeals
 
 
-def _open_seller_layer(shards, posted_master, data, opened, order, packages, received):
+def _open_seller_layer(shards, posted_master, data, slot, opened, order, packages, received):
     """The consumer's seller layer, in the decrypt phase.
 
     Opens the shards of the providers not yet caught, in index order, each
-    under its K_i.  A genuine shard (on r_ed) that will not open implicates
-    the seller and ends the scan; any other shard that will not open
-    implicates its provider, whose other shards are skipped.  Only when
-    every shard opened is the plaintext checked against r_d; the first shard
-    off it implicates the seller.
+    under its K_i and straight into its slot of one buffer of the data's
+    length.  A genuine shard (on r_ed) that will not open implicates the
+    seller and ends the scan; any other shard that will not open implicates
+    its provider, whose other shards are skipped.  Only when every shard
+    opened is the plaintext checked against r_d; the first shard off it
+    implicates the seller.
     """
     n = shards.n
     shard_keys = crypto.derive_keys(posted_master, n)
-    plain, appeals, caught = [], [], set()
+    out = bytearray(len(data))
+    view = memoryview(out)
+    leaves = [view[i * slot : (i + 1) * slot] for i in range(n)]
+    appeals, caught = [], set()
     for i in sorted(opened):
         provider, enc_i = opened[i]
         if provider in caught:
@@ -346,7 +353,10 @@ def _open_seller_layer(shards, posted_master, data, opened, order, packages, rec
         proof = mproof(shards.tree_enc, i)
         on_r_ed = mvrfy(i, shards.root_enc, enc_i, proof, n)
         try:
-            plain.append(crypto.sym_decrypt(shard_keys[i], enc_i))
+            if len(enc_i) - crypto.OVERHEAD == len(leaves[i]):
+                crypto.sym_decrypt(shard_keys[i], enc_i, leaves[i])
+            else:  # cannot be the committed shard; kept whole for the r_d check
+                leaves[i] = crypto.sym_decrypt(shard_keys[i], enc_i)
         except DecryptError:
             if on_r_ed:
                 return appeals + [(SELLER_PAYEE, AppealEvidence(i, enc_i, proof, proof))]
@@ -355,10 +365,10 @@ def _open_seller_layer(shards, posted_master, data, opened, order, packages, rec
                 _provider_appeal(order, packages, received, shards.tree_enc, provider, i)
             )
             caught.add(provider)
-    if appeals or len(plain) < n:  # a caught payee's shards never reach r_d
+    if appeals or len(opened) < n:  # a caught payee's shards never reach r_d
         return appeals
-    check = mtree(plain)
-    if check.root == shards.root_plain and reassemble(plain) == data:
+    check = mtree(leaves)
+    if check.root == shards.root_plain and out == data:
         return []
     # opened under the seller's posted key but off-commitment
     i = next(j for j in range(n) if check.levels[0][j] != shards.tree_plain.levels[0][j])

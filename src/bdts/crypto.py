@@ -1,7 +1,12 @@
 """Symmetric and hybrid encryption used by the trading pipeline.
 
-Symmetric leg: AES-256-GCM with a nonce derived from (key, plaintext) so
-that the whole pipeline is replay-deterministic.  Hybrid leg: X25519 key
+Symmetric leg: AES-256-GCM under a deterministic nonce made of a 4-byte
+layer tag and the shard's 8-byte big-endian position, a fixed field plus an
+invocation counter as in NIST SP 800-38D section 8.2.1.  The nonce reads no
+plaintext, so sealing is one AES pass written straight into the output.  It
+is safe only while a key seals at most one plaintext per (tag, position):
+each K_i seals one shard and each provider key one package, and a layer
+that re-seals under a used key takes its own tag.  Hybrid leg: X25519 key
 agreement with an ephemeral key derived deterministically from the
 recipient key and message, wrapping the payload under AES-256-GCM.
 Authentication failures always surface as :class:`DecryptError`, which the
@@ -24,6 +29,9 @@ from .errors import DecryptError, InvalidInput
 
 KEY_SIZE = 32
 NONCE_SIZE = 12
+TAG_SIZE = 16
+LAYER_TAG_SIZE = 4
+OVERHEAD = NONCE_SIZE + TAG_SIZE  # ciphertext length minus plaintext length
 
 
 def _sha256(*parts: bytes) -> bytes:
@@ -50,24 +58,47 @@ def derive_keys(master: bytes, n: int) -> list[bytes]:
     return [_sha256(master, i.to_bytes(8, "big")) for i in range(n)]
 
 
-def sym_encrypt(key: bytes, plaintext: bytes) -> bytes:
-    """AES-256-GCM seal; ciphertext layout is nonce || body || tag."""
+def sym_encrypt(key: bytes, plaintext: bytes, layer: bytes, position: int) -> bytearray:
+    """AES-256-GCM seal under the nonce ``layer || position``.
+
+    The ciphertext layout is nonce || body || tag, written into one buffer.
+    """
     if len(key) != KEY_SIZE:
         raise InvalidInput("symmetric key must be 32 bytes")
+    if len(layer) != LAYER_TAG_SIZE:
+        raise InvalidInput(f"layer tag must be {LAYER_TAG_SIZE} bytes")
+    if not 0 <= position < 1 << 64:
+        raise InvalidInput("position must be in [0, 2**64)")
     metrics.record("sym_encryptions")
-    nonce = _sha256(b"nonce", key, plaintext)[:NONCE_SIZE]
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+    nonce = layer + position.to_bytes(8, "big")
+    out = bytearray(OVERHEAD + len(plaintext))
+    out[:NONCE_SIZE] = nonce
+    AESGCM(key).encrypt_into(nonce, plaintext, None, memoryview(out)[NONCE_SIZE:])
+    return out
 
 
-def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
+def sym_decrypt(
+    key: bytes, ciphertext: bytes, out: bytearray | memoryview | None = None
+) -> bytes | bytearray | memoryview:
+    """Open a ``sym_encrypt`` ciphertext; the nonce is read from its head.
+
+    With ``out`` the plaintext is written into it, which must hold exactly
+    ``len(ciphertext) - OVERHEAD`` bytes, and ``out`` is returned.
+    """
     if len(key) != KEY_SIZE:
         raise InvalidInput("symmetric key must be 32 bytes")
     metrics.record("sym_decryptions")
-    if len(ciphertext) < NONCE_SIZE + 16:
+    if len(ciphertext) < OVERHEAD:
         raise DecryptError("ciphertext too short")
+    if out is not None and len(out) != len(ciphertext) - OVERHEAD:
+        raise InvalidInput(f"output buffer must hold {len(ciphertext) - OVERHEAD} bytes")
     view = memoryview(ciphertext)  # slices without copying the body
+    nonce, body = view[:NONCE_SIZE], view[NONCE_SIZE:]
     try:
-        return AESGCM(key).decrypt(view[:NONCE_SIZE], view[NONCE_SIZE:], None)
+        if out is None:
+            return AESGCM(key).decrypt(nonce, body, None)
+        AESGCM(key).decrypt_into(nonce, body, None, out)
+        return out
     except InvalidTag as exc:
         raise DecryptError("authentication failed") from exc
 
@@ -103,7 +134,7 @@ def pk_encrypt(public: bytes, message: bytes) -> bytes:
 
 def pk_decrypt(private: bytes, ciphertext: bytes) -> bytes:
     metrics.record("asym_decryptions")
-    if len(ciphertext) < 32 + NONCE_SIZE + 16:
+    if len(ciphertext) < 32 + OVERHEAD:
         raise DecryptError("ciphertext too short")
     eph_pub, nonce, body = (
         ciphertext[:32],

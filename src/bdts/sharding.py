@@ -9,13 +9,19 @@ from .errors import InvalidInput
 from .merkle import MerkleTree, mtree
 
 DEFAULT_SLOT = 1 << 20  # 1 MiB
+# nonce layer tags: the seller seals shard i under K_i at SEAL/i, a provider
+# seals position j of its package under its key at WRAP/j
+SEAL = b"seal"
+WRAP = b"wrap"
 
 
-def split(data: bytes, slot: int) -> list[bytes]:
-    """Ceiling-division split; the last shard keeps its true length."""
+def split(data: bytes, slot: int) -> list[memoryview]:
+    """Ceiling-division split into views of ``data``; the last shard keeps
+    its true length."""
     if slot < 1:
         raise InvalidInput("slot size must be >= 1")
-    return [data[i : i + slot] for i in range(0, len(data), slot)] or [b""]
+    view = memoryview(data)
+    return [view[i : i + slot] for i in range(0, len(data), slot)] or [view]
 
 
 @dataclass(frozen=True)
@@ -27,7 +33,7 @@ class ShardSet:
     """
 
     n: int
-    plain_shards: tuple[bytes, ...]
+    plain_shards: tuple[memoryview, ...]
     enc_shards: tuple[bytes, ...]
     tree_plain: MerkleTree
     tree_enc: MerkleTree
@@ -60,7 +66,7 @@ def shard_encrypt(master: bytes, data: bytes, slot: int = DEFAULT_SLOT) -> Shard
         raise InvalidInput("data must be non-empty")
     plain = split(data, slot)
     keys = crypto.derive_keys(master, len(plain))
-    enc = [crypto.sym_encrypt(k, shard) for k, shard in zip(keys, plain)]
+    enc = [crypto.sym_encrypt(k, shard, SEAL, i) for i, (k, shard) in enumerate(zip(keys, plain))]
     return ShardSet(
         n=len(plain),
         plain_shards=tuple(plain),
@@ -71,7 +77,10 @@ def shard_encrypt(master: bytes, data: bytes, slot: int = DEFAULT_SLOT) -> Shard
 
 
 def reassemble(shards: list[bytes]) -> bytes:
-    """Concatenate shards in index order."""
+    """Concatenate shards in index order.
+
+    The consumer decrypts into one buffer and does not call this; the
+    benchmark's tracer still resolves it by name."""
     return b"".join(shards)
 
 
@@ -80,6 +89,6 @@ def provider_encrypt(enc_shards: list[bytes], sp_seed: bytes) -> ProviderPackage
     if not enc_shards:
         raise InvalidInput("shard list must be non-empty")
     key = hashlib.sha256(b"provider-key" + sp_seed).digest()
-    eed = [crypto.sym_encrypt(key, shard) for shard in enc_shards]
+    eed = [crypto.sym_encrypt(key, shard, WRAP, j) for j, shard in enumerate(enc_shards)]
     return ProviderPackage(key=key, eed_shards=tuple(eed), tree_eed=mtree(eed))
 

@@ -108,14 +108,14 @@ def test_criterion_5_crypto_roundtrip_1000():
     for _ in range(1000):
         key = rng.randbytes(32)
         msg = rng.randbytes(rng.randint(0, 200))
-        assert crypto.sym_decrypt(key, crypto.sym_encrypt(key, msg)) == msg
+        assert crypto.sym_decrypt(key, crypto.sym_encrypt(key, msg, b"test", 0)) == msg
 
 
 def test_criterion_5_tamper_rejection_1000():
     rng = random.Random(502)
     for _ in range(1000):
         key = rng.randbytes(32)
-        ct = bytearray(crypto.sym_encrypt(key, rng.randbytes(rng.randint(1, 100))))
+        ct = bytearray(crypto.sym_encrypt(key, rng.randbytes(rng.randint(1, 100)), b"test", 0))
         if rng.random() < 0.5:
             ct[rng.randrange(len(ct))] ^= 1 << rng.randrange(8)
             with pytest.raises(DecryptError):

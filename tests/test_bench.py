@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from bdts.actors import run_scenario
 from bdts.errors import InvalidInput
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 SMALL = dict(size_bytes=200_000, slot=20_000, reps=2, bandwidth=200_000_000)
 
 
@@ -122,3 +124,16 @@ def test_dev_mode_run_is_clean():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert (run.returncode, run.stderr) == (0, "")
+
+
+def test_tracer_specs_resolve():
+    """Every function the benchmark's tracer wraps still exists under its
+    name, so a refactor of ``src`` cannot silently break ``--trace 1``."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod, cls, fn, *_ in tracer.SPECS:
+        owner = importlib.import_module(f"bdts.{mod}")
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        assert callable(getattr(owner, fn, None)), ".".join(filter(None, (mod, cls, fn)))

@@ -6,26 +6,27 @@ from bdts.errors import DecryptError, InvalidInput
 
 KEY = bytes(range(32))
 OTHER = bytes(range(1, 33))
+TAG = b"test"
 
 
 def test_sym_roundtrip():
-    ct = crypto.sym_encrypt(KEY, b"hello")
+    ct = crypto.sym_encrypt(KEY, b"hello", TAG, 0)
     assert crypto.sym_decrypt(KEY, ct) == b"hello"
 
 
 def test_sym_deterministic():
-    # nonce is derived from (key, plaintext): same inputs, same ciphertext
-    assert crypto.sym_encrypt(KEY, b"x") == crypto.sym_encrypt(KEY, b"x")
+    # nonce is the layer tag and position: same inputs, same ciphertext
+    assert crypto.sym_encrypt(KEY, b"x", TAG, 0) == crypto.sym_encrypt(KEY, b"x", TAG, 0)
 
 
 def test_sym_wrong_key():
-    ct = crypto.sym_encrypt(KEY, b"hello")
+    ct = crypto.sym_encrypt(KEY, b"hello", TAG, 0)
     with pytest.raises(DecryptError):
         crypto.sym_decrypt(OTHER, ct)
 
 
 def test_sym_tamper():
-    ct = bytearray(crypto.sym_encrypt(KEY, b"hello"))
+    ct = bytearray(crypto.sym_encrypt(KEY, b"hello", TAG, 0))
     ct[-1] ^= 1
     with pytest.raises(DecryptError):
         crypto.sym_decrypt(KEY, bytes(ct))
@@ -38,9 +39,49 @@ def test_sym_short_ciphertext():
 
 def test_bad_key_sizes():
     with pytest.raises(InvalidInput):
-        crypto.sym_encrypt(b"short", b"x")
+        crypto.sym_encrypt(b"short", b"x", TAG, 0)
     with pytest.raises(InvalidInput):
         crypto.derive_keys(b"short", 1)
+
+
+def test_sym_layer_tag_must_be_4_bytes():
+    for layer in (b"", b"abc", b"abcde"):
+        with pytest.raises(InvalidInput):
+            crypto.sym_encrypt(KEY, b"x", layer, 0)
+
+
+def test_sym_position_range():
+    for position in (-1, 1 << 64):
+        with pytest.raises(InvalidInput):
+            crypto.sym_encrypt(KEY, b"x", TAG, position)
+    ct = crypto.sym_encrypt(KEY, b"x", TAG, (1 << 64) - 1)
+    assert ct[: crypto.NONCE_SIZE] == TAG + b"\xff" * 8
+
+
+def test_sym_nonce_is_tag_and_position():
+    ct = crypto.sym_encrypt(KEY, b"hello", TAG, 258)
+    assert ct[: crypto.NONCE_SIZE] == TAG + (258).to_bytes(8, "big")
+    assert len(ct) == len(b"hello") + crypto.OVERHEAD
+    assert ct != crypto.sym_encrypt(KEY, b"hello", TAG, 259)
+    assert ct != crypto.sym_encrypt(KEY, b"hello", b"tset", 258)
+
+
+def test_sym_encrypt_hashes_nothing(monkeypatch):
+    def no_hash(*args):
+        raise AssertionError("sym_encrypt hashed its input")
+
+    monkeypatch.setattr(crypto.hashlib, "sha256", no_hash)
+    assert crypto.sym_decrypt(KEY, crypto.sym_encrypt(KEY, b"x" * 4096, TAG, 3)) == b"x" * 4096
+
+
+def test_sym_decrypt_into_buffer():
+    ct = crypto.sym_encrypt(KEY, b"hello world", TAG, 0)
+    buf = bytearray(b"..hello world..")
+    assert crypto.sym_decrypt(KEY, ct, memoryview(buf)[2:-2]) == b"hello world"
+    with pytest.raises(InvalidInput):
+        crypto.sym_decrypt(KEY, ct, bytearray(10))
+    with pytest.raises(DecryptError):
+        crypto.sym_decrypt(OTHER, ct, bytearray(11))
 
 
 def test_derive_keys_prefix_consistent():
@@ -91,7 +132,7 @@ def test_pk_message_size_limit():
 
 @given(st.binary(min_size=32, max_size=32), st.binary(max_size=256))
 def test_sym_roundtrip_property(key, msg):
-    assert crypto.sym_decrypt(key, crypto.sym_encrypt(key, msg)) == msg
+    assert crypto.sym_decrypt(key, crypto.sym_encrypt(key, msg, TAG, 0)) == msg
 
 
 @given(
@@ -100,7 +141,7 @@ def test_sym_roundtrip_property(key, msg):
     st.integers(min_value=0, max_value=300),
 )
 def test_sym_bitflip_rejected(key, msg, pos):
-    ct = bytearray(crypto.sym_encrypt(key, msg))
+    ct = bytearray(crypto.sym_encrypt(key, msg, TAG, 0))
     ct[pos % len(ct)] ^= 1
     with pytest.raises(DecryptError):
         crypto.sym_decrypt(key, bytes(ct))

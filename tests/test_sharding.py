@@ -11,6 +11,8 @@ def test_split_ceiling():
     assert sharding.split(b"abcdef", 4) == [b"abcd", b"ef"]
     assert sharding.split(b"abcd", 4) == [b"abcd"]
     assert sharding.split(b"", 4) == [b""]
+    data = b"abcdef"
+    assert all(shard.obj is data for shard in sharding.split(data, 4))  # views, no copies
 
 
 def test_split_bad_slot():
