@@ -26,9 +26,11 @@ opens them with the provider's posted key; a package that will not open
 implicates its provider.  In the decrypt phase it opens the other shards
 under the seller's posted key: a genuine seller-layer shard that will not
 open, or plaintext off the seller's commitment, implicates the seller; any
-other shard that will not open was swapped by its provider.  Every appeal
-names the shard by its global index.  The expected outcome of each cheat
-profile is pinned by the tests' cheat catalog.
+other shard that will not open was swapped by its provider.  Recovery is
+decided by the seller's plaintext root r_d alone, as the consumer never
+holds the seller's data.  Every appeal names the shard by its global
+index.  The expected outcome of each cheat profile is pinned by the tests'
+cheat catalog.
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ from typing import Callable
 from . import crypto, metrics
 from .contracts import (
     AppealEvidence,
-    ContractConfig,
     ContractSystem,
     SELLER_PAYEE,
     provider_payee,
@@ -129,7 +130,6 @@ def run_scenario(
     unit_price: int = 1,
     seed: int = 0,
     slot: int = 1 << 20,
-    strict_forfeit: bool = True,
 ) -> RunTranscript:
     """One seeded trade of ``n`` random shards through a single provider."""
     if isinstance(profile, str):
@@ -140,7 +140,6 @@ def run_scenario(
     return run_trade(
         profile, data, slot, [list(range(n))], deliver_in_memory, rng,
         x=x, y=y, price=price, unit_price=unit_price, seed=seed,
-        strict_forfeit=strict_forfeit,
     )
 
 
@@ -164,7 +163,6 @@ def run_trade(
     price: int = 40,
     unit_price: int = 1,
     seed: int = 0,
-    strict_forfeit: bool = True,
 ) -> RunTranscript:
     """Trade ``data`` end to end under ``profile`` and return the transcript.
 
@@ -190,7 +188,7 @@ def run_trade(
             # every party can afford the full order
             endow = max(100 * price, price + n * unit_price)
             ledger = Ledger({addr: endow for addr in addrs.values()})
-            system = ContractSystem(ledger, ContractConfig(strict_forfeit=strict_forfeit))
+            system = ContractSystem(ledger)
             tr = RunTranscript(
                 profile=str(profile), x=x, y=y, n=n, price=price,
                 unit_price=unit_price, seed=seed,
@@ -284,7 +282,7 @@ def run_trade(
             ledger.mine_block()
             posted_master = crypto.pk_decrypt(kp.private, escrow.posted_keys[SELLER_PAYEE])
             appeals += _open_seller_layer(
-                shards, posted_master, data, slot, opened, order, packages, received
+                shards, posted_master, opened, order, packages, received
             )
         tr.recovery = not appeals
 
@@ -329,23 +327,19 @@ def _open_provider_layer(order, escrow, private, packages, received, tree_enc):
     return opened, appeals
 
 
-def _open_seller_layer(shards, posted_master, data, slot, opened, order, packages, received):
+def _open_seller_layer(shards, posted_master, opened, order, packages, received):
     """The consumer's seller layer, in the decrypt phase.
 
     Opens the shards of the providers not yet caught, in index order, each
-    under its K_i and straight into its slot of one buffer of the data's
-    length.  A genuine shard (on r_ed) that will not open implicates the
-    seller and ends the scan; any other shard that will not open implicates
-    its provider, whose other shards are skipped.  Only when every shard
-    opened is the plaintext checked against r_d; the first shard off it
-    implicates the seller.
+    under its K_i.  A genuine shard (on r_ed) that will not open implicates
+    the seller and ends the scan; any other shard that will not open
+    implicates its provider, whose other shards are skipped.  Only when every
+    shard opened is the plaintext checked against r_d, which alone decides
+    recovery; the first shard off it implicates the seller.
     """
     n = shards.n
     shard_keys = crypto.derive_keys(posted_master, n)
-    out = bytearray(len(data))
-    view = memoryview(out)
-    leaves = [view[i * slot : (i + 1) * slot] for i in range(n)]
-    appeals, caught = [], set()
+    plain, appeals, caught = {}, [], set()
     for i in sorted(opened):
         provider, enc_i = opened[i]
         if provider in caught:
@@ -353,10 +347,7 @@ def _open_seller_layer(shards, posted_master, data, slot, opened, order, package
         proof = mproof(shards.tree_enc, i)
         on_r_ed = mvrfy(i, shards.root_enc, enc_i, proof, n)
         try:
-            if len(enc_i) - crypto.OVERHEAD == len(leaves[i]):
-                crypto.sym_decrypt(shard_keys[i], enc_i, leaves[i])
-            else:  # cannot be the committed shard; kept whole for the r_d check
-                leaves[i] = crypto.sym_decrypt(shard_keys[i], enc_i)
+            plain[i] = crypto.sym_decrypt(shard_keys[i], enc_i)
         except DecryptError:
             if on_r_ed:
                 return appeals + [(SELLER_PAYEE, AppealEvidence(i, enc_i, proof, proof))]
@@ -367,8 +358,8 @@ def _open_seller_layer(shards, posted_master, data, slot, opened, order, package
             caught.add(provider)
     if appeals or len(opened) < n:  # a caught payee's shards never reach r_d
         return appeals
-    check = mtree(leaves)
-    if check.root == shards.root_plain and out == data:
+    check = mtree([plain[i] for i in range(n)])
+    if check.root == shards.root_plain:
         return []
     # opened under the seller's posted key but off-commitment
     i = next(j for j in range(n) if check.levels[0][j] != shards.tree_plain.levels[0][j])

@@ -28,9 +28,7 @@ def _write_report(path: str | None, payload: dict) -> None:
 
 
 def _cmd_demo(args) -> int:
-    tr = actors.run_scenario(
-        "aei", n=args.n, slot=args.slot, seed=args.seed, strict_forfeit=True
-    )
+    tr = actors.run_scenario("aei", n=args.n, slot=args.slot, seed=args.seed)
     print(json.dumps({"profile": "aei", "recovery": tr.recovery,
                       "deltas": tr.deltas, "verdicts": tr.verdicts}, sort_keys=True))
     _write_report(args.out, json.loads(tr.to_json()))
@@ -41,7 +39,6 @@ def _cmd_scenario(args) -> int:
     tr = actors.run_scenario(
         args.profile, x=args.x, y=args.y, n=args.n, price=args.price,
         unit_price=args.unit_price, seed=args.seed, slot=args.slot,
-        strict_forfeit=not args.no_strict_forfeit,
     )
     print(tr.to_json())
     _write_report(args.out, json.loads(tr.to_json()))
@@ -56,10 +53,7 @@ def _cmd_scenario(args) -> int:
 def _cmd_matrix(args) -> int:
     rows = []
     for profile in actors.all_profiles():
-        tr = actors.run_scenario(
-            profile, x=args.x, y=args.y, seed=args.seed, slot=args.slot,
-            strict_forfeit=True,
-        )
+        tr = actors.run_scenario(profile, x=args.x, y=args.y, seed=args.seed, slot=args.slot)
         row = {"profile": str(profile), "funded": tr.funded, "recovery": tr.recovery,
                "deltas": tr.deltas, "verdicts": tr.verdicts}
         rows.append(row)
@@ -155,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--price", type=int, default=40)
     p.add_argument("--unit-price", type=int, default=1)
-    p.add_argument("--no-strict-forfeit", action="store_true")
     common(p)
     p.set_defaults(fn=_cmd_scenario)
 

@@ -78,7 +78,6 @@ def default_exposure_count(n: int) -> int:
 @dataclass
 class ContractConfig:
     appeal_window: int = 10  # blocks
-    strict_forfeit: bool = False
 
 
 @dataclass
@@ -328,7 +327,7 @@ class ContractSystem:
             raise UnknownData(f"no live listing {data_id}")
         required = rec.price + rec.n * rec.unit_price
         if tokens < required:
-            if self.config.strict_forfeit and tokens > 0:
+            if tokens > 0:
                 self.ledger.transfer(consumer, self.ssmc_addr, tokens, memo="forfeit")
             self.ledger.log_event(
                 "order_discarded", data_id=data_id, tokens=tokens, required=required

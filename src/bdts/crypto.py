@@ -77,28 +77,16 @@ def sym_encrypt(key: bytes, plaintext: bytes, layer: bytes, position: int) -> by
     return out
 
 
-def sym_decrypt(
-    key: bytes, ciphertext: bytes, out: bytearray | memoryview | None = None
-) -> bytes | bytearray | memoryview:
-    """Open a ``sym_encrypt`` ciphertext; the nonce is read from its head.
-
-    With ``out`` the plaintext is written into it, which must hold exactly
-    ``len(ciphertext) - OVERHEAD`` bytes, and ``out`` is returned.
-    """
+def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
+    """Open a ``sym_encrypt`` ciphertext; the nonce is read from its head."""
     if len(key) != KEY_SIZE:
         raise InvalidInput("symmetric key must be 32 bytes")
     metrics.record("sym_decryptions")
     if len(ciphertext) < OVERHEAD:
         raise DecryptError("ciphertext too short")
-    if out is not None and len(out) != len(ciphertext) - OVERHEAD:
-        raise InvalidInput(f"output buffer must hold {len(ciphertext) - OVERHEAD} bytes")
     view = memoryview(ciphertext)  # slices without copying the body
-    nonce, body = view[:NONCE_SIZE], view[NONCE_SIZE:]
     try:
-        if out is None:
-            return AESGCM(key).decrypt(nonce, body, None)
-        AESGCM(key).decrypt_into(nonce, body, None, out)
-        return out
+        return AESGCM(key).decrypt(view[:NONCE_SIZE], view[NONCE_SIZE:], None)
     except InvalidTag as exc:
         raise DecryptError("authentication failed") from exc
 

@@ -263,9 +263,8 @@ def crosscheck_simulation(
     seed: int = 0,
     slot: int = 4096,
 ) -> bool:
-    """Run the full pipeline under strict forfeit and check the transcript."""
+    """Run the full pipeline and check the transcript."""
     tr = run_scenario(
-        profile, x=x, y=y, n=n, price=price, unit_price=unit_price,
-        seed=seed, slot=slot, strict_forfeit=True,
+        profile, x=x, y=y, n=n, price=price, unit_price=unit_price, seed=seed, slot=slot,
     )
     return crosscheck_transcript(tr)

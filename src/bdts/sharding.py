@@ -79,8 +79,8 @@ def shard_encrypt(master: bytes, data: bytes, slot: int = DEFAULT_SLOT) -> Shard
 def reassemble(shards: list[bytes]) -> bytes:
     """Concatenate shards in index order.
 
-    The consumer decrypts into one buffer and does not call this; the
-    benchmark's tracer still resolves it by name."""
+    The consumer checks the opened shards against r_d and does not call
+    this; the benchmark's tracer still resolves it by name."""
     return b"".join(shards)
 
 

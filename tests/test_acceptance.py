@@ -17,10 +17,17 @@ import pytest
 
 from bdts import bench, crypto, game, metrics
 from bdts.actors import all_profiles, run_scenario
-from bdts.contracts import CLOSED, ContractConfig, ContractSystem, SELLER_PAYEE, provider_payee
+from bdts.contracts import (
+    CLOSED,
+    AppealEvidence,
+    ContractConfig,
+    ContractSystem,
+    SELLER_PAYEE,
+    provider_payee,
+)
 from bdts.errors import BdtsError, DecryptError
 from bdts.ledger import Ledger, address_for
-from bdts.merkle import mproof, mtree, mvrfy
+from bdts.merkle import MerkleProof, mproof, mtree, mvrfy
 from bdts.sharding import provider_encrypt, shard_encrypt
 from cheat_catalog import cheat_catalog
 
@@ -152,12 +159,8 @@ def _fuzz_sequence(rng: random.Random) -> None:
     balances = {a: rng.randint(0, 300) for a in (seller, consumer, provider)}
     supply = sum(balances.values())
     ledger = Ledger(balances)
-    system = ContractSystem(
-        ledger,
-        ContractConfig(
-            strict_forfeit=rng.random() < 0.5, appeal_window=rng.choice([1, 2, 5])
-        ),
-    )
+    rng.random()  # unused; the draw keeps each seed's sequence of ops
+    system = ContractSystem(ledger, ContractConfig(appeal_window=rng.choice([1, 2, 5])))
     listings: list = []  # (data_id, shards, master)
     orders: list = []  # (order_id, keypair or None)
 
@@ -223,8 +226,6 @@ def _fuzz_sequence(rng: random.Random) -> None:
         order_id, kp, shards = rng.choice(orders)
         if kp is None:
             return
-        from bdts.contracts import AppealEvidence
-
         ev = AppealEvidence(
             0, rng.choice([shards.enc_shards[0], rng.randbytes(40)]),
             mproof(shards.tree_enc, 0), mproof(shards.tree_enc, 0),
@@ -263,6 +264,84 @@ def _fuzz_sequence(rng: random.Random) -> None:
 def test_criterion_6_escrow_conservation_fuzz():
     for seq in range(500):
         _fuzz_sequence(random.Random(60_000 + seq))
+
+
+def _opened_escrow_sequence(rng: random.Random) -> bool:
+    """Random key posts, appeals, settles and blocks against one opened
+    escrow; returns whether the order settled.
+
+    CPC must hold exactly the order's tokens until it closes and nothing
+    after, so every tranche, refund and excess leaves it exactly once.
+    """
+    seller, consumer, provider = (address_for(f"e:{r}") for r in ("sl", "cm", "sp"))
+    ledger = Ledger({seller: 300, consumer: 300, provider: 300})
+    supply = ledger.total_supply()
+    system = ContractSystem(ledger, ContractConfig(appeal_window=rng.choice([1, 2, 5])))
+    master = rng.randbytes(32)
+    shards = shard_encrypt(master, rng.randbytes(48), slot=16)
+    data_id = system.ssmc_register_seller(
+        seller, "ep", "fuzz lot", 48, shards.n, shards.root_plain, shards.root_enc,
+        20, 2, deposit=system.min_deposit(20),
+    )
+    ledger.mine_block()
+    ledger.mine_block()
+    system.ssmc_expose(data_id, [
+        (i, shards.plain_shards[i], mproof(shards.tree_plain, i),
+         mproof(shards.tree_enc, i), shards.enc_shards[i])
+        for i in system.expected_exposure_indices(data_id)
+    ])
+    system.ssmc_register_provider(provider, "ep", data_id)
+    system.ssmc_confirm_provider(seller, provider, data_id)
+    order_id = system.scmc_place_order(consumer, data_id, 20 + 3 * 2 + rng.randint(0, 5))
+    order = system.orders[order_id]
+    system.scmc_select(order_id, [(provider, [0, 1, 2])])
+    pkg = provider_encrypt(list(shards.enc_shards), rng.randbytes(8))
+    system.scmc_record_provider_root(order_id, provider, pkg.root)
+    system.cpc_open(order_id)
+    kp = crypto.pk_keygen(rng.randbytes(16))
+    system.cpc_post_pubkey(order_id, kp.public)
+    # payee -> (its genuine key, the ciphertexts it is paid for, their tree)
+    layers = {
+        SELLER_PAYEE: (master, shards.enc_shards, shards.tree_enc),
+        provider_payee(provider): (pkg.key, pkg.eed_shards, pkg.tree_eed),
+    }
+
+    def op_post():
+        payee = rng.choice(list(layers))
+        key = rng.choice([layers[payee][0], rng.randbytes(32)])
+        system.cpc_post_key(order_id, payee, crypto.pk_encrypt(kp.public, key))
+
+    def op_appeal():
+        payee = rng.choice(list(layers))
+        i = rng.randrange(shards.n)
+        _, cts, tree = layers[rng.choice(list(layers))]  # its own layer or the other's
+        ciphertext = rng.choice([cts[i], rng.randbytes(len(cts[i]))])
+        proofs = [mproof(t, rng.randrange(shards.n)) for t in (tree, shards.tree_plain)]
+        proofs.append(MerkleProof(i, (rng.randbytes(32), rng.randbytes(32))))
+        evidence = AppealEvidence(i, ciphertext, rng.choice(proofs), rng.choice(proofs))
+        system.cpc_appeal(order_id, payee, kp.private, evidence)
+
+    def op_settle():
+        system.cpc_settle(order_id)
+
+    def op_mine():
+        ledger.mine_block()
+
+    ops = [op_post, op_post, op_appeal, op_appeal, op_settle, op_mine, op_mine]
+    for _ in range(rng.randint(6, 18)):
+        try:
+            rng.choice(ops)()
+        except BdtsError:
+            pass
+        held = order.tokens if order.status != CLOSED else 0
+        assert ledger.balance(system.cpc_addr) == held, order.status
+        assert ledger.total_supply() == supply
+    return order.status == CLOSED
+
+
+def test_escrow_conservation_from_an_opened_escrow():
+    settled = sum(_opened_escrow_sequence(random.Random(61_000 + seq)) for seq in range(500))
+    assert settled >= 100, settled
 
 
 # -- 7. download scaling trend ---------------------------------------------

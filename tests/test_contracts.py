@@ -216,16 +216,8 @@ def test_order_requires_live_listing():
         s.scmc_place_order(CONSUMER, data_id, 48)
 
 
-def test_underfunded_order_refund_mode():
-    s = make_system(strict_forfeit=False)
-    data_id, _ = go_live(s)
-    with pytest.raises(InsufficientTokens):
-        s.scmc_place_order(CONSUMER, data_id, 47)
-    assert s.ledger.balance(CONSUMER) == 1000  # nothing moved
-
-
 def test_underfunded_order_strict_forfeit():
-    s = make_system(strict_forfeit=True)
+    s = make_system()
     data_id, _ = go_live(s)
     with pytest.raises(InsufficientTokens):
         s.scmc_place_order(CONSUMER, data_id, 47)

@@ -74,16 +74,6 @@ def test_sym_encrypt_hashes_nothing(monkeypatch):
     assert crypto.sym_decrypt(KEY, crypto.sym_encrypt(KEY, b"x" * 4096, TAG, 3)) == b"x" * 4096
 
 
-def test_sym_decrypt_into_buffer():
-    ct = crypto.sym_encrypt(KEY, b"hello world", TAG, 0)
-    buf = bytearray(b"..hello world..")
-    assert crypto.sym_decrypt(KEY, ct, memoryview(buf)[2:-2]) == b"hello world"
-    with pytest.raises(InvalidInput):
-        crypto.sym_decrypt(KEY, ct, bytearray(10))
-    with pytest.raises(DecryptError):
-        crypto.sym_decrypt(OTHER, ct, bytearray(11))
-
-
 def test_derive_keys_prefix_consistent():
     assert crypto.derive_keys(KEY, 8)[:3] == crypto.derive_keys(KEY, 3)
 
