@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .actors import Served, StrategyProfile, run_trade
-from .errors import InvalidInput
+from .errors import BdtsError, InvalidInput
 from .sharding import DEFAULT_SLOT
 
 DEFAULT_BANDWIDTH = 60 * 1000 * 1000  # bytes/s per connection
@@ -182,5 +182,5 @@ def bench_download(config: BenchConfig) -> BenchReport:
         if rep == 0:
             report.counters = tr.phase_ops
         elif report.counters != tr.phase_ops:
-            raise InvalidInput("operation counts varied between repetitions")
+            raise BdtsError("operation counts varied between repetitions")
     return report

@@ -1,37 +1,23 @@
 """Command-line entry point.
 
-Verbs: demo, scenario, matrix, game, bench, report.  ``BDTS_SEED`` in the
-environment overrides the default seed for every verb.  Exit codes:
+Verbs: demo, scenario, matrix, game, bench.  Each prints its result as
+JSON on stdout (game prints its payoff tables as text first).  Exit codes:
 0 success, 1 scenario/model assertion failure, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import os
 import sys
 
 from . import actors, bench, game
-from .errors import BdtsError, Mismatch
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("BDTS_SEED", "0"))
-
-
-def _write_report(path: str | None, payload: dict) -> None:
-    if path:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+from .errors import BdtsError, InvalidInput, Mismatch
 
 
 def _cmd_demo(args) -> int:
     tr = actors.run_scenario("aei", n=args.n, slot=args.slot, seed=args.seed)
     print(json.dumps({"profile": "aei", "recovery": tr.recovery,
                       "deltas": tr.deltas, "verdicts": tr.verdicts}, sort_keys=True))
-    _write_report(args.out, json.loads(tr.to_json()))
     return 0 if tr.recovery else 1
 
 
@@ -41,7 +27,6 @@ def _cmd_scenario(args) -> int:
         unit_price=args.unit_price, seed=args.seed, slot=args.slot,
     )
     print(tr.to_json())
-    _write_report(args.out, json.loads(tr.to_json()))
     try:
         game.crosscheck_transcript(tr)
     except Mismatch as exc:
@@ -51,14 +36,11 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    rows = []
     for profile in actors.all_profiles():
         tr = actors.run_scenario(profile, x=args.x, y=args.y, seed=args.seed, slot=args.slot)
         row = {"profile": str(profile), "funded": tr.funded, "recovery": tr.recovery,
                "deltas": tr.deltas, "verdicts": tr.verdicts}
-        rows.append(row)
         print(json.dumps(row, sort_keys=True))
-    _write_report(args.out, {"matrix": rows})
     return 0
 
 
@@ -81,7 +63,6 @@ def _cmd_game(args) -> int:
             u = table[name]
             print(f"  {name}  SL={u[0]:>7.2f}  CM={u[1]:>7.2f}  SP={u[2]:>7.2f}")
     print(json.dumps(out, sort_keys=True))
-    _write_report(args.out, {"game": out})
     return 0
 
 
@@ -90,42 +71,9 @@ def _cmd_bench(args) -> int:
         size_bytes=args.size, providers=args.providers, slot=args.slot,
         reps=args.reps, seed=args.seed, bandwidth=args.bandwidth,
     )
-    report = bench.bench_download(config)
-    print(json.dumps(report.summary(), sort_keys=True))
-    _write_report(args.out, report.summary())
-    return 0 if report.recovery else 1
-
-
-def _cmd_report(args) -> int:
-    with open(args.input) as fh:
-        payload = json.load(fh)
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        rows = payload.get("matrix") or payload.get("game") or [payload]
-        flat = [_flatten(r) for r in rows]
-        fields = sorted({k for r in flat for k in r})
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(flat)
-        print(buf.getvalue(), end="")
-    else:
-        for key, value in sorted(_flatten(payload).items()):
-            print(f"{key}: {value}")
-    return 0
-
-
-def _flatten(obj, prefix="") -> dict:
-    out = {}
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            out.update(_flatten(v, f"{prefix}{k}."))
-    elif isinstance(obj, list):
-        out[prefix.rstrip(".")] = json.dumps(obj, sort_keys=True)
-    else:
-        out[prefix.rstrip(".")] = obj
-    return out
+    result = bench.bench_download(config)
+    print(json.dumps(result.summary(), sort_keys=True))
+    return 0 if result.recovery else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,9 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, slot=4096):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--slot", type=int, default=slot)
-        p.add_argument("--out", help="write a JSON report to this path")
 
     p = sub.add_parser("demo", help="honest end-to-end trade")
     p.add_argument("--n", type=int, default=8)
@@ -163,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, default=2.0)
     p.add_argument("--mode", choices=("raw", "enforced"), default="enforced")
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_game)
 
     p = sub.add_parser("bench", help="parallel download benchmark")
@@ -173,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=int, default=bench.DEFAULT_BANDWIDTH)
     common(p, slot=1 << 20)
     p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser("report", help="reformat a saved JSON report")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.set_defaults(fn=_cmd_report)
     return parser
 
 
@@ -187,7 +128,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BdtsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidInput) else 1
 
 
 if __name__ == "__main__":

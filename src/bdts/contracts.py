@@ -124,7 +124,6 @@ class Order:
 @dataclass
 class Escrow:
     order_id: str
-    held: int
     post_deadline: int
     tranches: dict[str, int]  # payee -> token amount
     payee_addrs: dict[str, Address]
@@ -166,7 +165,8 @@ class ContractSystem:
         self.exposed_piece_index: dict[bytes, str] = {}  # plaintext hash -> data_id
         self.listed_roots: dict[bytes, str] = {}  # r_d -> data_id, while listed
         self.seen_pubkeys: set[bytes] = set()
-        self.escrow_flows: dict[str, dict[str, int]] = {}  # order -> {"in": .., "out": ..}
+        # order -> {"in": tokens}; kept only for the market benchmark, which reads it
+        self.escrow_flows: dict[str, dict[str, int]] = {}
         self._data_counter = 0
         self._order_counter = 0
 
@@ -341,7 +341,7 @@ class ContractSystem:
             order_id=order_id, consumer=consumer, data_id=data_id, tokens=tokens,
             status=FUNDED,
         )
-        self.escrow_flows[order_id] = {"in": tokens, "out": 0}
+        self.escrow_flows[order_id] = {"in": tokens}
         self.ledger.log_event("order_funded", order_id=order_id, data_id=data_id)
         return order_id
 
@@ -396,7 +396,6 @@ class ContractSystem:
             payee_addrs[provider_payee(provider)] = provider
         escrow = Escrow(
             order_id=order_id,
-            held=order.tokens,
             post_deadline=self.ledger.height + self.config.appeal_window,
             tranches=tranches,
             payee_addrs=payee_addrs,
@@ -499,6 +498,7 @@ class ContractSystem:
         transfers: dict[str, int] = {}
         disbursed = 0
         rec = self._record(order.data_id)
+        held = self.ledger.balance(self.cpc_addr)
         for payee, amount in escrow.tranches.items():
             verdict = escrow.verdicts.get(payee)
             if payee not in escrow.posted_keys or verdict == UPHELD:
@@ -509,11 +509,12 @@ class ContractSystem:
                 self.ledger.transfer(self.cpc_addr, dst, amount, memo=memo)
             transfers[memo] = amount
             disbursed += amount
-        excess = escrow.held - disbursed
+        excess = order.tokens - disbursed
         if excess > 0:
             self.ledger.transfer(self.cpc_addr, order.consumer, excess, memo="excess")
             transfers["excess"] = excess
-        self.escrow_flows[order_id]["out"] = disbursed + max(excess, 0)
+        if held - self.ledger.balance(self.cpc_addr) != order.tokens:
+            raise BadState(f"escrow for {order_id} did not release its {order.tokens} tokens")
         order.status = CLOSED
         if rec.status != REJECTED and not rec.deposit_returned:
             rec.deposit_returned = True

@@ -6,6 +6,7 @@ import pytest
 
 from bdts import contracts, crypto
 from bdts.contracts import (
+    CLOSED,
     AppealEvidence,
     ContractConfig,
     ContractSystem,
@@ -253,10 +254,10 @@ def test_duplicate_indices_served_by_first_listed():
 # -- CPC --------------------------------------------------------------------
 
 
-def open_escrow(s, **listing):
+def open_escrow(s, excess=0, **listing):
     data_id, shards = go_live(s, **listing)
     rec = s.records[data_id]
-    order = s.scmc_place_order(CONSUMER, data_id, rec.price + rec.n * rec.unit_price)
+    order = s.scmc_place_order(CONSUMER, data_id, rec.price + rec.n * rec.unit_price + excess)
     s.scmc_select(order, [(PROVIDER, list(range(rec.n)))])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
     s.scmc_record_provider_root(order, PROVIDER, pkg.root)
@@ -528,7 +529,25 @@ def test_settle_pays_posted_payees_and_returns_deposit():
     assert s.ledger.balance(SELLER) == 1000 + 40  # price in, deposit back
     assert s.ledger.balance(PROVIDER) == 1000 + 8
     assert s.ledger.balance(CONSUMER) == 1000 - 48
-    assert s.escrow_flows[order]["in"] == s.escrow_flows[order]["out"] == 48
+    assert s.ledger.balance(s.cpc_addr) == s.ledger.balance(s.scmc_addr) == 0
+
+
+def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
+    s = make_system()
+    _, _, order, pkg, _ = open_escrow(s, excess=5)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp)
+    s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
+    transfer = s.ledger.transfer
+
+    def drop_excess(src, dst, amount, memo=""):
+        return memo == "excess" or transfer(src, dst, amount, memo=memo)
+
+    monkeypatch.setattr(s.ledger, "transfer", drop_excess)
+    with pytest.raises(BadState):
+        settle_after_windows(s, order)
+    assert s.orders[order].status != CLOSED
+    assert s.ledger.balance(s.cpc_addr) == 5
 
 
 def test_settle_refunds_never_posted_payee():
