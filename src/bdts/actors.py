@@ -19,18 +19,25 @@ benchmark runs it over throttled sockets.  Cheating variants:
 * consumer ``f``/``g``/``h`` offer less than the listed price + fees, so
   the order is never funded.
 
-The honest consumer files one appeal per cheating payee, peeling the
-layers in the phase that posts their keys.  In the download phase it checks
-each provider's delivered shards against that provider's on-chain root and
-opens them with the provider's posted key; a package that will not open
-implicates its provider.  In the decrypt phase it opens the other shards
-under the seller's posted key: a genuine seller-layer shard that will not
+Each provider delivers one frame per shard: the eed shard, its proof in
+the provider's r_eed, and the seller's proof of the inner shard in r_ed,
+which the seller hands over with the shard.  The honest consumer holds only
+what a consumer holds: the on-chain record, order and escrow, its private
+key, the listing's r_d leaf digests and the delivered frames.  It files one
+appeal per cheating payee, peeling the layers in the phase that posts their
+keys.  In the download phase it checks each provider's frames against that
+provider's on-chain root, refusing a missing or mismatched frame before any
+appeal, and opens them with the provider's posted key; a package that will
+not open implicates its provider, and the frame is the appeal.  In the
+decrypt phase it opens the other shards under the seller's posted key: a
+genuine seller-layer shard (on r_ed by the seller's proof) that will not
 open, or plaintext off the seller's commitment, implicates the seller; any
 other shard that will not open was swapped by its provider.  Recovery is
 decided by the seller's plaintext root r_d alone, as the consumer never
 holds the seller's data.  Every appeal names the shard by its global
-index.  The expected outcome of each cheat profile is pinned by the tests'
-cheat catalog.
+index.  Every sealing key hashes in the data set it seals, so trades with
+one seed and different data never share a (key, nonce) pair.  The expected
+outcome of each cheat profile is pinned by the tests' cheat catalog.
 """
 from __future__ import annotations
 
@@ -49,7 +56,7 @@ from .contracts import (
 )
 from .errors import DecryptError, InsufficientTokens, InvalidInput, ProofFailure
 from .ledger import Ledger, address_for
-from .merkle import mproof, mtree, mvrfy
+from .merkle import MerkleProof, mproof, mtree, mvrfy
 from .sharding import provider_encrypt, shard_encrypt
 
 SELLER_STRATEGIES = "abcd"
@@ -143,7 +150,12 @@ def run_scenario(
     )
 
 
-Served = list[dict[int, bytes]]  # per provider: shard index -> outer-layer shard
+# What a provider delivers for global shard i: the eed shard, its proof in the
+# provider's r_eed (at the shard's package position), and the seller's proof
+# of the inner shard in r_ed, handed over with the shard.  A frame is also a
+# whole appeal against its provider: ``AppealEvidence(i, *frame)``.
+Frame = tuple[bytes, MerkleProof, MerkleProof]
+Served = list[dict[int, Frame]]  # per provider: global shard index -> frame
 
 
 def deliver_in_memory(served: Served) -> Served:
@@ -178,12 +190,11 @@ def run_trade(
     addrs = {label: address_for(f"actor:{label}") for label in labels}
     seller, consumer = addrs["seller"], addrs["consumer"]
     providers = [addrs[label] for label in labels[2:]]
-    master = hashlib.sha256(b"master" + seed_tag).digest()
-    wrong_master = hashlib.sha256(b"not-the-master" + seed_tag).digest()
+    secret = hashlib.sha256(b"master" + seed_tag).digest()
 
     with metrics.collect() as col:
         with col.phase("upload"):
-            shards = shard_encrypt(master, data, slot)
+            shards = shard_encrypt(secret, data, slot)
             n = shards.n
             # every party can afford the full order
             endow = max(100 * price, price + n * unit_price)
@@ -198,6 +209,11 @@ def run_trade(
                 shards.root_plain, shards.root_enc, price, unit_price,
                 deposit=system.min_deposit(price),
             )
+            record = system.records[data_id]
+            # published with the listing until the record holds them
+            r_d_leaves = shards.tree_plain.levels[0]
+            # the key a cheating seller posts, bound to the data set as shards.master is
+            wrong_master = hashlib.sha256(b"not-the-master" + seed_tag + record.r_d).digest()
             ledger.mine_block()  # seals the registration
             ledger.mine_block()  # supplies the exposure randomness
             pieces = [
@@ -234,9 +250,11 @@ def run_trade(
         with col.phase("download"):
             system.scmc_select(order_id, list(zip(providers, assignment)))
             order = system.orders[order_id]
-            # the seller hands the providers one shard set (honest or substituted)
+            # the seller hands the providers one shard set (honest or
+            # substituted), each shard with its proof in r_ed
+            r_ed_proofs = [mproof(shards.tree_enc, i) for i in range(n)]
             if profile.seller in "bd":
-                basis = master if profile.seller == "b" else wrong_master
+                basis = shards.master if profile.seller == "b" else wrong_master
                 keys = crypto.derive_keys(basis, n)
                 inner_served = tuple(
                     crypto.sym_encrypt(k, rng.randbytes(slot), SUBSTITUTE, i)
@@ -252,7 +270,8 @@ def run_trade(
                 to_wrap = [inner_served[i] for i in indices]
                 if profile.provider in "kl":
                     to_wrap = [rng.randbytes(len(s)) for s in to_wrap]
-                sp_seed = hashlib.sha256(b"sp" + bytes([p]) + seed_tag).digest()
+                # each provider key is bound to the data set through r_ed
+                sp_seed = hashlib.sha256(b"sp" + bytes([p]) + seed_tag + record.r_ed).digest()
                 packages[provider] = provider_encrypt(to_wrap, sp_seed)
                 system.scmc_record_provider_root(order_id, provider, packages[provider].root)
             escrow = system.cpc_open(order_id)
@@ -266,24 +285,22 @@ def run_trade(
                     crypto.pk_encrypt(kp.public, sp_key_posted),
                 )
             ledger.mine_block()
-            delivered = deliver(
-                [dict(zip(order.served[sp], pkg.eed_shards)) for sp, pkg in packages.items()]
-            )
-            received = dict(zip(packages, delivered))
-            opened, appeals = _open_provider_layer(
-                order, escrow, kp.private, packages, received, shards.tree_enc
-            )
+            delivered = deliver([
+                {i: (pkg.eed_shards[j], mproof(pkg.tree_eed, j), r_ed_proofs[i])
+                 for j, i in enumerate(order.served[sp])}
+                for sp, pkg in packages.items()
+            ])
+            received = dict(zip(order.served, delivered))
+            opened, appeals = _open_provider_layer(order, escrow, kp.private, received)
 
         with col.phase("decrypt"):
-            sl_key_posted = wrong_master if profile.seller in "cd" else master
+            sl_key_posted = wrong_master if profile.seller in "cd" else shards.master
             system.cpc_post_key(
                 order_id, SELLER_PAYEE, crypto.pk_encrypt(kp.public, sl_key_posted)
             )
             ledger.mine_block()
             posted_master = crypto.pk_decrypt(kp.private, escrow.posted_keys[SELLER_PAYEE])
-            appeals += _open_seller_layer(
-                shards, posted_master, opened, order, packages, received
-            )
+            appeals += _open_seller_layer(record, r_d_leaves, posted_master, opened)
         tr.recovery = not appeals
 
         with col.phase("appeal"):
@@ -298,83 +315,72 @@ def run_trade(
     return _finalize(tr, ledger, col, addrs, endow)
 
 
-def _open_provider_layer(order, escrow, private, packages, received, tree_enc):
+def _open_provider_layer(order, escrow, private, received):
     """The consumer's provider layer, in the download phase.
 
-    Checks each provider's delivered shards against its on-chain root, then
-    opens them in package order with its posted key.  Returns the opened
-    seller-layer shards (global index -> (provider, shard)) and one appeal
-    against each provider with a shard that will not open, whose package is
-    dropped.
+    Checks each provider's delivered frames against its on-chain root, then
+    opens their eed shards in package order with its posted key.  Returns
+    the opened seller-layer shards (global index -> (provider, shard,
+    frame)) and one appeal against each provider with a shard that will not
+    open, whose package is dropped.  A missing or mismatched frame raises
+    ``ProofFailure`` before any appeal.
     """
     opened, appeals = {}, []
     for provider, indices in order.served.items():
         key = crypto.pk_decrypt(private, escrow.posted_keys[provider_payee(provider)])
-        tree, got = packages[provider].tree_eed, received[provider]
-        root = order.provider_roots[provider]
+        frames, root = received.get(provider, {}), order.provider_roots[provider]
         for j, i in enumerate(indices):
-            if not mvrfy(j, root, got.get(i, b""), mproof(tree, j), len(indices)):
+            frame = frames.get(i)
+            if frame is None or not mvrfy(j, root, frame[0], frame[1], len(indices)):
                 raise ProofFailure(f"shard {i} does not match {provider}'s root")
         package = {}
         for i in indices:
             try:
-                package[i] = provider, crypto.sym_decrypt(key, got[i])
+                package[i] = provider, crypto.sym_decrypt(key, frames[i][0]), frames[i]
             except DecryptError:
-                appeals.append(_provider_appeal(order, packages, received, tree_enc, provider, i))
+                appeals.append((provider_payee(provider), AppealEvidence(i, *frames[i])))
                 break
         else:
             opened.update(package)
     return opened, appeals
 
 
-def _open_seller_layer(shards, posted_master, opened, order, packages, received):
+def _open_seller_layer(record, r_d_leaves, posted_master, opened):
     """The consumer's seller layer, in the decrypt phase.
 
     Opens the shards of the providers not yet caught, in index order, each
-    under its K_i.  A genuine shard (on r_ed) that will not open implicates
-    the seller and ends the scan; any other shard that will not open
-    implicates its provider, whose other shards are skipped.  Only when every
-    shard opened is the plaintext checked against r_d, which alone decides
-    recovery; the first shard off it implicates the seller.
+    under its K_i.  A genuine shard (on r_ed, by the seller's proof in its
+    frame) that will not open implicates the seller and ends the scan; any
+    other shard that will not open implicates its provider, whose other
+    shards are skipped.  Only when every shard opened is the plaintext
+    checked against r_d, which alone decides recovery; the first shard off
+    the published leaf digests ``r_d_leaves`` implicates the seller.
     """
-    n = shards.n
+    n = record.n
     shard_keys = crypto.derive_keys(posted_master, n)
     plain, appeals, caught = {}, [], set()
     for i in sorted(opened):
-        provider, enc_i = opened[i]
+        provider, enc_i, frame = opened[i]
         if provider in caught:
             continue
-        proof = mproof(shards.tree_enc, i)
-        on_r_ed = mvrfy(i, shards.root_enc, enc_i, proof, n)
+        on_r_ed = mvrfy(i, record.r_ed, enc_i, frame[2], n)
         try:
             plain[i] = crypto.sym_decrypt(shard_keys[i], enc_i)
         except DecryptError:
             if on_r_ed:
-                return appeals + [(SELLER_PAYEE, AppealEvidence(i, enc_i, proof, proof))]
+                return appeals + [(SELLER_PAYEE, AppealEvidence(i, enc_i, frame[2], frame[2]))]
             # anything off r_ed was swapped in transit
-            appeals.append(
-                _provider_appeal(order, packages, received, shards.tree_enc, provider, i)
-            )
+            appeals.append((provider_payee(provider), AppealEvidence(i, *frame)))
             caught.add(provider)
     if appeals or len(opened) < n:  # a caught payee's shards never reach r_d
         return appeals
     check = mtree([plain[i] for i in range(n)])
-    if check.root == shards.root_plain:
+    if check.root == record.r_d:
         return []
     # opened under the seller's posted key but off-commitment
-    i = next(j for j in range(n) if check.levels[0][j] != shards.tree_plain.levels[0][j])
-    return [(SELLER_PAYEE, AppealEvidence(
-        i, opened[i][1], auth_proof=mproof(shards.tree_enc, i), inner_proof=mproof(check, i)
-    ))]
-
-
-def _provider_appeal(order, packages, received, tree_enc, provider, i):
-    """An appeal against ``provider`` with the outer-layer shard it delivered at ``i``."""
-    j = order.served[provider].index(i)
-    return provider_payee(provider), AppealEvidence(
-        i, received[provider][i], auth_proof=mproof(packages[provider].tree_eed, j),
-        inner_proof=mproof(tree_enc, i),
-    )
+    i = next(j for j in range(n) if check.levels[0][j] != r_d_leaves[j])
+    _, enc_i, frame = opened[i]
+    return [(SELLER_PAYEE, AppealEvidence(i, enc_i, frame[2], mproof(check, i)))]
 
 
 def _finalize(tr, ledger, col, addrs, endow) -> RunTranscript:

@@ -1,10 +1,10 @@
 """Multi-provider parallel download benchmark and per-phase op accounting.
 
 Each repetition is one honest trade through ``actors.run_trade``.
-Providers serve disjoint shard ranges over loopback socket pairs with a
-per-connection bandwidth cap (default 60 MB/s; 0 means no cap), so adding
-providers shortens the transfer even on one machine.  Only the transfer is
-timed.  Wall-time figures are medians over the configured repetitions;
+Providers serve the frames of disjoint shard ranges over loopback socket
+pairs with a per-connection bandwidth cap (default 60 MB/s; 0 means no
+cap), so adding providers shortens the transfer even on one machine.  Only
+the transfer is timed.  Wall-time figures are medians over the configured repetitions;
 operation counts are timing-independent.
 """
 from __future__ import annotations
@@ -22,13 +22,16 @@ from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .actors import Served, StrategyProfile, run_trade
+from .actors import Frame, Served, StrategyProfile, run_trade
 from .errors import BdtsError, InvalidInput
+from .merkle import DIGEST_SIZE, MerkleProof
 from .sharding import DEFAULT_SLOT
 
 DEFAULT_BANDWIDTH = 60 * 1000 * 1000  # bytes/s per connection
 _HONEST = StrategyProfile("a", "e", "i")
-_HEADER = struct.Struct("!II")  # shard index, payload length
+# shard index, the indices of its eed and r_ed proofs, their sibling counts,
+# and the eed shard's length; the sibling digests follow, then the shard
+_HEADER = struct.Struct("!IIIBBI")
 _CHUNK = 64 * 1024
 
 
@@ -89,14 +92,17 @@ def synthetic_data(size: int, seed: int) -> bytes:
     return keystream.update(bytes(size))
 
 
-def _serve(sock: socket.socket, shards: dict[int, bytes], bandwidth: int) -> None:
-    """Send each shard framed as (index, length, bytes) under a rate cap of
-    ``bandwidth`` bytes/s; 0 means no cap."""
+def _serve(sock: socket.socket, frames: dict[int, Frame], bandwidth: int) -> None:
+    """Send each frame, header and sibling digests first, under a rate cap
+    of ``bandwidth`` bytes/s; 0 means no cap."""
     start = time.perf_counter()
     sent = 0
-    for index, payload in shards.items():
-        sock.sendall(_HEADER.pack(index, len(payload)))
-        sent += _HEADER.size
+    for index, (payload, eed_proof, ed_proof) in frames.items():
+        counts = len(eed_proof.siblings), len(ed_proof.siblings)
+        head = _HEADER.pack(index, eed_proof.index, ed_proof.index, *counts, len(payload))
+        head += b"".join(eed_proof.siblings + ed_proof.siblings)
+        sock.sendall(head)
+        sent += len(head)
         view = memoryview(payload)  # chunks without copying the shard
         for off in range(0, len(view), _CHUNK):
             chunk = view[off : off + _CHUNK]
@@ -116,15 +122,18 @@ def _recv_exact(stream: io.BufferedReader, size: int) -> bytes:
     return data
 
 
-def _fetch(sock: socket.socket, count: int, into: dict[int, bytes]) -> None:
+def _fetch(sock: socket.socket, count: int, into: dict[int, Frame]) -> None:
     with sock.makefile("rb") as stream:
         for _ in range(count):
-            index, length = _HEADER.unpack(_recv_exact(stream, _HEADER.size))
-            into[index] = _recv_exact(stream, length)
+            index, j, i, eed_k, ed_k, length = _HEADER.unpack(_recv_exact(stream, _HEADER.size))
+            digests = _recv_exact(stream, (eed_k + ed_k) * DIGEST_SIZE)
+            sibs = [digests[at : at + DIGEST_SIZE] for at in range(0, len(digests), DIGEST_SIZE)]
+            proofs = MerkleProof(j, tuple(sibs[:eed_k])), MerkleProof(i, tuple(sibs[eed_k:]))
+            into[index] = (_recv_exact(stream, length), *proofs)
 
 
 def _deliver(bandwidth: int, times: list[float], served: Served) -> Served:
-    """Move each provider's shards over its own socket pair, all providers in
+    """Move each provider's frames over its own socket pair, all providers in
     parallel, and append the transfer's wall time to ``times``.
 
     An error in a sending or receiving thread is raised here."""

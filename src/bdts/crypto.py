@@ -5,12 +5,13 @@ layer tag and the shard's 8-byte big-endian position, a fixed field plus an
 invocation counter as in NIST SP 800-38D section 8.2.1.  The nonce reads no
 plaintext, so sealing is one AES pass written straight into the output.  It
 is safe only while a key seals at most one plaintext per (tag, position):
-each K_i seals one shard and each provider key one package, and a layer
-that re-seals under a used key takes its own tag.  Hybrid leg: X25519 key
-agreement with an ephemeral key derived deterministically from the
-recipient key and message, wrapping the payload under AES-256-GCM.
-Authentication failures always surface as :class:`DecryptError`, which the
-appeal arbitration relies on to detect wrong keys.
+each K_i seals one shard and each provider key one package, every key is
+bound to the data set it seals, and a layer that re-seals under a used key
+takes its own tag.  Hybrid leg: X25519 key agreement with an ephemeral key
+derived deterministically from the recipient key and message, wrapping the
+payload under AES-256-GCM.  Authentication failures always surface as
+:class:`DecryptError`, which the appeal arbitration relies on to detect
+wrong keys.
 """
 from __future__ import annotations
 

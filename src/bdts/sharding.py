@@ -29,10 +29,12 @@ class ShardSet:
     """A seller's data after sharding and per-shard encryption.
 
     ``tree_plain`` commits the plaintext shards (root r_d) and ``tree_enc``
-    the encrypted shards (root r_ed).
+    the encrypted shards (root r_ed).  ``master`` is the key the honest
+    seller posts; every K_i derives from it.
     """
 
     n: int
+    master: bytes
     plain_shards: tuple[memoryview, ...]
     enc_shards: tuple[bytes, ...]
     tree_plain: MerkleTree
@@ -60,18 +62,26 @@ class ProviderPackage:
         return self.tree_eed.root
 
 
-def shard_encrypt(master: bytes, data: bytes, slot: int = DEFAULT_SLOT) -> ShardSet:
-    """Split ``data`` into ceil(len/slot) shards and encrypt each under K_i."""
+def shard_encrypt(secret: bytes, data: bytes, slot: int = DEFAULT_SLOT) -> ShardSet:
+    """Split ``data`` into ceil(len/slot) shards and encrypt each under K_i.
+
+    The master key is H(secret || r_d), so one secret never seals two data
+    sets under one (K_i, nonce).  r_d depends on no key, so its tree is
+    built first, at no extra pass over the data.
+    """
     if not data:
         raise InvalidInput("data must be non-empty")
     plain = split(data, slot)
+    tree_plain = mtree(plain)
+    master = hashlib.sha256(secret + tree_plain.root).digest()
     keys = crypto.derive_keys(master, len(plain))
     enc = [crypto.sym_encrypt(k, shard, SEAL, i) for i, (k, shard) in enumerate(zip(keys, plain))]
     return ShardSet(
         n=len(plain),
+        master=master,
         plain_shards=tuple(plain),
         enc_shards=tuple(enc),
-        tree_plain=mtree(plain),
+        tree_plain=tree_plain,
         tree_enc=mtree(enc),
     )
 

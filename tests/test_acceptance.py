@@ -278,8 +278,7 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
     ledger = Ledger({seller: 300, consumer: 300, provider: 300})
     supply = ledger.total_supply()
     system = ContractSystem(ledger, ContractConfig(appeal_window=rng.choice([1, 2, 5])))
-    master = rng.randbytes(32)
-    shards = shard_encrypt(master, rng.randbytes(48), slot=16)
+    shards = shard_encrypt(rng.randbytes(32), rng.randbytes(48), slot=16)
     data_id = system.ssmc_register_seller(
         seller, "ep", "fuzz lot", 48, shards.n, shards.root_plain, shards.root_enc,
         20, 2, deposit=system.min_deposit(20),
@@ -303,7 +302,7 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
     system.cpc_post_pubkey(order_id, kp.public)
     # payee -> (its genuine key, the ciphertexts it is paid for, their tree)
     layers = {
-        SELLER_PAYEE: (master, shards.enc_shards, shards.tree_enc),
+        SELLER_PAYEE: (shards.master, shards.enc_shards, shards.tree_enc),
         provider_payee(provider): (pkg.key, pkg.eed_shards, pkg.tree_eed),
     }
 

@@ -1,5 +1,6 @@
 """Scenario-level behavior: who recovers, who gets paid, who gets caught."""
 import functools
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from bdts.actors import (
     run_scenario,
     run_trade,
 )
-from bdts.contracts import SELLER_PAYEE, UPHELD, provider_payee
+from bdts.contracts import SELLER_PAYEE, UPHELD, ContractSystem, provider_payee
 from bdts.errors import InvalidInput, ProofFailure
 from bdts.ledger import address_for
 from cheat_catalog import cheat_catalog
@@ -143,39 +144,48 @@ def test_honest_multi_provider_trade(providers, deliver):
     assert escrow_in_out(tr) == (tr.price + n * tr.unit_price,) * 2
 
 
-def cheat_over(profile, providers, n=8):
-    """``profile`` traded over ``n`` shards split evenly across ``providers``."""
-    data = random.Random(profile).randbytes(n * SLOT)
+def cheat_over(profile, providers, deliver=deliver_in_memory, n=8):
+    """``profile`` traded over ``n`` shards split evenly across ``providers``;
+    its data and any garbage a cheater serves are drawn from one rng seeded
+    by the profile."""
+    rng = random.Random(profile)
+    data = rng.randbytes(n * SLOT)
     ranges = bench._ranges(n, providers)
-    tr = run_trade(StrategyProfile.parse(profile), data, SLOT, ranges, deliver_in_memory,
-                   random.Random(0))
+    tr = run_trade(StrategyProfile.parse(profile), data, SLOT, ranges, deliver, rng)
     return ranges, tr
+
+
+# each cheat test runs both transports, so its appeal evidence has also been
+# through the wire
+DELIVERIES = (deliver_in_memory, OVER_SOCKETS)
 
 
 @pytest.mark.parametrize("providers", (2, 3))
 @pytest.mark.parametrize("profile", ("aej", "aek", "ael"))
 def test_every_cheating_provider_is_appealed(profile, providers):
-    _, tr = cheat_over(profile, providers)
     labels = provider_labels(providers)
     payees = [provider_payee(address_for(f"actor:{label}")) for label in labels]
-    assert [(a["payee"], a["verdict"]) for a in tr.appeals] == [(p, UPHELD) for p in payees]
-    assert not tr.recovery
-    assert [tr.deltas[label] for label in labels] == [0] * providers
-    # the consumer gets back exactly the providers' tranches and pays the seller
-    assert tr.deltas["consumer"] == -tr.price
-    assert escrow_in_out(tr) == (tr.price + 8 * tr.unit_price,) * 2
+    for deliver in DELIVERIES:
+        _, tr = cheat_over(profile, providers, deliver)
+        assert [(a["payee"], a["verdict"]) for a in tr.appeals] == [(p, UPHELD) for p in payees]
+        assert not tr.recovery
+        assert [tr.deltas[label] for label in labels] == [0] * providers
+        # the consumer gets back exactly the providers' tranches and pays the seller
+        assert tr.deltas["consumer"] == -tr.price
+        assert escrow_in_out(tr) == (tr.price + 8 * tr.unit_price,) * 2
 
 
 @pytest.mark.parametrize("providers", (2, 3))
 @pytest.mark.parametrize("profile", ("bei", "cei", "dei"))
 def test_cheating_seller_is_appealed_once_over_providers(profile, providers):
-    ranges, tr = cheat_over(profile, providers)
-    assert [(a["payee"], a["verdict"]) for a in tr.appeals] == [(SELLER_PAYEE, UPHELD)]
-    assert not tr.recovery
     labels = provider_labels(providers)
-    assert [tr.deltas[label] for label in labels] == [len(r) * tr.unit_price for r in ranges]
-    assert tr.deltas["seller"] <= 0
-    assert tr.deltas["consumer"] == -8 * tr.unit_price
+    for deliver in DELIVERIES:
+        ranges, tr = cheat_over(profile, providers, deliver)
+        assert [(a["payee"], a["verdict"]) for a in tr.appeals] == [(SELLER_PAYEE, UPHELD)]
+        assert not tr.recovery
+        assert [tr.deltas[label] for label in labels] == [len(r) * tr.unit_price for r in ranges]
+        assert tr.deltas["seller"] <= 0
+        assert tr.deltas["consumer"] == -8 * tr.unit_price
 
 
 def test_provider_left_without_shards_serves_nothing():
@@ -216,39 +226,68 @@ def test_recovery_rests_on_r_d_not_the_sellers_copy():
     assert tr.deltas["seller"] == tr.price
 
 
-def test_tampered_delivery_is_refused():
-    def flip_a_bit(served):
-        shards = served[0]
-        shards[0] = bytes([shards[0][0] ^ 1]) + shards[0][1:]
+def flip_a_shard_bit(frames):
+    eed, *proofs = frames[0]
+    frames[0] = (bytes([eed[0] ^ 1]) + eed[1:], *proofs)
+
+
+def swap_an_eed_proof(frames):
+    eed, _, ed_proof = frames[0]
+    frames[0] = (eed, frames[1][1], ed_proof)  # position 1's proof at position 0
+
+
+def drop_a_frame(frames):
+    del frames[2]
+
+
+@pytest.mark.parametrize("tamper", (flip_a_shard_bit, swap_an_eed_proof, drop_a_frame))
+def test_tampered_delivery_is_refused(tamper, monkeypatch):
+    # frames are untrusted input: a bad one stops the trade before any appeal
+    appealed = []
+    monkeypatch.setattr(ContractSystem, "cpc_appeal", lambda *args: appealed.append(args))
+
+    def tampered(served):
+        tamper(served[0])
         return served
 
     with pytest.raises(ProofFailure):
-        run_trade(HONEST, bytes(4 * SLOT), SLOT, [[0, 1, 2, 3]], flip_a_bit, random.Random(0))
+        run_trade(HONEST, bytes(4 * SLOT), SLOT, [[0, 1, 2, 3]], tampered, random.Random(0))
+    assert appealed == []
 
 
 def record_seals(monkeypatch):
-    """Patch ``crypto.sym_encrypt`` to log (key, nonce) of every seal, in order."""
+    """Patch ``crypto.sym_encrypt`` to log (key, nonce, plaintext digest) of
+    every seal, in order."""
     seals = []
     seal = crypto.sym_encrypt
 
     def recording(key, plaintext, layer, position):
         ct = seal(key, plaintext, layer, position)
-        seals.append((bytes(key), bytes(ct[: crypto.NONCE_SIZE])))
+        digest = hashlib.sha256(plaintext).digest()
+        seals.append((bytes(key), bytes(ct[: crypto.NONCE_SIZE]), digest))
         return ct
 
     monkeypatch.setattr(crypto, "sym_encrypt", recording)
     return seals
 
 
+def sealed_once(seals):
+    return len({(key, nonce) for key, nonce, _ in seals}) == len(seals)
+
+
 @pytest.mark.parametrize("providers", (1, 2, 3))
 def test_no_trade_seals_twice_under_one_key_and_nonce(providers, monkeypatch):
-    # each trade is its own world: trades with one seed share the seller's
-    # master by construction, so uniqueness is asserted per trade
+    # within a trade each (key, nonce) seals once; across the 64 trades, one
+    # seed and 64 data sets, none seals two plaintexts, as every key is bound
+    # to its data set
     seals = record_seals(monkeypatch)
+    plaintext_of = {}
     for profile in all_profiles():
         seals.clear()
         cheat_over(str(profile), providers)
-        assert seals and len(set(seals)) == len(seals), str(profile)
+        assert seals and sealed_once(seals), str(profile)
+        for key, nonce, digest in seals:
+            assert plaintext_of.setdefault((key, nonce), digest) == digest, str(profile)
 
 
 def test_bench_download_seals_each_nonce_once(monkeypatch):
@@ -256,7 +295,7 @@ def test_bench_download_seals_each_nonce_once(monkeypatch):
     config = bench.BenchConfig(size_bytes=10 * SLOT + 1, providers=2, slot=SLOT, reps=1,
                                bandwidth=0)
     assert bench.bench_download(config).recovery
-    assert len(seals) == 2 * 11 and len(set(seals)) == len(seals)
+    assert len(seals) == 2 * 11 and sealed_once(seals)
 
 
 @pytest.mark.parametrize("profile", ("bei", "dei"))

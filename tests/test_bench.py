@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from bdts import bench
 from bdts.actors import run_scenario
 from bdts.errors import InvalidInput
+from bdts.merkle import DIGEST_SIZE, MerkleProof
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -93,21 +95,34 @@ def test_many_small_shards_are_still_funded():
 
 @pytest.mark.parametrize("bandwidth", [2_000_000, 0])
 def test_wire_delivers_odd_length_shards_exactly(bandwidth):
-    # lengths that are not multiples of the send chunk, including empty
+    # shard lengths that are not multiples of the send chunk, including
+    # empty, in frames whose proofs hold 0 to 6 sibling digests
     chunk = bench._CHUNK
     lengths = [[3 * chunk + 5, 0, 1], [chunk - 1, chunk + 1, 2 * chunk]]
     blob = bench.synthetic_data(sum(map(sum, lengths)), seed=9)
+    digests = tuple(hashlib.sha256(bytes([d])).digest() for d in range(6))
     served, cursor = [], 0
     for p, sizes in enumerate(lengths):
-        shards = {}
+        frames = {}
         for j, size in enumerate(sizes):
-            shards[10 * p + j] = blob[cursor : cursor + size]
+            k = 3 * p + j
+            frames[10 * p + j] = (
+                blob[cursor : cursor + size],
+                MerkleProof(j, digests[:k]),
+                MerkleProof(10 * p + j, digests[k:]),
+            )
             cursor += size
-        served.append(shards)
+        served.append(frames)
     times = []
     assert bench._deliver(bandwidth, times, served) == served
-    if bandwidth:  # the cap paces each connection's framed bytes
-        framed = max(sum(sizes) + len(sizes) * bench._HEADER.size for sizes in lengths)
+    if bandwidth:  # the cap paces each connection's framed bytes, proofs included
+        framed = max(
+            sum(
+                bench._HEADER.size + len(eed) + DIGEST_SIZE * (len(a.siblings) + len(b.siblings))
+                for eed, a, b in frames.values()
+            )
+            for frames in served
+        )
         assert times[0] >= framed / bandwidth
 
 

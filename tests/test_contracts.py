@@ -42,7 +42,7 @@ from bdts.sharding import provider_encrypt, shard_encrypt
 SELLER = address_for("t:seller")
 CONSUMER = address_for("t:consumer")
 PROVIDER = address_for("t:provider")
-MASTER = hashlib.sha256(b"m").digest()
+SECRET = hashlib.sha256(b"m").digest()
 
 
 def make_system(**cfg):
@@ -51,8 +51,8 @@ def make_system(**cfg):
 
 
 def register(system, data=b"0123456789abcdef" * 8, n=4, price=40, unit_price=2,
-             master=MASTER, deposit=None):
-    shards = shard_encrypt(master, data, slot=len(data) // n)
+             secret=SECRET, deposit=None):
+    shards = shard_encrypt(secret, data, slot=len(data) // n)
     data_id = system.ssmc_register_seller(
         SELLER, "ep", "solar telemetry", len(data), shards.n,
         shards.root_plain, shards.root_enc, price, unit_price,
@@ -302,10 +302,10 @@ def test_pubkey_reuse_rejected():
 
 def test_double_key_post_rejected():
     s = make_system()
-    _, _, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(order, kp.public)
-    blob = crypto.pk_encrypt(kp.public, MASTER)
+    blob = crypto.pk_encrypt(kp.public, shards.master)
     s.cpc_post_key(order, SELLER_PAYEE, blob)
     with pytest.raises(DoublePost):
         s.cpc_post_key(order, SELLER_PAYEE, blob)
@@ -313,16 +313,16 @@ def test_double_key_post_rejected():
 
 def test_post_after_window_rejected():
     s = make_system(appeal_window=2)
-    _, _, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(order, kp.public)
     for _ in range(3):
         s.ledger.mine_block()
     with pytest.raises(LateAppeal):
-        s.cpc_post_key(order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, MASTER))
+        s.cpc_post_key(order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, shards.master))
 
 
-def seller_posts(s, order, kp, master=MASTER):
+def seller_posts(s, order, kp, master):
     s.cpc_post_pubkey(order, kp.public)
     s.cpc_post_key(order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, master))
 
@@ -331,7 +331,7 @@ def test_appeal_needs_matching_private_key():
     s = make_system()
     _, shards, order, _, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)
+    seller_posts(s, order, kp, shards.master)
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
     with pytest.raises(PrivKeyMismatch):
@@ -343,7 +343,7 @@ def test_appeal_upheld_on_wrong_seller_key():
     _, shards, order, _, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     wrong = hashlib.sha256(b"wrong").digest()
-    seller_posts(s, order, kp, master=wrong)
+    seller_posts(s, order, kp, wrong)
     # genuine encrypted shard the posted key cannot open
     ev = AppealEvidence(1, shards.enc_shards[1], mproof(shards.tree_enc, 1),
                         mproof(shards.tree_enc, 1))
@@ -354,10 +354,22 @@ def test_fabricated_evidence_denied():
     s = make_system()
     _, shards, order, _, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)  # honest key
+    seller_posts(s, order, kp, shards.master)  # honest key
     # random bytes: neither decryptable under the posted key nor committed
     ev = AppealEvidence(0, b"\x99" * 64, mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
+    assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == DENIED
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_genuine_evidence_against_an_honest_seller_denied(index):
+    s = make_system()
+    _, shards, order, _, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)  # the key the shards are sealed under
+    # enc shard i with its r_ed proof opens under K_i onto its r_d proof
+    ev = AppealEvidence(index, shards.enc_shards[index], mproof(shards.tree_enc, index),
+                        mproof(shards.tree_plain, index))
     assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == DENIED
 
 
@@ -365,7 +377,7 @@ def test_appeal_past_the_last_shard_rejected():
     s = make_system()
     _, shards, order, _, escrow = open_escrow(s, data=b"0123456789abcdef" * 6, n=3)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)  # honest key
+    seller_posts(s, order, kp, shards.master)  # honest key
     # index 3 of a 3-leaf tree pairs with the duplicated last digest; K_3
     # cannot open the genuine last ciphertext, and mvrfy refuses the index
     tree = shards.tree_enc
@@ -382,7 +394,7 @@ def test_appeal_outside_the_served_shards_rejected(index):
     s = make_system()
     _, shards, order, pkg, escrow = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)
+    seller_posts(s, order, kp, shards.master)
     payee = provider_payee(PROVIDER)
     s.cpc_post_key(order, payee, crypto.pk_encrypt(kp.public, pkg.key))
     ev = AppealEvidence(index, pkg.eed_shards[0], mproof(pkg.tree_eed, 0),
@@ -412,7 +424,7 @@ def open_two_provider_escrow(s, kp, sp2_key=None):
         s.scmc_record_provider_root(order, provider, pkg.root)
         pkgs.append(pkg)
     s.cpc_open(order)
-    seller_posts(s, order, kp)
+    seller_posts(s, order, kp, shards.master)
     posted = (pkgs[0].key, sp2_key or pkgs[1].key)
     for provider, key in zip((PROVIDER, PROVIDER2), posted):
         s.cpc_post_key(order, provider_payee(provider), crypto.pk_encrypt(kp.public, key))
@@ -460,7 +472,7 @@ def test_second_provider_wrong_key_appeal_upheld():
     "payee,wrap",
     [
         (SELLER_PAYEE, lambda kp, pkg: b"\x07" * 80),
-        (SELLER_PAYEE, lambda kp, pkg: crypto.pk_encrypt(kp.public, MASTER[:16])),
+        (SELLER_PAYEE, lambda kp, pkg: crypto.pk_encrypt(kp.public, bytes(16))),
         (provider_payee(PROVIDER), lambda kp, pkg: crypto.pk_encrypt(kp.public, pkg.key[:16])),
     ],
     ids=("seller-unwrappable", "seller-16-byte-master", "provider-16-byte-key"),
@@ -482,7 +494,7 @@ def test_second_appeal_rejected():
     s = make_system()
     _, shards, order, _, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)
+    seller_posts(s, order, kp, shards.master)
     ev = AppealEvidence(0, b"\x99" * 64, mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
     s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev)
@@ -494,7 +506,7 @@ def test_appeal_after_window_rejected():
     s = make_system(appeal_window=1)
     _, shards, order, _, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)
+    seller_posts(s, order, kp, shards.master)
     s.ledger.mine_block()
     s.ledger.mine_block()
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
@@ -511,9 +523,9 @@ def settle_after_windows(s, order):
 
 def test_settle_blocked_while_window_open():
     s = make_system()
-    _, _, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)
+    seller_posts(s, order, kp, shards.master)
     s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
     with pytest.raises(BadState):
         s.cpc_settle(order)
@@ -521,9 +533,9 @@ def test_settle_blocked_while_window_open():
 
 def test_settle_pays_posted_payees_and_returns_deposit():
     s = make_system()
-    _, _, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)
+    seller_posts(s, order, kp, shards.master)
     s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
     settle_after_windows(s, order)
     assert s.ledger.balance(SELLER) == 1000 + 40  # price in, deposit back
@@ -534,9 +546,9 @@ def test_settle_pays_posted_payees_and_returns_deposit():
 
 def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
     s = make_system()
-    _, _, order, pkg, _ = open_escrow(s, excess=5)
+    _, shards, order, pkg, _ = open_escrow(s, excess=5)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)
+    seller_posts(s, order, kp, shards.master)
     s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
     transfer = s.ledger.transfer
 
@@ -552,9 +564,9 @@ def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
 
 def test_settle_refunds_never_posted_payee():
     s = make_system()
-    _, _, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)  # provider never posts
+    seller_posts(s, order, kp, shards.master)  # provider never posts
     settle_after_windows(s, order)
     assert s.ledger.balance(PROVIDER) == 1000
     assert s.ledger.balance(CONSUMER) == 1000 - 40
@@ -564,7 +576,7 @@ def test_settle_refunds_upheld_tranche():
     s = make_system()
     _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp, master=hashlib.sha256(b"wrong").digest())
+    seller_posts(s, order, kp, hashlib.sha256(b"wrong").digest())
     s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
@@ -577,9 +589,9 @@ def test_settle_refunds_upheld_tranche():
 
 def test_settle_twice_rejected():
     s = make_system()
-    _, _, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp)
+    seller_posts(s, order, kp, shards.master)
     s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
     settle_after_windows(s, order)
     with pytest.raises(AlreadyClosed):

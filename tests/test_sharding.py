@@ -1,10 +1,12 @@
+import hashlib
+
 import pytest
 
 from bdts import crypto, sharding
 from bdts.errors import InvalidInput
 from bdts.merkle import mproof, mvrfy
 
-MASTER = bytes(32)
+SECRET = bytes(32)
 
 
 def test_split_ceiling():
@@ -22,15 +24,22 @@ def test_split_bad_slot():
 
 def test_shard_encrypt_roundtrip():
     data = bytes(range(256)) * 5
-    ss = sharding.shard_encrypt(MASTER, data, slot=100)
+    ss = sharding.shard_encrypt(SECRET, data, slot=100)
     assert ss.n == 13
-    keys = crypto.derive_keys(MASTER, ss.n)
+    keys = crypto.derive_keys(ss.master, ss.n)
     plain = [crypto.sym_decrypt(k, e) for k, e in zip(keys, ss.enc_shards)]
     assert sharding.reassemble(plain) == data
 
 
+def test_master_key_is_bound_to_the_data_set():
+    a = sharding.shard_encrypt(SECRET, b"one data set", slot=4)
+    b = sharding.shard_encrypt(SECRET, b"two data set", slot=4)
+    assert a.master == hashlib.sha256(SECRET + a.root_plain).digest()
+    assert a.master != b.master
+
+
 def test_roots_commit_both_layers():
-    ss = sharding.shard_encrypt(MASTER, b"hello world" * 40, slot=64)
+    ss = sharding.shard_encrypt(SECRET, b"hello world" * 40, slot=64)
     for i in range(ss.n):
         assert mvrfy(i, ss.root_plain, ss.plain_shards[i], mproof(ss.tree_plain, i), ss.n)
         assert mvrfy(i, ss.root_enc, ss.enc_shards[i], mproof(ss.tree_enc, i), ss.n)
@@ -39,11 +48,11 @@ def test_roots_commit_both_layers():
 
 def test_empty_data_rejected():
     with pytest.raises(InvalidInput):
-        sharding.shard_encrypt(MASTER, b"", slot=64)
+        sharding.shard_encrypt(SECRET, b"", slot=64)
 
 
 def test_provider_layer_roundtrip():
-    ss = sharding.shard_encrypt(MASTER, b"payload" * 100, slot=128)
+    ss = sharding.shard_encrypt(SECRET, b"payload" * 100, slot=128)
     pkg = sharding.provider_encrypt(list(ss.enc_shards), b"sp-seed")
     assert len(pkg.eed_shards) == ss.n
     for i, eed in enumerate(pkg.eed_shards):
