@@ -32,12 +32,15 @@ not open implicates its provider, and the frame is the appeal.  In the
 decrypt phase it opens the other shards under the seller's posted key: a
 genuine seller-layer shard (on r_ed by the seller's proof) that will not
 open, or plaintext off the seller's commitment, implicates the seller; any
-other shard that will not open was swapped by its provider.  Recovery is
-decided by the seller's plaintext root r_d alone, as the consumer never
-holds the seller's data.  Every appeal names the shard by its global
-index.  Every sealing key hashes in the data set it seals, so trades with
-one seed and different data never share a (key, nonce) pair.  The expected
-outcome of each cheat profile is pinned by the tests' cheat catalog.
+other shard that will not open was swapped by its provider.  A posted key
+that ``crypto.pk_decrypt`` will not unwrap opens no shard, so its payee is
+appealed like any payee whose shard will not open, and the contract
+upholds that appeal.  Recovery is decided by the seller's plaintext root
+r_d alone, as the consumer never holds the seller's data.  Every appeal
+names the shard by its global index.  Every sealing key hashes in the data
+set it seals, so trades with one seed and different data never share a
+(key, nonce) pair.  The expected outcome of each cheat profile is pinned
+by the tests' cheat catalog.
 """
 from __future__ import annotations
 
@@ -299,8 +302,7 @@ def run_trade(
                 order_id, SELLER_PAYEE, crypto.pk_encrypt(kp.public, sl_key_posted)
             )
             ledger.mine_block()
-            posted_master = crypto.pk_decrypt(kp.private, escrow.posted_keys[SELLER_PAYEE])
-            appeals += _open_seller_layer(record, r_d_leaves, posted_master, opened)
+            appeals += _open_seller_layer(record, escrow, kp.private, r_d_leaves, opened)
         tr.recovery = not appeals
 
         with col.phase("appeal"):
@@ -319,45 +321,52 @@ def _open_provider_layer(order, escrow, private, received):
     """The consumer's provider layer, in the download phase.
 
     Checks each provider's delivered frames against its on-chain root, then
-    opens their eed shards in package order with its posted key.  Returns
-    the opened seller-layer shards (global index -> (provider, shard,
-    frame)) and one appeal against each provider with a shard that will not
-    open, whose package is dropped.  A missing or mismatched frame raises
+    unwraps its posted key and opens its eed shards with it in package
+    order.  Returns the opened seller-layer shards (global index ->
+    (provider, shard, frame)) and one appeal against each provider with a
+    shard that will not open, whose package is dropped; an unusable key is
+    a first shard that will not open.  A missing or mismatched frame raises
     ``ProofFailure`` before any appeal.
     """
     opened, appeals = {}, []
     for provider, indices in order.served.items():
-        key = crypto.pk_decrypt(private, escrow.posted_keys[provider_payee(provider)])
         frames, root = received.get(provider, {}), order.provider_roots[provider]
         for j, i in enumerate(indices):
             frame = frames.get(i)
             if frame is None or not mvrfy(j, root, frame[0], frame[1], len(indices)):
                 raise ProofFailure(f"shard {i} does not match {provider}'s root")
         package = {}
-        for i in indices:
-            try:
+        try:
+            key = crypto.pk_decrypt(private, escrow.posted_keys[provider_payee(provider)])
+            for i in indices:
                 package[i] = provider, crypto.sym_decrypt(key, frames[i][0]), frames[i]
-            except DecryptError:
-                appeals.append((provider_payee(provider), AppealEvidence(i, *frames[i])))
-                break
+        except DecryptError:
+            i = indices[len(package)]  # the first shard that did not open
+            appeals.append((provider_payee(provider), AppealEvidence(i, *frames[i])))
         else:
             opened.update(package)
     return opened, appeals
 
 
-def _open_seller_layer(record, r_d_leaves, posted_master, opened):
+def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
     """The consumer's seller layer, in the decrypt phase.
 
-    Opens the shards of the providers not yet caught, in index order, each
-    under its K_i.  A genuine shard (on r_ed, by the seller's proof in its
-    frame) that will not open implicates the seller and ends the scan; any
-    other shard that will not open implicates its provider, whose other
-    shards are skipped.  Only when every shard opened is the plaintext
-    checked against r_d, which alone decides recovery; the first shard off
-    the published leaf digests ``r_d_leaves`` implicates the seller.
+    Unwraps the seller's posted key, then opens the shards of the providers
+    not yet caught, in index order, each under its K_i; under an unusable
+    key no shard opens.  A genuine shard (on r_ed, by the seller's proof in
+    its frame) that will not open implicates the seller and ends the scan;
+    any other shard that will not open implicates its provider, whose other
+    shards are skipped.  With no shard left to open, the seller keeps its
+    tranche.  Only when every shard opened is the plaintext checked against
+    r_d, which alone decides recovery; the first shard off the published
+    leaf digests ``r_d_leaves`` implicates the seller.
     """
     n = record.n
-    shard_keys = crypto.derive_keys(posted_master, n)
+    try:
+        master = crypto.pk_decrypt(private, escrow.posted_keys[SELLER_PAYEE])
+        shard_keys = crypto.derive_keys(master, n)
+    except DecryptError:
+        shard_keys = None  # an unusable key opens no shard
     plain, appeals, caught = {}, [], set()
     for i in sorted(opened):
         provider, enc_i, frame = opened[i]
@@ -365,6 +374,8 @@ def _open_seller_layer(record, r_d_leaves, posted_master, opened):
             continue
         on_r_ed = mvrfy(i, record.r_ed, enc_i, frame[2], n)
         try:
+            if shard_keys is None:
+                raise DecryptError("the seller's posted key does not unwrap")
             plain[i] = crypto.sym_decrypt(shard_keys[i], enc_i)
         except DecryptError:
             if on_r_ed:

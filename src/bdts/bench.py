@@ -29,9 +29,10 @@ from .sharding import DEFAULT_SLOT
 
 DEFAULT_BANDWIDTH = 60 * 1000 * 1000  # bytes/s per connection
 _HONEST = StrategyProfile("a", "e", "i")
-# shard index, the indices of its eed and r_ed proofs, their sibling counts,
-# and the eed shard's length; the sibling digests follow, then the shard
-_HEADER = struct.Struct("!IIIBBI")
+# shard index, the index of its eed proof, the sibling counts of its eed and
+# r_ed proofs, and the eed shard's length; the sibling digests follow, then
+# the shard.  The r_ed proof's index is the shard index.
+_HEADER = struct.Struct("!IIBBI")
 _CHUNK = 64 * 1024
 
 
@@ -99,7 +100,7 @@ def _serve(sock: socket.socket, frames: dict[int, Frame], bandwidth: int) -> Non
     sent = 0
     for index, (payload, eed_proof, ed_proof) in frames.items():
         counts = len(eed_proof.siblings), len(ed_proof.siblings)
-        head = _HEADER.pack(index, eed_proof.index, ed_proof.index, *counts, len(payload))
+        head = _HEADER.pack(index, eed_proof.index, *counts, len(payload))
         head += b"".join(eed_proof.siblings + ed_proof.siblings)
         sock.sendall(head)
         sent += len(head)
@@ -125,11 +126,11 @@ def _recv_exact(stream: io.BufferedReader, size: int) -> bytes:
 def _fetch(sock: socket.socket, count: int, into: dict[int, Frame]) -> None:
     with sock.makefile("rb") as stream:
         for _ in range(count):
-            index, j, i, eed_k, ed_k, length = _HEADER.unpack(_recv_exact(stream, _HEADER.size))
+            i, j, eed_k, ed_k, length = _HEADER.unpack(_recv_exact(stream, _HEADER.size))
             digests = _recv_exact(stream, (eed_k + ed_k) * DIGEST_SIZE)
             sibs = [digests[at : at + DIGEST_SIZE] for at in range(0, len(digests), DIGEST_SIZE)]
             proofs = MerkleProof(j, tuple(sibs[:eed_k])), MerkleProof(i, tuple(sibs[eed_k:]))
-            into[index] = (_recv_exact(stream, length), *proofs)
+            into[i] = (_recv_exact(stream, length), *proofs)
 
 
 def _deliver(bandwidth: int, times: list[float], served: Served) -> Served:

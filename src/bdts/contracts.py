@@ -8,8 +8,8 @@ whole run is replayable.  Verdict logic for appeals:
   the payee is paid for (any of the data set's n shards for the seller, a
   shard the provider served); the contract derives the shard's position in
   the provider's package and both trees' leaf counts itself;
-* a posted key that the consumer's private key cannot unwrap, or that does
-  not unwrap to a 32-byte key, upholds the appeal;
+* a posted key that ``crypto.pk_decrypt`` will not unwrap to one 32-byte
+  key under the consumer's private key upholds the appeal;
 * otherwise the evidence ciphertext is tried against the key the payee posted;
 * if it decrypts, the plaintext must match the committed root for the
   layer below (r_d for seller appeals, r_ed for provider appeals) or the
@@ -459,8 +459,6 @@ class ContractSystem:
         try:
             posted = crypto.pk_decrypt(pri_cm, escrow.posted_keys[payee])
         except DecryptError:
-            posted = b""
-        if len(posted) != crypto.KEY_SIZE:
             # the payee posted no key anyone could open the data with
             upheld = True
         else:
@@ -499,6 +497,8 @@ class ContractSystem:
         disbursed = 0
         rec = self._record(order.data_id)
         held = self.ledger.balance(self.cpc_addr)
+        if held < order.tokens:
+            raise BadState(f"CPC holds {held} tokens, less than {order_id}'s {order.tokens}")
         for payee, amount in escrow.tranches.items():
             verdict = escrow.verdicts.get(payee)
             if payee not in escrow.posted_keys or verdict == UPHELD:

@@ -8,10 +8,11 @@ is safe only while a key seals at most one plaintext per (tag, position):
 each K_i seals one shard and each provider key one package, every key is
 bound to the data set it seals, and a layer that re-seals under a used key
 takes its own tag.  Hybrid leg: X25519 key agreement with an ephemeral key
-derived deterministically from the recipient key and message, wrapping the
-payload under AES-256-GCM.  Authentication failures always surface as
-:class:`DecryptError`, which the appeal arbitration relies on to detect
-wrong keys.
+derived deterministically from the recipient key and the wrapped key,
+sealing exactly one 32-byte key under AES-256-GCM.  A blob that does not
+unwrap to one 32-byte key, whatever its length or authentication,
+surfaces as :class:`DecryptError`; the appeal arbitration and the
+consumer both rely on that one rule to judge a posted key.
 """
 from __future__ import annotations
 
@@ -105,26 +106,28 @@ def public_key_of(private: bytes) -> bytes:
     return X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
 
 
-def pk_encrypt(public: bytes, message: bytes) -> bytes:
-    """ECIES-style wrap: ephemeral pub || AES-GCM body.
-
-    Intended for short key material (<= 64 bytes).
-    """
-    if len(message) > 64:
-        raise InvalidInput("hybrid encryption is for key material (<= 64 bytes)")
+def pk_encrypt(public: bytes, key: bytes) -> bytes:
+    """ECIES-style wrap of one 32-byte key: ephemeral pub || nonce || AES-GCM body."""
+    if len(key) != KEY_SIZE:
+        raise InvalidInput("hybrid encryption wraps one 32-byte key")
     metrics.record("asym_encryptions")
-    eph = X25519PrivateKey.from_private_bytes(_sha256(b"eph", public, message))
+    eph = X25519PrivateKey.from_private_bytes(_sha256(b"eph", public, key))
     shared = eph.exchange(X25519PublicKey.from_public_bytes(public))
     wrap_key = _sha256(b"wrap", shared)
-    nonce = _sha256(b"wrapnonce", shared, message)[:NONCE_SIZE]
-    body = AESGCM(wrap_key).encrypt(nonce, message, None)
+    nonce = _sha256(b"wrapnonce", shared, key)[:NONCE_SIZE]
+    body = AESGCM(wrap_key).encrypt(nonce, key, None)
     return eph.public_key().public_bytes_raw() + nonce + body
 
 
 def pk_decrypt(private: bytes, ciphertext: bytes) -> bytes:
+    """Unwrap a ``pk_encrypt`` ciphertext to its 32-byte key.
+
+    Anything that does not unwrap to one 32-byte key raises
+    :class:`DecryptError`: this is the one rule for a usable posted key.
+    """
     metrics.record("asym_decryptions")
-    if len(ciphertext) < 32 + OVERHEAD:
-        raise DecryptError("ciphertext too short")
+    if len(ciphertext) != 32 + OVERHEAD + KEY_SIZE:  # ephemeral public key, sealed key
+        raise DecryptError("not a wrapped 32-byte key")
     eph_pub, nonce, body = (
         ciphertext[:32],
         ciphertext[32 : 32 + NONCE_SIZE],

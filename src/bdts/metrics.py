@@ -9,32 +9,25 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
+# the one list of op names
 FIELDS = (
-    "sym_encryptions",
-    "asym_encryptions",
-    "sym_decryptions",
-    "asym_decryptions",
-    "tree_builds",
-    "proof_verifications",
+    "sym_encryptions", "asym_encryptions", "sym_decryptions", "asym_decryptions",
+    "tree_builds", "proof_verifications",
 )
 
 
-@dataclass
-class OpCounters:
-    sym_encryptions: int = 0
-    asym_encryptions: int = 0
-    sym_decryptions: int = 0
-    asym_decryptions: int = 0
-    tree_builds: int = 0
-    proof_verifications: int = 0
+class OpCounters(dict):
+    """One phase's counts: every op name in ``FIELDS``, from zero."""
 
-    def bump(self, name: str, amount: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + amount)
+    def __init__(self) -> None:
+        super().__init__(dict.fromkeys(FIELDS, 0))
+
+    def bump(self, name: str) -> None:
+        self[name] += 1
 
     def as_dict(self) -> dict[str, int]:
-        return {f: getattr(self, f) for f in FIELDS}
+        return dict(self)
 
 
 class OpCollector:
@@ -53,32 +46,26 @@ class OpCollector:
         finally:
             self._active = previous
 
-    def record(self, op: str, amount: int = 1) -> None:
-        if self._active is None:
-            return
-        self.phases.setdefault(self._active, OpCounters()).bump(op, amount)
+    def record(self, op: str) -> None:
+        if self._active is not None:
+            self.phases.setdefault(self._active, OpCounters()).bump(op)
 
 
 _state = threading.local()
 
 
-def current_collector() -> OpCollector | None:
-    return getattr(_state, "collector", None)
-
-
 @contextmanager
 def collect():
     """Install a fresh collector; yields it for phase labeling and readout."""
-    previous = current_collector()
-    collector = OpCollector()
-    _state.collector = collector
+    previous = getattr(_state, "collector", None)
+    collector = _state.collector = OpCollector()
     try:
         yield collector
     finally:
         _state.collector = previous
 
 
-def record(op: str, amount: int = 1) -> None:
-    collector = current_collector()
+def record(op: str) -> None:
+    collector = getattr(_state, "collector", None)
     if collector is not None:
-        collector.record(op, amount)
+        collector.record(op)

@@ -17,6 +17,7 @@ from bdts.contracts import SELLER_PAYEE, UPHELD, ContractSystem, provider_payee
 from bdts.errors import InvalidInput, ProofFailure
 from bdts.ledger import address_for
 from cheat_catalog import cheat_catalog
+from forged_wrap import forged_wrap
 
 SLOT = 1024  # small shards keep the full matrix fast
 
@@ -186,6 +187,45 @@ def test_cheating_seller_is_appealed_once_over_providers(profile, providers):
         assert [tr.deltas[label] for label in labels] == [len(r) * tr.unit_price for r in ranges]
         assert tr.deltas["seller"] <= 0
         assert tr.deltas["consumer"] == -8 * tr.unit_price
+
+
+# posted keys that ``crypto.pk_decrypt`` will not unwrap to one 32-byte key
+UNUSABLE_KEYS = {
+    "garbage-80": lambda public: b"\x07" * 80,
+    "blob-20": lambda public: b"\x07" * 20,
+    "wrapped-16": lambda public: forged_wrap(public, bytes(16)),
+    "wrapped-64": lambda public: forged_wrap(public, bytes(64)),
+}
+
+
+@pytest.mark.parametrize("deliver", DELIVERIES, ids=("memory", "sockets"))
+@pytest.mark.parametrize("forge", UNUSABLE_KEYS.values(), ids=UNUSABLE_KEYS)
+@pytest.mark.parametrize("cheater", ("seller", "provider"))
+def test_unusable_posted_key_is_appealed(cheater, forge, deliver, monkeypatch):
+    # an honest two-provider trade but for one payee's posted key: the
+    # consumer appeals that payee, and the trade still settles
+    payee = SELLER_PAYEE if cheater == "seller" else provider_payee(address_for("actor:provider"))
+    post = ContractSystem.cpc_post_key
+
+    def post_unusable(self, order_id, to, wrapped_key):
+        if to == payee:
+            wrapped_key = forge(self.escrows[order_id].pub_cm)
+        post(self, order_id, to, wrapped_key)
+
+    monkeypatch.setattr(ContractSystem, "cpc_post_key", post_unusable)
+    ranges, tr = cheat_over("aei", 2, deliver)
+    assert [(a["payee"], a["verdict"]) for a in tr.appeals] == [(payee, UPHELD)]
+    assert tr.verdicts == {payee: UPHELD} and not tr.recovery
+    assert any(e.get("memo") == "settled" for e in tr.events)  # the order is Closed
+    tranches = {"seller": tr.price, "provider": len(ranges[0]) * tr.unit_price,
+                "provider1": len(ranges[1]) * tr.unit_price}
+    assert tr.deltas[cheater] == 0
+    for label, amount in tranches.items():
+        if label != cheater:  # every honest payee is paid
+            assert tr.deltas[label] == amount, label
+    assert tr.deltas["consumer"] == -(sum(tranches.values()) - tranches[cheater])
+    assert escrow_in_out(tr) == (tr.price + 8 * tr.unit_price,) * 2  # CPC keeps nothing
+    assert sum(tr.deltas.values()) == 0  # supply unchanged
 
 
 def test_provider_left_without_shards_serves_nothing():

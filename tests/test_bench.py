@@ -24,6 +24,8 @@ def test_config_validation():
         bench.BenchConfig(providers=7)
     with pytest.raises(InvalidInput):
         bench.BenchConfig(bandwidth=-1)
+    with pytest.raises(InvalidInput):
+        bench.BenchConfig(reps=0)
 
 
 def test_synthetic_data_size_and_seed():

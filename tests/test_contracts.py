@@ -1,6 +1,7 @@
 """Contract state machine coverage: listing/exposure, ordering, escrow,
 appeals, and settlement edge cases."""
 import hashlib
+from contextlib import contextmanager
 
 import pytest
 
@@ -28,6 +29,7 @@ from bdts.errors import (
     InsufficientTokens,
     LateAppeal,
     NoPubKey,
+    NotFound,
     NotSeller,
     PrivKeyMismatch,
     ProofFailure,
@@ -38,6 +40,7 @@ from bdts.errors import (
 from bdts.ledger import Ledger, address_for
 from bdts.merkle import MerkleProof, mproof, mvrfy
 from bdts.sharding import provider_encrypt, shard_encrypt
+from forged_wrap import forged_wrap
 
 SELLER = address_for("t:seller")
 CONSUMER = address_for("t:consumer")
@@ -472,8 +475,8 @@ def test_second_provider_wrong_key_appeal_upheld():
     "payee,wrap",
     [
         (SELLER_PAYEE, lambda kp, pkg: b"\x07" * 80),
-        (SELLER_PAYEE, lambda kp, pkg: crypto.pk_encrypt(kp.public, bytes(16))),
-        (provider_payee(PROVIDER), lambda kp, pkg: crypto.pk_encrypt(kp.public, pkg.key[:16])),
+        (SELLER_PAYEE, lambda kp, pkg: forged_wrap(kp.public, bytes(16))),
+        (provider_payee(PROVIDER), lambda kp, pkg: forged_wrap(kp.public, pkg.key[:16])),
     ],
     ids=("seller-unwrappable", "seller-16-byte-master", "provider-16-byte-key"),
 )
@@ -562,6 +565,30 @@ def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
     assert s.ledger.balance(s.cpc_addr) == 5
 
 
+def test_refused_settle_moves_no_token_on_retry(monkeypatch):
+    s = make_system()
+    _, shards, order, pkg, _ = open_escrow(s, excess=5)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
+    transfer = s.ledger.transfer
+    monkeypatch.setattr(
+        s.ledger, "transfer",
+        lambda src, dst, amount, memo="": memo == "excess" or transfer(src, dst, amount, memo),
+    )
+    with pytest.raises(BadState):
+        settle_after_windows(s, order)
+    # the real ledger again: CPC no longer holds the order's tokens, so the
+    # retry is refused before any payout is tried
+    attempts = []
+    monkeypatch.setattr(s.ledger, "transfer", lambda *args, **kw: attempts.append(args))
+    with pytest.raises(BadState):
+        s.cpc_settle(order)
+    assert attempts == []
+    assert s.orders[order].status != CLOSED
+    assert s.ledger.balance(s.cpc_addr) == 5
+
+
 def test_settle_refunds_never_posted_payee():
     s = make_system()
     _, shards, order, pkg, _ = open_escrow(s)
@@ -613,3 +640,105 @@ def test_delist_returns_deposit_once():
     assert s.ledger.balance(SELLER) == 1000
     s.ssmc_delist(SELLER, data_id)
     assert s.ledger.balance(SELLER) == 1000
+
+
+# -- guards -----------------------------------------------------------------
+
+
+@contextmanager
+def refused(s, error):
+    """The block raises ``error`` and moves no token."""
+    held = dict(s.ledger.balances)
+    with pytest.raises(error):
+        yield
+    assert s.ledger.balances == held
+
+
+def test_confirm_requires_a_registered_provider():
+    s = make_system()
+    data_id, shards = register(s)
+    expose(s, data_id, shards)
+    with refused(s, UnknownData):
+        s.ssmc_confirm_provider(SELLER, PROVIDER, data_id)
+    assert s.records[data_id].status == EXPOSED
+
+
+def test_delist_requires_seller():
+    s = make_system()
+    data_id, _ = go_live(s)
+    with refused(s, NotSeller):
+        s.ssmc_delist(CONSUMER, data_id)
+    assert not s.records[data_id].delisted
+
+
+def test_match_products_lists_only_live_listings():
+    s = make_system()
+    data_id, shards = register(s)
+    assert s.match_products("telemetry") == []  # Registered
+    expose(s, data_id, shards)
+    assert s.match_products("telemetry") == []  # Exposed
+
+
+def test_select_requires_a_funded_order():
+    s = make_system()
+    data_id, _ = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    with refused(s, BadState):
+        s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    assert s.orders[order].served == {PROVIDER: [0, 1, 2, 3]}
+
+
+def test_open_requires_selection_and_opens_once():
+    s = make_system()
+    data_id, shards = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    with refused(s, BadState):
+        s.cpc_open(order)  # the order is Funded, not yet Downloading
+    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
+    s.scmc_record_provider_root(order, PROVIDER, pkg.root)
+    escrow = s.cpc_open(order)
+    with refused(s, BadState):
+        s.cpc_open(order)
+    assert s.escrows[order] is escrow
+
+
+def test_public_key_is_fresh_across_orders():
+    s = make_system()
+    _, _, first, _, _ = open_escrow(s)
+    _, _, second, _, escrow = open_escrow(s, data=b"fedcba9876543210" * 8)
+    kp = crypto.pk_keygen(b"cm")
+    s.cpc_post_pubkey(first, kp.public)
+    with refused(s, DoublePost):
+        s.cpc_post_pubkey(second, kp.public)
+    assert escrow.pub_cm is None
+
+
+def test_post_key_for_an_unknown_payee_rejected():
+    s = make_system()
+    _, shards, order, _, escrow = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    s.cpc_post_pubkey(order, kp.public)
+    blob = crypto.pk_encrypt(kp.public, shards.master)
+    with refused(s, NotFound):
+        s.cpc_post_key(order, provider_payee(CONSUMER), blob)
+    assert escrow.posted_keys == {}
+
+
+def test_appeal_before_any_public_key_rejected():
+    s = make_system()
+    _, shards, order, _, escrow = open_escrow(s)
+    ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
+                        mproof(shards.tree_enc, 0))
+    with refused(s, NoPubKey):
+        s.cpc_appeal(order, SELLER_PAYEE, crypto.pk_keygen(b"cm").private, ev)
+    assert escrow.verdicts == {}
+
+
+def test_unknown_order_id():
+    s = make_system()
+    go_live(s)
+    for call in (s.cpc_open, s.cpc_settle, lambda order: s.scmc_select(order, [])):
+        with refused(s, NotFound):
+            call("o9999")

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from bdts import crypto
 from bdts.errors import DecryptError, InvalidInput
+from forged_wrap import forged_wrap
 
 KEY = bytes(range(32))
 OTHER = bytes(range(1, 33))
@@ -42,6 +43,13 @@ def test_bad_key_sizes():
         crypto.sym_encrypt(b"short", b"x", TAG, 0)
     with pytest.raises(InvalidInput):
         crypto.derive_keys(b"short", 1)
+    with pytest.raises(InvalidInput):
+        crypto.sym_decrypt(b"short", crypto.sym_encrypt(KEY, b"x", TAG, 0))
+
+
+def test_derive_keys_count_must_be_positive():
+    with pytest.raises(InvalidInput):
+        crypto.derive_keys(KEY, 0)
 
 
 def test_sym_layer_tag_must_be_4_bytes():
@@ -85,8 +93,8 @@ def test_derive_keys_distinct():
 
 def test_pk_roundtrip():
     kp = crypto.pk_keygen(b"seed")
-    ct = crypto.pk_encrypt(kp.public, b"wrapped key material")
-    assert crypto.pk_decrypt(kp.private, ct) == b"wrapped key material"
+    ct = crypto.pk_encrypt(kp.public, KEY)
+    assert crypto.pk_decrypt(kp.private, ct) == KEY
 
 
 def test_pk_keygen_deterministic():
@@ -101,23 +109,34 @@ def test_public_key_of():
 
 def test_pk_wrong_recipient():
     kp, other = crypto.pk_keygen(b"a"), crypto.pk_keygen(b"b")
-    ct = crypto.pk_encrypt(kp.public, b"secret")
+    ct = crypto.pk_encrypt(kp.public, KEY)
     with pytest.raises(DecryptError):
         crypto.pk_decrypt(other.private, ct)
 
 
 def test_pk_tamper():
     kp = crypto.pk_keygen(b"a")
-    ct = bytearray(crypto.pk_encrypt(kp.public, b"secret"))
+    ct = bytearray(crypto.pk_encrypt(kp.public, KEY))
     ct[40] ^= 0xFF
     with pytest.raises(DecryptError):
         crypto.pk_decrypt(kp.private, bytes(ct))
 
 
 def test_pk_message_size_limit():
+    # the hybrid leg wraps exactly one 32-byte key
     kp = crypto.pk_keygen(b"a")
-    with pytest.raises(InvalidInput):
-        crypto.pk_encrypt(kp.public, b"x" * 65)
+    for size in (0, 16, 33, 64, 65):
+        with pytest.raises(InvalidInput):
+            crypto.pk_encrypt(kp.public, b"x" * size)
+
+
+def test_pk_decrypt_refuses_anything_but_one_wrapped_key():
+    kp = crypto.pk_keygen(b"a")
+    # the forged layout is the real one: around a 32-byte key it unwraps
+    assert crypto.pk_decrypt(kp.private, forged_wrap(kp.public, KEY)) == KEY
+    for blob in (b"\x07" * 20, forged_wrap(kp.public, KEY[:16]), forged_wrap(kp.public, KEY * 2)):
+        with pytest.raises(DecryptError):
+            crypto.pk_decrypt(kp.private, blob)
 
 
 @given(st.binary(min_size=32, max_size=32), st.binary(max_size=256))
@@ -137,7 +156,7 @@ def test_sym_bitflip_rejected(key, msg, pos):
         crypto.sym_decrypt(key, bytes(ct))
 
 
-@given(st.binary(min_size=1, max_size=32), st.binary(max_size=64))
-def test_pk_roundtrip_property(seed, msg):
+@given(st.binary(min_size=1, max_size=32), st.binary(min_size=32, max_size=32))
+def test_pk_roundtrip_property(seed, key):
     kp = crypto.pk_keygen(seed)
-    assert crypto.pk_decrypt(kp.private, crypto.pk_encrypt(kp.public, msg)) == msg
+    assert crypto.pk_decrypt(kp.private, crypto.pk_encrypt(kp.public, key)) == key

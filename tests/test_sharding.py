@@ -60,6 +60,11 @@ def test_provider_layer_roundtrip():
         assert mvrfy(i, pkg.root, eed, mproof(pkg.tree_eed, i), ss.n)
 
 
+def test_empty_package_rejected():
+    with pytest.raises(InvalidInput):
+        sharding.provider_encrypt([], b"sp-seed")
+
+
 def test_provider_keys_differ_by_seed():
     shards = [b"one", b"two"]
     a = sharding.provider_encrypt(shards, b"seed-a")
