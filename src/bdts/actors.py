@@ -68,6 +68,9 @@ PROVIDER_STRATEGIES = "ijkl"
 
 PRICE = 20  # units paid to the seller
 FEE = 4  # units paid to the provider(s)
+# a trade's prices in tokens: 2 per unit of PRICE, and of FEE at 8 shards
+LISTING_PRICE = 40  # tokens for the data, to the seller
+UNIT_PRICE = 1  # tokens per shard, to its provider
 SUBSTITUTE = b"subs"  # nonce layer tag of a cheating seller's garbage shards
 
 
@@ -136,8 +139,6 @@ def run_scenario(
     x: float = 10.0,
     y: float = 2.0,
     n: int = 8,
-    price: int = 40,
-    unit_price: int = 1,
     seed: int = 0,
     slot: int = 1 << 20,
 ) -> RunTranscript:
@@ -149,7 +150,7 @@ def run_scenario(
     data = rng.randbytes(n * slot)
     return run_trade(
         profile, data, slot, [list(range(n))], deliver_in_memory, rng,
-        x=x, y=y, price=price, unit_price=unit_price, seed=seed,
+        x=x, y=y, seed=seed,
     )
 
 
@@ -175,8 +176,6 @@ def run_trade(
     rng: random.Random,
     x: float = 10.0,
     y: float = 2.0,
-    price: int = 40,
-    unit_price: int = 1,
     seed: int = 0,
 ) -> RunTranscript:
     """Trade ``data`` end to end under ``profile`` and return the transcript.
@@ -200,17 +199,17 @@ def run_trade(
             shards = shard_encrypt(secret, data, slot)
             n = shards.n
             # every party can afford the full order
-            endow = max(100 * price, price + n * unit_price)
+            endow = max(100 * LISTING_PRICE, LISTING_PRICE + n * UNIT_PRICE)
             ledger = Ledger({addr: endow for addr in addrs.values()})
             system = ContractSystem(ledger)
             tr = RunTranscript(
-                profile=str(profile), x=x, y=y, n=n, price=price,
-                unit_price=unit_price, seed=seed,
+                profile=str(profile), x=x, y=y, n=n, price=LISTING_PRICE,
+                unit_price=UNIT_PRICE, seed=seed,
             )
             data_id = system.ssmc_register_seller(
                 seller, "tcp://seller", "weather sensor dump", len(data), n,
-                shards.root_plain, shards.root_enc, price, unit_price,
-                deposit=system.min_deposit(price),
+                shards.root_plain, shards.root_enc, LISTING_PRICE, UNIT_PRICE,
+                deposit=system.min_deposit(LISTING_PRICE),
             )
             record = system.records[data_id]
             # published with the listing until the record holds them
@@ -230,13 +229,13 @@ def run_trade(
                 system.ssmc_confirm_provider(seller, provider, data_id)
             ledger.mine_block()
 
-        required = price + n * unit_price
-        x_tokens = round(x * price / PRICE)
-        y_tokens = round(y * n * unit_price / FEE)
+        required = LISTING_PRICE + n * UNIT_PRICE
+        x_tokens = round(x * LISTING_PRICE / PRICE)
+        y_tokens = round(y * n * UNIT_PRICE / FEE)
         offer = {
             "e": required,
-            "f": x_tokens + n * unit_price,
-            "g": price + y_tokens,
+            "f": x_tokens + n * UNIT_PRICE,
+            "g": LISTING_PRICE + y_tokens,
             "h": x_tokens + y_tokens,
         }[profile.consumer]
         try:

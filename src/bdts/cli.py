@@ -1,31 +1,23 @@
 """Command-line entry point.
 
-Verbs: demo, scenario, matrix, game, bench.  Each prints its result as
-JSON on stdout (game prints its payoff tables as text first).  Exit codes:
-0 success, 1 scenario/model assertion failure, 2 usage error.
+Verbs: scenario, matrix, game, bench.  Each prints its result as JSON on
+stdout (game prints its payoff tables as text first).  Exit codes: 0
+success, 1 scenario/model assertion failure or a reader that closed stdout
+early, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import actors, bench, game
 from .errors import BdtsError, InvalidInput, Mismatch
 
 
-def _cmd_demo(args) -> int:
-    tr = actors.run_scenario("aei", n=args.n, slot=args.slot, seed=args.seed)
-    print(json.dumps({"profile": "aei", "recovery": tr.recovery,
-                      "deltas": tr.deltas, "verdicts": tr.verdicts}, sort_keys=True))
-    return 0 if tr.recovery else 1
-
-
 def _cmd_scenario(args) -> int:
-    tr = actors.run_scenario(
-        args.profile, x=args.x, y=args.y, n=args.n, price=args.price,
-        unit_price=args.unit_price, seed=args.seed, slot=args.slot,
-    )
+    tr = actors.run_scenario(args.profile, x=args.x, y=args.y, seed=args.seed, slot=args.slot)
     print(tr.to_json())
     try:
         game.crosscheck_transcript(tr)
@@ -84,18 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--slot", type=int, default=slot)
 
-    p = sub.add_parser("demo", help="honest end-to-end trade")
-    p.add_argument("--n", type=int, default=8)
-    common(p)
-    p.set_defaults(fn=_cmd_demo)
-
     p = sub.add_parser("scenario", help="one strategy profile end-to-end")
     p.add_argument("--profile", required=True)
     p.add_argument("--x", type=float, default=10.0)
     p.add_argument("--y", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--price", type=int, default=40)
-    p.add_argument("--unit-price", type=int, default=1)
     common(p)
     p.set_defaults(fn=_cmd_scenario)
 
@@ -125,7 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``bdts matrix | head -1``); point
+        # stdout at devnull so the interpreter's last flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except BdtsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InvalidInput) else 1

@@ -55,7 +55,6 @@ EXPOSED = "Exposed"
 LIVE = "Live"
 REJECTED = "Rejected"
 
-PLACED = "Placed"
 FUNDED = "Funded"
 DOWNLOADING = "Downloading"
 SETTLING = "Settling"
@@ -103,7 +102,6 @@ class DataRecord:
     deposit: int
     reg_block: int
     status: str = REGISTERED
-    exposed_indices: list[int] = field(default_factory=list)
     providers: dict[Address, SPRecord] = field(default_factory=dict)
     deposit_returned: bool = False
     delisted: bool = False
@@ -115,7 +113,7 @@ class Order:
     consumer: Address
     data_id: str
     tokens: int
-    status: str = PLACED
+    status: str = FUNDED
     # provider -> the global shard indices it serves, in package order
     served: dict[Address, list[int]] = field(default_factory=dict)
     provider_roots: dict[Address, bytes] = field(default_factory=dict)
@@ -249,7 +247,6 @@ class ContractSystem:
                 raise ProofFailure(f"exposed piece {i} duplicates {owner}")
         for i, plain, *_ in pieces:
             self.exposed_piece_index[hashlib.sha256(plain).digest()] = data_id
-        rec.exposed_indices = expected
         rec.status = EXPOSED
         self.ledger.log_event("expose_ok", data_id=data_id, indices=expected)
         return EXPOSED
@@ -297,10 +294,14 @@ class ContractSystem:
             raise BadState("cannot delist with open orders")
         rec.delisted = True
         self._unlist_root(rec)
+        self._return_deposit(rec)
+        self.ledger.log_event("delist", data_id=data_id)
+
+    def _return_deposit(self, rec: DataRecord) -> None:
+        # once per listing; a rejected listing's deposit is forfeited
         if rec.status != REJECTED and not rec.deposit_returned:
             rec.deposit_returned = True
-            self.ledger.transfer(self.ssmc_addr, seller, rec.deposit, memo="deposit-return")
-        self.ledger.log_event("delist", data_id=data_id)
+            self.ledger.transfer(self.ssmc_addr, rec.seller, rec.deposit, memo="deposit-return")
 
     def match_products(self, keyword: str) -> list[dict]:
         out = []
@@ -339,7 +340,6 @@ class ContractSystem:
         order_id = f"o{self._order_counter:04d}"
         self.orders[order_id] = Order(
             order_id=order_id, consumer=consumer, data_id=data_id, tokens=tokens,
-            status=FUNDED,
         )
         self.escrow_flows[order_id] = {"in": tokens}
         self.ledger.log_event("order_funded", order_id=order_id, data_id=data_id)
@@ -496,9 +496,12 @@ class ContractSystem:
         transfers: dict[str, int] = {}
         disbursed = 0
         rec = self._record(order.data_id)
+        # CPC pools every open escrow: a shortfall in any one must not be
+        # paid out of another's tokens
         held = self.ledger.balance(self.cpc_addr)
-        if held < order.tokens:
-            raise BadState(f"CPC holds {held} tokens, less than {order_id}'s {order.tokens}")
+        owed = sum(self.orders[o].tokens for o in self.escrows if self.orders[o].status != CLOSED)
+        if held < owed:
+            raise BadState(f"CPC holds {held} tokens, less than the {owed} its open escrows hold")
         for payee, amount in escrow.tranches.items():
             verdict = escrow.verdicts.get(payee)
             if payee not in escrow.posted_keys or verdict == UPHELD:
@@ -516,9 +519,7 @@ class ContractSystem:
         if held - self.ledger.balance(self.cpc_addr) != order.tokens:
             raise BadState(f"escrow for {order_id} did not release its {order.tokens} tokens")
         order.status = CLOSED
-        if rec.status != REJECTED and not rec.deposit_returned:
-            rec.deposit_returned = True
-            self.ledger.transfer(self.ssmc_addr, rec.seller, rec.deposit, memo="deposit-return")
+        self._return_deposit(rec)
         self.ledger.log_event("settled", order_id=order_id, transfers=transfers)
         return transfers
 

@@ -76,13 +76,13 @@ def enforced_payoff(profile: StrategyProfile, x: float, y: float) -> PayoffVecto
     mode returns ``aei`` where x+y >= 4 (the tie at 4 breaks toward e) and
     ``ahi`` where x+y < 4.
     """
-    _validate_params(x, y)
+    flows = token_flows(profile, x, y)
     sl, cm, sp = profile.seller, profile.consumer, profile.provider
     if cm != "e":
         # the order is never funded: nobody produces or earns, the
         # consumer forfeits what he sent
-        return PayoffVector(0, -consumer_payment(cm, x, y), 0)
-    flow_sl, flow_cm, flow_sp = token_flows(profile, x, y)
+        return flows
+    flow_sl, flow_cm, flow_sp = flows
     u_sl = SELLER_COST[sl] + flow_sl
     u_sp = PROVIDER_COST[sp] + flow_sp
     u_cm = flow_cm + (UTILITY if (sl == "a" and sp == "i") else 0)
@@ -257,14 +257,8 @@ def crosscheck_simulation(
     profile: StrategyProfile | str,
     x: float = 10.0,
     y: float = 2.0,
-    n: int = 8,
-    price: int = 40,
-    unit_price: int = 1,
     seed: int = 0,
     slot: int = 4096,
 ) -> bool:
-    """Run the full pipeline and check the transcript."""
-    tr = run_scenario(
-        profile, x=x, y=y, n=n, price=price, unit_price=unit_price, seed=seed, slot=slot,
-    )
-    return crosscheck_transcript(tr)
+    """Run one 8-shard scenario and check its transcript."""
+    return crosscheck_transcript(run_scenario(profile, x=x, y=y, seed=seed, slot=slot))

@@ -82,7 +82,7 @@ def test_criterion_2_backward_induction(x, y):
 def test_criterion_3_cheat_catalog_full_size():
     start = time.perf_counter()
     for profile, expect in cheat_catalog():
-        tr = run_scenario(profile, n=8, slot=1 << 20, price=40, unit_price=1)
+        tr = run_scenario(profile, n=8, slot=1 << 20)
         assert tr.funded == expect["funded"], profile
         assert tr.recovery == expect["recovery"], profile
         assert len(tr.appeals) == expect["appeals"], profile

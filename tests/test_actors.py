@@ -50,7 +50,7 @@ def test_param_ranges_enforced():
 
 
 def test_honest_run():
-    tr = run("aei", price=40, unit_price=1, n=8)
+    tr = run("aei", n=8)
     assert tr.funded and tr.recovery
     assert tr.verdicts == {} and tr.appeals == []
     assert tr.deltas == {"seller": 40, "consumer": -48, "provider": 8}

@@ -1,16 +1,17 @@
+import argparse
+import fcntl
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from bdts import cli, game
 
-
-def test_demo_exits_zero(capsys):
-    assert cli.main(["demo", "--slot", "512"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["recovery"] is True
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_unknown_verb_exits_two():
@@ -21,8 +22,17 @@ def test_unknown_verb_exits_two():
 
 def test_bad_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
-        cli.main(["demo", "--no-such-flag"])
+        cli.main(["matrix", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--n", "--price", "--unit-price"])
+def test_scenario_has_no_price_or_shard_count_flags(flag, capsys):
+    # the model fixes the prices and the shard count, so none can be set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scenario", "--profile", "aei", "--slot", "512", flag, "8"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_scenario_honest(capsys):
@@ -81,13 +91,32 @@ def test_matrix_prints_every_profile(capsys):
     assert all("profile" in row for row in rows)
 
 
+def test_reader_closing_early_ends_quietly():
+    # a one-page pipe: the writer must keep writing after the reader closes
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "bdts.cli", "game", "--sweep"],
+                            stdout=write_fd, stderr=subprocess.PIPE, env=env)
+    os.close(write_fd)
+    first = b""
+    while (byte := os.read(read_fd, 1)) not in (b"", b"\n"):
+        first += byte
+    os.close(read_fd)
+    _, err = proc.communicate(timeout=120)
+    assert first.startswith(b"x=0 y=0")
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+    assert proc.returncode == 1
+
+
 def test_readme_cli_lines_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line.split("#", 1)[0] for line in block.splitlines()]
     commands = [shlex.split(line.replace("[", "").replace("]", ""))
                 for line in lines if line.startswith("bdts ")]
-    assert len(commands) >= 5
     parser = cli.build_parser()
+    verbs = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted({argv[1] for argv in commands}) == sorted(verbs)
     for argv in commands:
         parser.parse_args(argv[1:])

@@ -589,6 +589,35 @@ def test_refused_settle_moves_no_token_on_retry(monkeypatch):
     assert s.ledger.balance(s.cpc_addr) == 5
 
 
+def test_refused_settle_never_spends_another_orders_escrow(monkeypatch):
+    s = make_system()
+    _, shards_a, a, pkg_a, _ = open_escrow(s, excess=5)
+    _, shards_b, b, pkg_b, _ = open_escrow(s, data=b"fedcba9876543210" * 8)
+    for order, shards, pkg in ((a, shards_a, pkg_a), (b, shards_b, pkg_b)):
+        kp = crypto.pk_keygen(b"cm" + order.encode())
+        seller_posts(s, order, kp, shards.master)
+        s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
+    assert s.ledger.balance(s.cpc_addr) == 53 + 48
+    transfer = s.ledger.transfer
+    monkeypatch.setattr(
+        s.ledger, "transfer",
+        lambda src, dst, amount, memo="": memo == "excess" or transfer(src, dst, amount, memo),
+    )
+    with pytest.raises(BadState):
+        settle_after_windows(s, a)
+    # the real ledger again: CPC now holds less than A's and B's escrows
+    # together, so neither settle may pay out of the other's tokens
+    attempts = []
+    monkeypatch.setattr(
+        s.ledger, "transfer", lambda *args, **kw: attempts.append(args) or transfer(*args, **kw)
+    )
+    for order in (a, b):
+        with pytest.raises(BadState):
+            s.cpc_settle(order)
+    assert attempts == []
+    assert s.ledger.balance(s.cpc_addr) == 53
+
+
 def test_settle_refunds_never_posted_payee():
     s = make_system()
     _, shards, order, pkg, _ = open_escrow(s)

@@ -1,11 +1,18 @@
 """Payoff rules against the transcribed profit table, equilibrium search,
 and the model/simulation crosscheck."""
+import dataclasses
 import random
 
 import pytest
 
 from bdts import bench, game
-from bdts.actors import StrategyProfile, all_profiles, deliver_in_memory, run_trade
+from bdts.actors import (
+    StrategyProfile,
+    all_profiles,
+    deliver_in_memory,
+    run_scenario,
+    run_trade,
+)
 from bdts.errors import InvalidInput, Mismatch
 
 GRID = [(x, y) for x in (0, 5, 10, 19) for y in (0, 1, 2, 3)]
@@ -113,7 +120,7 @@ def test_crosscheck_over_several_providers(providers):
     ranges = bench._ranges(8, providers)
     for p in all_profiles():
         data = random.Random(str(p)).randbytes(8 * 1024)
-        tr = run_trade(p, data, 1024, ranges, deliver_in_memory, random.Random(0), price=40)
+        tr = run_trade(p, data, 1024, ranges, deliver_in_memory, random.Random(0))
         assert game.crosscheck_transcript(tr), str(p)
 
 
@@ -126,10 +133,11 @@ def test_crosscheck_runs_the_scenario_once(monkeypatch):
 
 
 def test_crosscheck_rejects_bad_scaling():
+    tr = run_scenario("aei", slot=512)
     with pytest.raises(InvalidInput):
-        game.crosscheck_simulation("aei", price=30)
+        game.crosscheck_transcript(dataclasses.replace(tr, price=30))
     with pytest.raises(InvalidInput):
-        game.crosscheck_simulation("aei", n=5)
+        game.crosscheck_transcript(run_scenario("aei", n=5, slot=512))
 
 
 def test_crosscheck_raises_mismatch_on_model_violation(monkeypatch):
