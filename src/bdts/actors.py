@@ -45,6 +45,7 @@ by the tests' cheat catalog.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -74,37 +75,28 @@ UNIT_PRICE = 1  # tokens per shard, to its provider
 SUBSTITUTE = b"subs"  # nonce layer tag of a cheating seller's garbage shards
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
-    seller: str
-    consumer: str
-    provider: str
-
-    def __post_init__(self):
-        if (
-            self.seller not in SELLER_STRATEGIES
-            or self.consumer not in CONSUMER_STRATEGIES
-            or self.provider not in PROVIDER_STRATEGIES
-        ):
-            raise InvalidInput(f"bad profile {self.seller}{self.consumer}{self.provider}")
-
-    @classmethod
-    def parse(cls, text: str) -> "StrategyProfile":
-        if len(text) != 3:
-            raise InvalidInput(f"profile must be three letters, got {text!r}")
-        return cls(text[0], text[1], text[2])
-
-    def __str__(self) -> str:
-        return self.seller + self.consumer + self.provider
+# each role's strategy letters, in move order: a profile is one letter of each
+ROLES = (SELLER_STRATEGIES, CONSUMER_STRATEGIES, PROVIDER_STRATEGIES)
 
 
-def all_profiles() -> list[StrategyProfile]:
-    return [
-        StrategyProfile(sl, cm, sp)
-        for sl in SELLER_STRATEGIES
-        for cm in CONSUMER_STRATEGIES
-        for sp in PROVIDER_STRATEGIES
-    ]
+def check_profile(profile: str) -> None:
+    """Raise ``InvalidInput`` unless ``profile`` is one strategy letter per role."""
+    if len(profile) != len(ROLES) or not all(s in role for s, role in zip(profile, ROLES)):
+        raise InvalidInput(f"profile must be one letter from each of {ROLES}, got {profile!r}")
+
+
+def all_profiles() -> list[str]:
+    """The 64 profiles, seller letter outermost."""
+    return ["".join(letters) for letters in itertools.product(*ROLES)]
+
+
+def consumer_offer(consumer: str, x: float, y: float) -> tuple[float, float]:
+    """What a consumer strategy pays, in units: (to the seller, to the providers).
+
+    The honest ``e`` pays PRICE and FEE; ``f`` pays the seller only ``x``,
+    ``g`` the providers only ``y``, and ``h`` both only part.
+    """
+    return (PRICE if consumer in "eg" else x, FEE if consumer in "ef" else y)
 
 
 @dataclass
@@ -135,18 +127,20 @@ def _validate_params(x: float, y: float) -> None:
 
 
 def run_scenario(
-    profile: StrategyProfile | str,
+    profile: str,
     x: float = 10.0,
     y: float = 2.0,
     n: int = 8,
     seed: int = 0,
-    slot: int = 1 << 20,
+    slot: int = 4096,
 ) -> RunTranscript:
-    """One seeded trade of ``n`` random shards through a single provider."""
-    if isinstance(profile, str):
-        profile = StrategyProfile.parse(profile)
+    """One seeded trade of ``n`` random shards through a single provider.
+
+    A transcript holds no shard bytes, so ``slot`` changes nothing it reports.
+    """
+    check_profile(profile)
     _validate_params(x, y)
-    rng = random.Random(("scenario", str(profile), seed).__repr__())
+    rng = random.Random(("scenario", profile, seed).__repr__())
     data = rng.randbytes(n * slot)
     return run_trade(
         profile, data, slot, [list(range(n))], deliver_in_memory, rng,
@@ -168,7 +162,7 @@ def deliver_in_memory(served: Served) -> Served:
 
 
 def run_trade(
-    profile: StrategyProfile,
+    profile: str,
     data: bytes,
     slot: int,
     assignment: list[list[int]],
@@ -183,8 +177,12 @@ def run_trade(
     Provider ``p`` serves the shard indices ``assignment[p]``; ``deliver``
     carries the shards the providers serve to the consumer.  Cheating
     sellers and providers draw the garbage they serve from ``rng``.  The
-    consumer appeals once against each payee it catches cheating.
+    consumer appeals once against each payee it catches cheating.  Raises
+    ``InvalidInput`` before any transfer unless the consumer's offer comes
+    to whole tokens at this data set's shard count.
     """
+    check_profile(profile)
+    sl, cm, sp = profile
     seed_tag = str(seed).encode()
     labels = ["seller", "consumer", "provider"] + [
         f"provider{p}" for p in range(1, len(assignment))
@@ -198,12 +196,18 @@ def run_trade(
         with col.phase("upload"):
             shards = shard_encrypt(secret, data, slot)
             n = shards.n
+            # the offer in tokens: LISTING_PRICE / PRICE per unit to the
+            # seller, n * UNIT_PRICE / FEE per unit to the providers
+            to_seller, to_providers = consumer_offer(cm, x, y)
+            offer = to_seller * LISTING_PRICE / PRICE, to_providers * n * UNIT_PRICE / FEE
+            if not all(part.is_integer() for part in offer):
+                raise InvalidInput(f"x={x}, y={y} do not come to whole tokens at {n} shards")
             # every party can afford the full order
             endow = max(100 * LISTING_PRICE, LISTING_PRICE + n * UNIT_PRICE)
             ledger = Ledger({addr: endow for addr in addrs.values()})
             system = ContractSystem(ledger)
             tr = RunTranscript(
-                profile=str(profile), x=x, y=y, n=n, price=LISTING_PRICE,
+                profile=profile, x=x, y=y, n=n, price=LISTING_PRICE,
                 unit_price=UNIT_PRICE, seed=seed,
             )
             data_id = system.ssmc_register_seller(
@@ -229,17 +233,8 @@ def run_trade(
                 system.ssmc_confirm_provider(seller, provider, data_id)
             ledger.mine_block()
 
-        required = LISTING_PRICE + n * UNIT_PRICE
-        x_tokens = round(x * LISTING_PRICE / PRICE)
-        y_tokens = round(y * n * UNIT_PRICE / FEE)
-        offer = {
-            "e": required,
-            "f": x_tokens + n * UNIT_PRICE,
-            "g": LISTING_PRICE + y_tokens,
-            "h": x_tokens + y_tokens,
-        }[profile.consumer]
         try:
-            order_id = system.scmc_place_order(consumer, data_id, offer)
+            order_id = system.scmc_place_order(consumer, data_id, int(sum(offer)))
         except InsufficientTokens:
             # order discarded before funding; the seller withdraws the listing
             # so the deposit round-trips
@@ -255,8 +250,8 @@ def run_trade(
             # the seller hands the providers one shard set (honest or
             # substituted), each shard with its proof in r_ed
             r_ed_proofs = [mproof(shards.tree_enc, i) for i in range(n)]
-            if profile.seller in "bd":
-                basis = shards.master if profile.seller == "b" else wrong_master
+            if sl in "bd":
+                basis = shards.master if sl == "b" else wrong_master
                 keys = crypto.derive_keys(basis, n)
                 inner_served = tuple(
                     crypto.sym_encrypt(k, rng.randbytes(slot), SUBSTITUTE, i)
@@ -270,18 +265,18 @@ def run_trade(
             packages = {}
             for p, (provider, indices) in enumerate(order.served.items()):
                 to_wrap = [inner_served[i] for i in indices]
-                if profile.provider in "kl":
+                if sp in "kl":
                     to_wrap = [rng.randbytes(len(s)) for s in to_wrap]
                 # each provider key is bound to the data set through r_ed
                 sp_seed = hashlib.sha256(b"sp" + bytes([p]) + seed_tag + record.r_ed).digest()
                 packages[provider] = provider_encrypt(to_wrap, sp_seed)
                 system.scmc_record_provider_root(order_id, provider, packages[provider].root)
             escrow = system.cpc_open(order_id)
-            kp = crypto.pk_keygen(b"consumer" + str((str(profile), seed)).encode())
+            kp = crypto.pk_keygen(b"consumer" + str((profile, seed)).encode())
             system.cpc_post_pubkey(order_id, kp.public)
             wrong_sp_key = hashlib.sha256(b"not-the-sp-key" + seed_tag).digest()
             for provider, pkg in packages.items():
-                sp_key_posted = pkg.key if profile.provider in "ik" else wrong_sp_key
+                sp_key_posted = pkg.key if sp in "ik" else wrong_sp_key
                 system.cpc_post_key(
                     order_id, provider_payee(provider),
                     crypto.pk_encrypt(kp.public, sp_key_posted),
@@ -289,14 +284,14 @@ def run_trade(
             ledger.mine_block()
             delivered = deliver([
                 {i: (pkg.eed_shards[j], mproof(pkg.tree_eed, j), r_ed_proofs[i])
-                 for j, i in enumerate(order.served[sp])}
-                for sp, pkg in packages.items()
+                 for j, i in enumerate(order.served[provider])}
+                for provider, pkg in packages.items()
             ])
             received = dict(zip(order.served, delivered))
             opened, appeals = _open_provider_layer(order, escrow, kp.private, received)
 
         with col.phase("decrypt"):
-            sl_key_posted = wrong_master if profile.seller in "cd" else shards.master
+            sl_key_posted = wrong_master if sl in "cd" else shards.master
             system.cpc_post_key(
                 order_id, SELLER_PAYEE, crypto.pk_encrypt(kp.public, sl_key_posted)
             )
@@ -356,9 +351,11 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
     its frame) that will not open implicates the seller and ends the scan;
     any other shard that will not open implicates its provider, whose other
     shards are skipped.  With no shard left to open, the seller keeps its
-    tranche.  Only when every shard opened is the plaintext checked against
-    r_d, which alone decides recovery; the first shard off the published
-    leaf digests ``r_d_leaves`` implicates the seller.
+    tranche, unless its key will not unwrap: the contract upholds that
+    appeal at any index, so it names shard 0.  Only when every shard opened
+    is the plaintext checked against r_d, which alone decides recovery; the
+    first shard off the published leaf digests ``r_d_leaves`` implicates
+    the seller.
     """
     n = record.n
     try:
@@ -382,6 +379,9 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
             # anything off r_ed was swapped in transit
             appeals.append((provider_payee(provider), AppealEvidence(i, *frame)))
             caught.add(provider)
+    if shard_keys is None:  # no genuine shard was left to show it
+        no_proof = MerkleProof(0, ())
+        return appeals + [(SELLER_PAYEE, AppealEvidence(0, b"", no_proof, no_proof))]
     if appeals or len(opened) < n:  # a caught payee's shards never reach r_d
         return appeals
     check = mtree([plain[i] for i in range(n)])

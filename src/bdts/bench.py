@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .actors import Frame, Served, StrategyProfile, run_trade
+from .actors import Frame, Served, run_trade
 from .errors import BdtsError, InvalidInput
 from .merkle import DIGEST_SIZE, MerkleProof
 from .sharding import DEFAULT_SLOT
 
 DEFAULT_BANDWIDTH = 60 * 1000 * 1000  # bytes/s per connection
-_HONEST = StrategyProfile("a", "e", "i")
 # shard index, the index of its eed proof, the sibling counts of its eed and
 # r_ed proofs, and the eed shard's length; the sibling digests follow, then
 # the shard.  The r_ed proof's index is the shard index.
@@ -185,7 +184,7 @@ def bench_download(config: BenchConfig) -> BenchReport:
     deliver = functools.partial(_deliver, config.bandwidth, report.download_times)
     for rep in range(config.reps):
         tr = run_trade(
-            _HONEST, data, config.slot, assignment, deliver, random.Random(config.seed),
+            "aei", data, config.slot, assignment, deliver, random.Random(config.seed),
             seed=config.seed,
         )
         report.recovery = tr.recovery if rep == 0 else (report.recovery and tr.recovery)

@@ -17,7 +17,7 @@ from .errors import BdtsError, InvalidInput, Mismatch
 
 
 def _cmd_scenario(args) -> int:
-    tr = actors.run_scenario(args.profile, x=args.x, y=args.y, seed=args.seed, slot=args.slot)
+    tr = actors.run_scenario(args.profile, x=args.x, y=args.y, seed=args.seed)
     print(tr.to_json())
     try:
         game.crosscheck_transcript(tr)
@@ -28,9 +28,11 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    for profile in actors.all_profiles():
-        tr = actors.run_scenario(profile, x=args.x, y=args.y, seed=args.seed, slot=args.slot)
-        row = {"profile": str(profile), "funded": tr.funded, "recovery": tr.recovery,
+    # every run before the first row, so a refused x or y prints nothing
+    runs = [actors.run_scenario(profile, x=args.x, y=args.y, seed=args.seed)
+            for profile in actors.all_profiles()]
+    for tr in runs:
+        row = {"profile": tr.profile, "funded": tr.funded, "recovery": tr.recovery,
                "deltas": tr.deltas, "verdicts": tr.verdicts}
         print(json.dumps(row, sort_keys=True))
     return 0
@@ -45,10 +47,8 @@ def _cmd_game(args) -> int:
     )
     out = []
     for x, y in points:
-        table = {
-            str(p): list(fn(p, x, y)) for p in actors.all_profiles()
-        }
-        spne = str(game.backward_induction(fn, x, y))
+        table = {p: list(fn(p, x, y)) for p in actors.all_profiles()}
+        spne = game.backward_induction(fn, x, y)
         out.append({"x": x, "y": y, "mode": args.mode, "spne": spne, "payoffs": table})
         print(f"x={x} y={y} mode={args.mode} spne={spne}")
         for name in sorted(table):
@@ -72,21 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bdts", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, slot=4096):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--slot", type=int, default=slot)
-
     p = sub.add_parser("scenario", help="one strategy profile end-to-end")
     p.add_argument("--profile", required=True)
     p.add_argument("--x", type=float, default=10.0)
     p.add_argument("--y", type=float, default=2.0)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_scenario)
 
     p = sub.add_parser("matrix", help="all 64 profiles")
     p.add_argument("--x", type=float, default=10.0)
     p.add_argument("--y", type=float, default=2.0)
-    common(p, slot=1024)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("game", help="payoff tables and the SPNE")
@@ -101,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--providers", type=int, default=1)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--bandwidth", type=int, default=bench.DEFAULT_BANDWIDTH)
-    common(p, slot=1 << 20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--slot", type=int, default=1 << 20)
     p.set_defaults(fn=_cmd_bench)
     return parser
 

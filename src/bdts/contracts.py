@@ -57,7 +57,6 @@ REJECTED = "Rejected"
 
 FUNDED = "Funded"
 DOWNLOADING = "Downloading"
-SETTLING = "Settling"
 CLOSED = "Closed"
 
 UPHELD = "Upheld"
@@ -427,9 +426,6 @@ class ContractSystem:
         escrow.posted_keys[payee] = wrapped_key
         escrow.appeal_deadlines[payee] = self.ledger.height + self.config.appeal_window
         self.ledger.log_event("key_posted", order_id=order_id, payee=payee)
-        order = self._order(order_id)
-        if set(escrow.posted_keys) == set(escrow.tranches):
-            order.status = SETTLING
 
     def cpc_appeal(
         self, order_id: str, payee: str, pri_cm: bytes, evidence: AppealEvidence

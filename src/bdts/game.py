@@ -18,15 +18,13 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .actors import (
-    CONSUMER_STRATEGIES,
     FEE,
     PRICE,
-    PROVIDER_STRATEGIES,
-    SELLER_STRATEGIES,
+    ROLES,
     RunTranscript,
-    StrategyProfile,
     _validate_params,
     all_profiles,
+    consumer_offer,
     run_scenario,
 )
 from .errors import InvalidInput, Mismatch
@@ -37,37 +35,29 @@ SELLER_COST = {"a": -11, "b": -1, "c": -10, "d": 0}
 PROVIDER_COST = {"i": -2, "j": -1, "k": -1, "l": 0}
 
 
-class PayoffVector(NamedTuple):
+class PayoffVector(NamedTuple):  # one payoff per role, in ROLES order
     u_sl: float
     u_cm: float
     u_sp: float
 
 
-# each role's strategy letters, in move order and in PayoffVector's order
-ROLES = (SELLER_STRATEGIES, CONSUMER_STRATEGIES, PROVIDER_STRATEGIES)
+PayoffFn = Callable[[str, float, float], PayoffVector]
 
 
-PayoffFn = Callable[[StrategyProfile, float, float], PayoffVector]
-
-
-def consumer_payment(cm: str, x: float, y: float) -> float:
-    """Amount the consumer sends: full price+fee under e, partial otherwise."""
-    return {"e": PRICE + FEE, "f": x + FEE, "g": y + PRICE, "h": x + y}[cm]
-
-
-def raw_payoff(profile: StrategyProfile, x: float, y: float) -> PayoffVector:
+def raw_payoff(profile: str, x: float, y: float) -> PayoffVector:
     _validate_params(x, y)
-    sl, cm, sp = profile.seller, profile.consumer, profile.provider
-    u_sl = SELLER_COST[sl] + (PRICE if cm in "eg" else x)
-    u_sp = PROVIDER_COST[sp] + (FEE if cm in "ef" else y)
+    sl, cm, sp = profile
+    to_seller, to_providers = consumer_offer(cm, x, y)
+    u_sl = SELLER_COST[sl] + to_seller
+    u_sp = PROVIDER_COST[sp] + to_providers
     if sl == "a" and sp == "i":
-        u_cm = -consumer_payment(cm, x, y) + (UTILITY if cm != "h" else 0)
+        u_cm = -(to_seller + to_providers) + (UTILITY if cm != "h" else 0)
     else:
         u_cm = -(PRICE + FEE)
     return PayoffVector(u_sl, u_cm, u_sp)
 
 
-def enforced_payoff(profile: StrategyProfile, x: float, y: float) -> PayoffVector:
+def enforced_payoff(profile: str, x: float, y: float) -> PayoffVector:
     """Payoffs after contract enforcement.
 
     The honest consumer nets UTILITY - (PRICE + FEE) = -4 under ``aei``; an
@@ -77,7 +67,7 @@ def enforced_payoff(profile: StrategyProfile, x: float, y: float) -> PayoffVecto
     ``ahi`` where x+y < 4.
     """
     flows = token_flows(profile, x, y)
-    sl, cm, sp = profile.seller, profile.consumer, profile.provider
+    sl, cm, sp = profile
     if cm != "e":
         # the order is never funded: nobody produces or earns, the
         # consumer forfeits what he sent
@@ -89,7 +79,7 @@ def enforced_payoff(profile: StrategyProfile, x: float, y: float) -> PayoffVecto
     return PayoffVector(u_sl, u_cm, u_sp)
 
 
-def token_flows(profile: StrategyProfile, x: float, y: float) -> PayoffVector:
+def token_flows(profile: str, x: float, y: float) -> PayoffVector:
     """Net token movement per party under contract enforcement, in units.
 
     Excludes production costs and data utility: exactly the quantities a
@@ -98,9 +88,9 @@ def token_flows(profile: StrategyProfile, x: float, y: float) -> PayoffVector:
     seller's layer to gather evidence).
     """
     _validate_params(x, y)
-    sl, cm, sp = profile.seller, profile.consumer, profile.provider
+    sl, cm, sp = profile
     if cm != "e":
-        return PayoffVector(0, -consumer_payment(cm, x, y), 0)
+        return PayoffVector(0, -sum(consumer_offer(cm, x, y)), 0)
     flow_sl = PRICE if (sl == "a" or sp != "i") else 0
     flow_sp = FEE if sp == "i" else 0
     return PayoffVector(flow_sl, -(flow_sl + flow_sp), flow_sp)
@@ -183,15 +173,15 @@ def verify_table(x: float, y: float) -> list[dict]:
     mismatches = []
     for profile in all_profiles():
         got = tuple(raw_payoff(profile, x, y))
-        want = tuple(RAW_TABLE[str(profile)](x, y))
+        want = tuple(RAW_TABLE[profile](x, y))
         if got != want:
-            mismatches.append({"profile": str(profile), "expected": want, "got": got})
+            mismatches.append({"profile": profile, "expected": want, "got": got})
     return mismatches
 
 
 def nash_equilibria(payoff_fn: PayoffFn, x: float, y: float) -> set[str]:
     """Profiles where no player's unilateral deviation strictly improves him."""
-    table = {str(p): payoff_fn(p, x, y) for p in all_profiles()}
+    table = {p: payoff_fn(p, x, y) for p in all_profiles()}
     return {
         name
         for name, payoff in table.items()
@@ -203,7 +193,7 @@ def nash_equilibria(payoff_fn: PayoffFn, x: float, y: float) -> set[str]:
     }
 
 
-def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> StrategyProfile:
+def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> str:
     """Solve the SL -> CM -> SP sequential game.
 
     Ties break toward the earlier-listed strategy (a < b < c < d, etc.), so
@@ -218,12 +208,12 @@ def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> StrategyProfi
     def solve(prefix: str) -> tuple[str, PayoffVector]:
         # the profile and payoffs that play after the moves in ``prefix`` reaches
         if len(prefix) == len(ROLES):
-            return prefix, payoff_fn(StrategyProfile.parse(prefix), x, y)
+            return prefix, payoff_fn(prefix, x, y)
         role = len(prefix)
         # max keeps the first of equal payoffs, i.e. the earlier-listed letter
         return max((solve(prefix + s) for s in ROLES[role]), key=lambda out: out[1][role])
 
-    return StrategyProfile.parse(solve("")[0])
+    return solve("")[0]
 
 
 def crosscheck_transcript(tr: RunTranscript) -> bool:
@@ -239,7 +229,7 @@ def crosscheck_transcript(tr: RunTranscript) -> bool:
     scale = tr.price // PRICE
     if tr.n * tr.unit_price != FEE * scale:
         raise InvalidInput("n * unit_price must equal 4 units at the same scale")
-    want = token_flows(StrategyProfile.parse(tr.profile), tr.x, tr.y)
+    want = token_flows(tr.profile, tr.x, tr.y)
     got = PayoffVector(
         tr.deltas["seller"] / scale,
         tr.deltas["consumer"] / scale,
@@ -253,12 +243,6 @@ def crosscheck_transcript(tr: RunTranscript) -> bool:
     return True
 
 
-def crosscheck_simulation(
-    profile: StrategyProfile | str,
-    x: float = 10.0,
-    y: float = 2.0,
-    seed: int = 0,
-    slot: int = 4096,
-) -> bool:
+def crosscheck_simulation(profile: str, x: float = 10.0, y: float = 2.0, seed: int = 0) -> bool:
     """Run one 8-shard scenario and check its transcript."""
-    return crosscheck_transcript(run_scenario(profile, x=x, y=y, seed=seed, slot=slot))
+    return crosscheck_transcript(run_scenario(profile, x=x, y=y, seed=seed))

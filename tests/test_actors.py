@@ -7,7 +7,6 @@ import pytest
 
 from bdts import bench, crypto
 from bdts.actors import (
-    StrategyProfile,
     all_profiles,
     deliver_in_memory,
     run_scenario,
@@ -27,19 +26,17 @@ def run(profile, **kw):
     return run_scenario(profile, **kw)
 
 
-def test_profile_parsing():
-    p = StrategyProfile.parse("aei")
-    assert (p.seller, p.consumer, p.provider) == ("a", "e", "i")
-    assert str(p) == "aei"
-    with pytest.raises(InvalidInput):
-        StrategyProfile.parse("zzz")
-    with pytest.raises(InvalidInput):
-        StrategyProfile.parse("ae")
+def test_bad_profile_is_refused():
+    # one letter per role, seller then consumer then provider
+    for profile in ("zzz", "ae", "aeii", "eai"):
+        with pytest.raises(InvalidInput):
+            run(profile)
 
 
 def test_all_profiles_enumerates_64():
     ps = all_profiles()
-    assert len(ps) == len(set(map(str, ps))) == 64
+    assert len(ps) == len(set(ps)) == 64
+    assert ps[:2] == ["aei", "aej"] and ps[-1] == "dhl"
 
 
 def test_param_ranges_enforced():
@@ -83,19 +80,20 @@ def test_recovery_iff_fully_honest():
     # honest consumer: data recovered exactly when seller=a and provider=i
     for sl in "abcd":
         for sp in "ijkl":
-            tr = run(StrategyProfile(sl, "e", sp))
+            tr = run(f"{sl}e{sp}")
             assert tr.recovery == (sl == "a" and sp == "i"), f"{sl}e{sp}"
 
 
 def test_cheating_payee_never_profits():
     for p in all_profiles():
-        if p.consumer != "e":
+        sl, cm, sp = p
+        if cm != "e":
             continue
         tr = run(p)
-        if p.seller != "a" and p.provider == "i":
-            assert tr.deltas["seller"] <= 0, str(p)
-        if p.provider != "i":
-            assert tr.deltas["provider"] <= 0, str(p)
+        if sl != "a" and sp == "i":
+            assert tr.deltas["seller"] <= 0, p
+        if sp != "i":
+            assert tr.deltas["provider"] <= 0, p
 
 
 def test_supply_conserved_in_every_catalog_run():
@@ -112,7 +110,7 @@ def test_phase_ops_present_for_funded_run():
     assert "appeal" in tr.phase_ops
 
 
-HONEST = StrategyProfile.parse("aei")
+HONEST = "aei"
 OVER_SOCKETS = functools.partial(bench._deliver, 0, [])
 
 
@@ -152,7 +150,7 @@ def cheat_over(profile, providers, deliver=deliver_in_memory, n=8):
     rng = random.Random(profile)
     data = rng.randbytes(n * SLOT)
     ranges = bench._ranges(n, providers)
-    tr = run_trade(StrategyProfile.parse(profile), data, SLOT, ranges, deliver, rng)
+    tr = run_trade(profile, data, SLOT, ranges, deliver, rng)
     return ranges, tr
 
 
@@ -200,30 +198,34 @@ UNUSABLE_KEYS = {
 
 @pytest.mark.parametrize("deliver", DELIVERIES, ids=("memory", "sockets"))
 @pytest.mark.parametrize("forge", UNUSABLE_KEYS.values(), ids=UNUSABLE_KEYS)
-@pytest.mark.parametrize("cheater", ("seller", "provider"))
+@pytest.mark.parametrize("cheater", ("seller", "provider", "both"))
 def test_unusable_posted_key_is_appealed(cheater, forge, deliver, monkeypatch):
-    # an honest two-provider trade but for one payee's posted key: the
-    # consumer appeals that payee, and the trade still settles
-    payee = SELLER_PAYEE if cheater == "seller" else provider_payee(address_for("actor:provider"))
+    # an honest two-provider trade but for the posted keys of the seller, of
+    # the first provider, or of both roles (every payee): the consumer
+    # appeals each of those payees, and the trade still settles
+    cheaters = {"seller": ["seller"], "provider": ["provider"],
+                "both": ["provider", "provider1", "seller"]}[cheater]
+    payees = [SELLER_PAYEE if label == "seller" else provider_payee(address_for(f"actor:{label}"))
+              for label in cheaters]
     post = ContractSystem.cpc_post_key
 
     def post_unusable(self, order_id, to, wrapped_key):
-        if to == payee:
+        if to in payees:
             wrapped_key = forge(self.escrows[order_id].pub_cm)
         post(self, order_id, to, wrapped_key)
 
     monkeypatch.setattr(ContractSystem, "cpc_post_key", post_unusable)
     ranges, tr = cheat_over("aei", 2, deliver)
-    assert [(a["payee"], a["verdict"]) for a in tr.appeals] == [(payee, UPHELD)]
-    assert tr.verdicts == {payee: UPHELD} and not tr.recovery
+    assert [(a["payee"], a["verdict"]) for a in tr.appeals] == [(p, UPHELD) for p in payees]
+    assert tr.verdicts == dict.fromkeys(payees, UPHELD) and not tr.recovery
     assert any(e.get("memo") == "settled" for e in tr.events)  # the order is Closed
     tranches = {"seller": tr.price, "provider": len(ranges[0]) * tr.unit_price,
                 "provider1": len(ranges[1]) * tr.unit_price}
-    assert tr.deltas[cheater] == 0
     for label, amount in tranches.items():
-        if label != cheater:  # every honest payee is paid
-            assert tr.deltas[label] == amount, label
-    assert tr.deltas["consumer"] == -(sum(tranches.values()) - tranches[cheater])
+        # every honest payee is paid, and no cheater
+        assert tr.deltas[label] == (0 if label in cheaters else amount), label
+    paid = sum(amount for label, amount in tranches.items() if label not in cheaters)
+    assert tr.deltas["consumer"] == -paid
     assert escrow_in_out(tr) == (tr.price + 8 * tr.unit_price,) * 2  # CPC keeps nothing
     assert sum(tr.deltas.values()) == 0  # supply unchanged
 
@@ -324,10 +326,10 @@ def test_no_trade_seals_twice_under_one_key_and_nonce(providers, monkeypatch):
     plaintext_of = {}
     for profile in all_profiles():
         seals.clear()
-        cheat_over(str(profile), providers)
-        assert seals and sealed_once(seals), str(profile)
+        cheat_over(profile, providers)
+        assert seals and sealed_once(seals), profile
         for key, nonce, digest in seals:
-            assert plaintext_of.setdefault((key, nonce), digest) == digest, str(profile)
+            assert plaintext_of.setdefault((key, nonce), digest) == digest, profile
 
 
 def test_bench_download_seals_each_nonce_once(monkeypatch):
@@ -358,8 +360,7 @@ SHORT_SHARD_CASES = [c for c in cheat_catalog() if c[0] in ("aei", "bei", "cei",
 def test_short_shards_keep_catalog_outcomes(profile, expect, size, providers):
     data = random.Random(size).randbytes(size)
     ranges = bench._ranges(-(-size // SLOT), providers)
-    tr = run_trade(StrategyProfile.parse(profile), data, SLOT, ranges, deliver_in_memory,
-                   random.Random(0))
+    tr = run_trade(profile, data, SLOT, ranges, deliver_in_memory, random.Random(0))
     assert tr.funded and tr.recovery == expect["recovery"]  # recovery: the shards rebuild r_d
     cheater = expect["cheater"]
     if cheater == "provider":  # every provider cheats, and each is appealed once

@@ -26,34 +26,43 @@ def test_bad_flag_exits_two():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--n", "--price", "--unit-price"])
+@pytest.mark.parametrize("flag", ["--n", "--price", "--unit-price", "--slot"])
 def test_scenario_has_no_price_or_shard_count_flags(flag, capsys):
-    # the model fixes the prices and the shard count, so none can be set
+    # the model fixes the prices and the shard count, and no transcript
+    # depends on the shard size, so none can be set
     with pytest.raises(SystemExit) as exc:
-        cli.main(["scenario", "--profile", "aei", "--slot", "512", flag, "8"])
+        cli.main(["scenario", "--profile", "aei", flag, "8"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 
 
 def test_scenario_honest(capsys):
-    assert cli.main(["scenario", "--profile", "aei", "--slot", "512"]) == 0
+    assert cli.main(["scenario", "--profile", "aei"]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert json.loads(line)["recovery"] is True
 
 
 def test_scenario_cheater_still_checks_model(capsys):
     # a cheating profile still agrees with the enforced model, so exit 0
-    assert cli.main(["scenario", "--profile", "cei", "--slot", "512"]) == 0
+    assert cli.main(["scenario", "--profile", "cei"]) == 0
 
 
 def test_scenario_underpaying_consumer_matches_model():
-    assert cli.main(["scenario", "--profile", "afi", "--slot", "512"]) == 0
+    assert cli.main(["scenario", "--profile", "afi"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["scenario", "--profile", "ahi"], ["matrix"]])
+def test_an_offer_of_part_tokens_is_refused(argv, capsys):
+    # x = 0.3 units is 0.6 of a token: refused before the trade, not a model mismatch
+    assert cli.main(argv + ["--x", "0.3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_scenario_checks_the_run_it_printed(capsys, monkeypatch):
     # a model under which nobody pays anything disagrees with the forfeit run
     monkeypatch.setattr(game, "token_flows", lambda *_: game.PayoffVector(0, 0, 0))
-    argv = ["scenario", "--profile", "afi", "--slot", "512"]
+    argv = ["scenario", "--profile", "afi"]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert json.loads(out.splitlines()[0])["deltas"]["consumer"] < 0
@@ -85,7 +94,7 @@ def test_bench_verb_runs_a_small_download(capsys):
 
 
 def test_matrix_prints_every_profile(capsys):
-    assert cli.main(["matrix", "--slot", "256"]) == 0
+    assert cli.main(["matrix"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 64
     assert all("profile" in row for row in rows)

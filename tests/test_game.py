@@ -6,30 +6,20 @@ import random
 import pytest
 
 from bdts import bench, game
-from bdts.actors import (
-    StrategyProfile,
-    all_profiles,
-    deliver_in_memory,
-    run_scenario,
-    run_trade,
-)
+from bdts.actors import all_profiles, deliver_in_memory, run_scenario, run_trade
 from bdts.errors import InvalidInput, Mismatch
 
 GRID = [(x, y) for x in (0, 5, 10, 19) for y in (0, 1, 2, 3)]
-
-
-def P(s):
-    return StrategyProfile.parse(s)
 
 
 # -- raw table fidelity -----------------------------------------------------
 
 
 def test_pinned_raw_cells():
-    assert tuple(game.raw_payoff(P("aei"), 10, 2)) == (9, -4, 2)
-    assert tuple(game.raw_payoff(P("afi"), 10, 2)) == (10 - 11, 16 - 10, 2)
-    assert tuple(game.raw_payoff(P("dei"), 10, 2)) == (20, -24, 2)
-    assert tuple(game.raw_payoff(P("ahi"), 3, 1)) == (3 - 11, -3 - 1, 1 - 2)
+    assert tuple(game.raw_payoff("aei", 10, 2)) == (9, -4, 2)
+    assert tuple(game.raw_payoff("afi", 10, 2)) == (10 - 11, 16 - 10, 2)
+    assert tuple(game.raw_payoff("dei", 10, 2)) == (20, -24, 2)
+    assert tuple(game.raw_payoff("ahi", 3, 1)) == (3 - 11, -3 - 1, 1 - 2)
 
 
 @pytest.mark.parametrize("x,y", GRID)
@@ -48,9 +38,9 @@ def test_verify_table_flags_corruption(monkeypatch):
 
 def test_param_validation():
     with pytest.raises(InvalidInput):
-        game.raw_payoff(P("aei"), 20, 0)
+        game.raw_payoff("aei", 20, 0)
     with pytest.raises(InvalidInput):
-        game.raw_payoff(P("aei"), 0, 4)
+        game.raw_payoff("aei", 0, 4)
 
 
 # -- system totals and equilibria ------------------------------------------
@@ -58,7 +48,7 @@ def test_param_validation():
 
 @pytest.mark.parametrize("x,y", GRID)
 def test_top_raw_totals(x, y):
-    totals = {str(p): sum(game.raw_payoff(p, x, y)) for p in all_profiles()}
+    totals = {p: sum(game.raw_payoff(p, x, y)) for p in all_profiles()}
     assert totals["aei"] == totals["afi"] == totals["agi"] == 7
     assert max(totals.values()) == 7
 
@@ -75,43 +65,49 @@ def test_honest_profile_is_enforced_nash():
 
 def test_backward_induction_constructed_case():
     fn = lambda p, x, y: (
-        game.PayoffVector(5, 5, 5) if str(p) == "dhl" else game.PayoffVector(0, 0, 0)
+        game.PayoffVector(5, 5, 5) if p == "dhl" else game.PayoffVector(0, 0, 0)
     )
-    assert str(game.backward_induction(fn, 10, 2)) == "dhl"
+    assert game.backward_induction(fn, 10, 2) == "dhl"
 
 
 def test_backward_induction_honest_at_reference_point():
-    assert str(game.backward_induction(game.enforced_payoff, 10, 2)) == "aei"
+    assert game.backward_induction(game.enforced_payoff, 10, 2) == "aei"
 
 
 def test_backward_induction_lexicographic_ties():
     fn = lambda p, x, y: game.PayoffVector(0, 0, 0)
-    assert str(game.backward_induction(fn, 10, 2)) == "aei"
+    assert game.backward_induction(fn, 10, 2) == "aei"
 
 
 # -- enforced payoffs -------------------------------------------------------
 
 
 def test_enforced_pinned_cells():
-    assert tuple(game.enforced_payoff(P("aei"), 10, 2)) == (9, -4, 2)
-    assert tuple(game.enforced_payoff(P("cei"), 10, 2)) == (-10, -4, 2)
-    assert tuple(game.enforced_payoff(P("afi"), 10, 2)) == (0, -(10 + 4), 0)
+    assert tuple(game.enforced_payoff("aei", 10, 2)) == (9, -4, 2)
+    assert tuple(game.enforced_payoff("cei", 10, 2)) == (-10, -4, 2)
+    assert tuple(game.enforced_payoff("afi", 10, 2)) == (0, -(10 + 4), 0)
 
 
 def test_token_flows_exclude_costs_and_utility():
-    assert tuple(game.token_flows(P("aei"), 10, 2)) == (20, -24, 4)
-    assert tuple(game.token_flows(P("bei"), 10, 2)) == (0, -4, 4)
-    assert tuple(game.token_flows(P("aej"), 10, 2)) == (20, -20, 0)
-    assert tuple(game.token_flows(P("agi"), 10, 2)) == (0, -22, 0)
+    assert tuple(game.token_flows("aei", 10, 2)) == (20, -24, 4)
+    assert tuple(game.token_flows("bei", 10, 2)) == (0, -4, 4)
+    assert tuple(game.token_flows("aej", 10, 2)) == (20, -20, 0)
+    assert tuple(game.token_flows("agi", 10, 2)) == (0, -22, 0)
 
 
 # -- simulation agreement ---------------------------------------------------
 
 
 def test_crosscheck_honest_and_cheating():
-    assert game.crosscheck_simulation("aei", slot=512)
-    assert game.crosscheck_simulation("cei", slot=512)
-    assert game.crosscheck_simulation("ahl", slot=512)
+    assert game.crosscheck_simulation("aei")
+    assert game.crosscheck_simulation("cei")
+    assert game.crosscheck_simulation("ahl")
+    # an underpaying consumer forfeits its offer to the token, at the
+    # extremes of x and y and at half units
+    for p in all_profiles():
+        if p[1] != "e":
+            for x, y in ((0, 0), (0.5, 3.5), (19.5, 0.5)):
+                assert game.crosscheck_simulation(p, x=x, y=y), (p, x, y)
 
 
 @pytest.mark.parametrize("providers", (2, 3))
@@ -119,25 +115,25 @@ def test_crosscheck_over_several_providers(providers):
     # the model's provider is every provider together
     ranges = bench._ranges(8, providers)
     for p in all_profiles():
-        data = random.Random(str(p)).randbytes(8 * 1024)
+        data = random.Random(p).randbytes(8 * 1024)
         tr = run_trade(p, data, 1024, ranges, deliver_in_memory, random.Random(0))
-        assert game.crosscheck_transcript(tr), str(p)
+        assert game.crosscheck_transcript(tr), p
 
 
 def test_crosscheck_runs_the_scenario_once(monkeypatch):
     runs = []
     real = game.run_scenario
     monkeypatch.setattr(game, "run_scenario", lambda *a, **kw: runs.append(a) or real(*a, **kw))
-    assert game.crosscheck_simulation("aei", slot=512)
+    assert game.crosscheck_simulation("aei")
     assert len(runs) == 1
 
 
 def test_crosscheck_rejects_bad_scaling():
-    tr = run_scenario("aei", slot=512)
+    tr = run_scenario("aei")
     with pytest.raises(InvalidInput):
         game.crosscheck_transcript(dataclasses.replace(tr, price=30))
     with pytest.raises(InvalidInput):
-        game.crosscheck_transcript(run_scenario("aei", n=5, slot=512))
+        game.crosscheck_transcript(run_scenario("aei", n=5))
 
 
 def test_crosscheck_raises_mismatch_on_model_violation(monkeypatch):
@@ -145,4 +141,4 @@ def test_crosscheck_raises_mismatch_on_model_violation(monkeypatch):
         game, "token_flows", lambda p, x, y: game.PayoffVector(1, 2, 3)
     )
     with pytest.raises(Mismatch):
-        game.crosscheck_simulation("aei", slot=512)
+        game.crosscheck_simulation("aei")

@@ -12,7 +12,7 @@ import os
 import random
 
 from bdts import bench
-from bdts.actors import StrategyProfile, all_profiles, deliver_in_memory, run_scenario, run_trade
+from bdts.actors import all_profiles, deliver_in_memory, run_scenario, run_trade
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_transcripts.json")
 SLOT = 1024  # a transcript holds no shard bytes, so small shards suffice
@@ -33,7 +33,7 @@ def cases():
             n = 7
             data = random.Random(providers).randbytes(n * SLOT - 100)
             return run_trade(
-                StrategyProfile.parse("aei"), data, SLOT, bench._ranges(n, providers),
+                "aei", data, SLOT, bench._ranges(n, providers),
                 deliver_in_memory, random.Random(0),
             ).to_json()
 
