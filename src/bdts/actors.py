@@ -60,7 +60,7 @@ from .contracts import (
 )
 from .errors import DecryptError, InsufficientTokens, InvalidInput, ProofFailure
 from .ledger import Ledger, address_for
-from .merkle import MerkleProof, mproof, mtree, mvrfy
+from .merkle import MerkleProof, leaf_digests, mproof, mtree, mvrfy_digest
 from .sharding import provider_encrypt, shard_encrypt
 
 SELLER_STRATEGIES = "abcd"
@@ -79,15 +79,18 @@ SUBSTITUTE = b"subs"  # nonce layer tag of a cheating seller's garbage shards
 ROLES = (SELLER_STRATEGIES, CONSUMER_STRATEGIES, PROVIDER_STRATEGIES)
 
 
-def check_profile(profile: str) -> None:
-    """Raise ``InvalidInput`` unless ``profile`` is one strategy letter per role."""
-    if len(profile) != len(ROLES) or not all(s in role for s, role in zip(profile, ROLES)):
-        raise InvalidInput(f"profile must be one letter from each of {ROLES}, got {profile!r}")
-
-
 def all_profiles() -> list[str]:
     """The 64 profiles, seller letter outermost."""
     return ["".join(letters) for letters in itertools.product(*ROLES)]
+
+
+_PROFILES = frozenset(all_profiles())
+
+
+def check_profile(profile: str) -> None:
+    """Raise ``InvalidInput`` unless ``profile`` is one strategy letter per role."""
+    if not isinstance(profile, str) or profile not in _PROFILES:
+        raise InvalidInput(f"profile must be one letter from each of {ROLES}, got {profile!r}")
 
 
 def consumer_offer(consumer: str, x: float, y: float) -> tuple[float, float]:
@@ -325,9 +328,12 @@ def _open_provider_layer(order, escrow, private, received):
     opened, appeals = {}, []
     for provider, indices in order.served.items():
         frames, root = received.get(provider, {}), order.provider_roots[provider]
+        # hashed in one call, on every core; the digests line up with
+        # ``indices`` up to the first missing frame, where the scan stops
+        digests = leaf_digests([frames[i][0] for i in indices if i in frames])
         for j, i in enumerate(indices):
             frame = frames.get(i)
-            if frame is None or not mvrfy(j, root, frame[0], frame[1], len(indices)):
+            if frame is None or not mvrfy_digest(j, root, digests[j], frame[1], len(indices)):
                 raise ProofFailure(f"shard {i} does not match {provider}'s root")
         package = {}
         try:
@@ -364,11 +370,15 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
     except DecryptError:
         shard_keys = None  # an unusable key opens no shard
     plain, appeals, caught = {}, [], set()
-    for i in sorted(opened):
+    indices = sorted(opened)
+    # hashed in one call, on every core; a proof is checked, and counted,
+    # only where the scan reaches it
+    digests = dict(zip(indices, leaf_digests([opened[i][1] for i in indices])))
+    for i in indices:
         provider, enc_i, frame = opened[i]
         if provider in caught:
             continue
-        on_r_ed = mvrfy(i, record.r_ed, enc_i, frame[2], n)
+        on_r_ed = mvrfy_digest(i, record.r_ed, digests[i], frame[2], n)
         try:
             if shard_keys is None:
                 raise DecryptError("the seller's posted key does not unwrap")

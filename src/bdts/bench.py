@@ -33,6 +33,7 @@ DEFAULT_BANDWIDTH = 60 * 1000 * 1000  # bytes/s per connection
 # the shard.  The r_ed proof's index is the shard index.
 _HEADER = struct.Struct("!IIBBI")
 _CHUNK = 64 * 1024
+_KEYSTREAM_CHUNK = 1 << 20  # zero input reused for each slice of synthetic_data
 
 
 @dataclass
@@ -84,12 +85,22 @@ class BenchReport:
         }
 
 
-def synthetic_data(size: int, seed: int) -> bytes:
+def synthetic_data(size: int, seed: int) -> bytearray:
     """Seeded incompressible bytes: an AES-256-CTR keystream under a key
-    hashed from the arguments, several times faster than ``random.randbytes``."""
+    hashed from the arguments, several times faster than ``random.randbytes``.
+
+    The keystream is written straight into the one output buffer, a chunk at
+    a time; CTR carries its counter across calls, so the bytes do not depend
+    on the chunk size."""
     key = hashlib.sha256(repr(("bench", size, seed)).encode()).digest()
     keystream = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor()
-    return keystream.update(bytes(size))
+    out = bytearray(size)
+    zeros = memoryview(bytes(min(size, _KEYSTREAM_CHUNK)))
+    view = memoryview(out)
+    for off in range(0, size, _KEYSTREAM_CHUNK):
+        chunk = view[off : off + _KEYSTREAM_CHUNK]
+        keystream.update_into(zeros[: len(chunk)], chunk)
+    return out
 
 
 def _serve(sock: socket.socket, frames: dict[int, Frame], bandwidth: int) -> None:

@@ -36,6 +36,7 @@ from .errors import (
     IncompleteCover,
     InsufficientDeposit,
     InsufficientTokens,
+    InvalidInput,
     LateAppeal,
     NoPubKey,
     NotFound,
@@ -47,7 +48,7 @@ from .errors import (
     WrongIndices,
 )
 from .ledger import Address, Ledger, address_for, rand_indices
-from .merkle import MerkleProof, mvrfy
+from .merkle import DIGEST_SIZE, MerkleProof, mvrfy
 
 # record / order statuses
 REGISTERED = "Registered"
@@ -185,6 +186,12 @@ class ContractSystem:
         unit_price: int,
         deposit: int,
     ) -> str:
+        if n < 1:
+            raise InvalidInput(f"a listing needs at least one shard, got n={n}")
+        if price < 0 or unit_price < 0:
+            raise InvalidInput(f"prices must be >= 0, got {price} and {unit_price} per shard")
+        if not all(isinstance(r, bytes) and len(r) == DIGEST_SIZE for r in (r_d, r_ed)):
+            raise InvalidInput(f"r_d and r_ed must be {DIGEST_SIZE}-byte roots")
         if deposit < self.min_deposit(price):
             raise InsufficientDeposit(
                 f"deposit {deposit} below minimum {self.min_deposit(price)}"

@@ -24,6 +24,7 @@ from .actors import (
     RunTranscript,
     _validate_params,
     all_profiles,
+    check_profile,
     consumer_offer,
     run_scenario,
 )
@@ -45,6 +46,7 @@ PayoffFn = Callable[[str, float, float], PayoffVector]
 
 
 def raw_payoff(profile: str, x: float, y: float) -> PayoffVector:
+    check_profile(profile)
     _validate_params(x, y)
     sl, cm, sp = profile
     to_seller, to_providers = consumer_offer(cm, x, y)
@@ -87,6 +89,7 @@ def token_flows(profile: str, x: float, y: float) -> PayoffVector:
     when the provider layer is broken (the consumer never reaches the
     seller's layer to gather evidence).
     """
+    check_profile(profile)
     _validate_params(x, y)
     sl, cm, sp = profile
     if cm != "e":

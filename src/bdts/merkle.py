@@ -4,9 +4,11 @@ Leaves and internal nodes are hashed with distinct domain-separation
 prefixes (0x00 / 0x01) so a proof for an internal node can never be
 replayed as a leaf.  Odd-width levels duplicate their last digest.
 
-A large tree hashes its leaves on threads started for that build and
-joined before it returns, one contiguous slice per usable CPU: ``hashlib``
-releases the GIL while it hashes inputs of 2 KiB or more.  The levels
+``leaf_digests`` hashes a large leaf list on threads started for that
+call and joined before it returns, one contiguous slice per usable CPU:
+``hashlib`` releases the GIL while it hashes inputs of 2 KiB or more.  A
+tree builds its leaves with it; a verifier holding many leaves can hash
+them with it too and climb each proof with ``mvrfy_digest``.  The levels
 above the leaves are 32-byte nodes and stay serial.  The digests do not
 depend on which path ran.
 """
@@ -34,7 +36,7 @@ def _hash_node(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE_PREFIX + left + right).digest()
 
 
-# Trees whose leaves total less than this stay on the serial loop, where
+# Leaf lists that total less than this stay on the serial loop, where
 # starting threads costs more than it saves.
 _POOL_MIN_BYTES = 4 << 20
 
@@ -50,7 +52,9 @@ def _hash_leaves(leaves: list[bytes]) -> list[bytes]:
     return [_hash_leaf(leaf) for leaf in leaves]
 
 
-def _leaf_digests(leaves: list[bytes]) -> list[bytes]:
+def leaf_digests(leaves: list[bytes]) -> list[bytes]:
+    """The leaf digest of each of ``leaves``, in order; lists of at least
+    4 MiB in total are hashed on one thread per usable CPU."""
     workers = min(_usable_cpus(), len(leaves))
     if workers < 2 or sum(map(len, leaves)) < _POOL_MIN_BYTES:
         return _hash_leaves(leaves)
@@ -81,7 +85,7 @@ class MerkleTree:
         if not leaves:
             raise InvalidInput("merkle tree needs at least one leaf")
         self.leaf_count = len(leaves)
-        levels = [_leaf_digests(leaves)]
+        levels = [leaf_digests(leaves)]
         while len(levels[-1]) > 1:
             level = levels[-1]
             if len(level) % 2:
@@ -118,18 +122,27 @@ def mproof(tree: MerkleTree, index: int) -> MerkleProof:
 
 def mvrfy(index: int, root: bytes, leaf: bytes, proof: MerkleProof, leaf_count: int) -> bool:
     """True iff ``leaf`` at ``index`` of a ``leaf_count``-leaf tree
-    reproduces ``root`` along ``proof``.
+    reproduces ``root`` along ``proof``: ``mvrfy_digest`` on its leaf digest."""
+    return mvrfy_digest(index, root, _hash_leaf(leaf), proof, leaf_count)
+
+
+def mvrfy_digest(
+    index: int, root: bytes, digest: bytes, proof: MerkleProof, leaf_count: int
+) -> bool:
+    """True iff the leaf digest ``digest`` at ``index`` of a
+    ``leaf_count``-leaf tree climbs to ``root`` along ``proof``.
 
     The index must lie in ``[0, leaf_count)`` and the proof must hold one
     sibling per level, so a proof cannot be replayed at another position or
     past the last leaf.  Malformed proofs return False rather than raising.
+    Each call counts one proof verification.
     """
     metrics.record("proof_verifications")
     if proof.index != index or not 0 <= index < leaf_count:
         return False
     if len(proof.siblings) != (leaf_count - 1).bit_length():
         return False
-    acc = _hash_leaf(leaf)
+    acc = digest
     pos = index
     for sibling in proof.siblings:
         if not isinstance(sibling, bytes) or len(sibling) != DIGEST_SIZE:

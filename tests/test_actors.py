@@ -1,11 +1,14 @@
 """Scenario-level behavior: who recovers, who gets paid, who gets caught."""
 import functools
 import hashlib
+import json
+import os
 import random
+import threading
 
 import pytest
 
-from bdts import bench, crypto
+from bdts import actors, bench, crypto, merkle
 from bdts.actors import (
     all_profiles,
     deliver_in_memory,
@@ -369,3 +372,53 @@ def test_short_shards_keep_catalog_outcomes(profile, expect, size, providers):
         cheaters = [cheater] if cheater else []
     assert [a["verdict"] for a in tr.appeals] == [expect.get("verdict")] * len(cheaters)
     assert all(tr.deltas[label] <= 0 for label in cheaters)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_transcripts.json")
+MIB = 1 << 20
+
+
+@pytest.mark.parametrize("providers", [1, 2])
+@pytest.mark.parametrize(
+    "profile", ["aei", "bei", "cei", "dei", "aej", "aek", "ael", "cej", "dek"]
+)
+def test_threaded_consumer_checks_change_nothing(monkeypatch, profile, providers):
+    """The consumer hashes 8 x 1 MiB shards on ``merkle-leaves`` threads
+    when 3 CPUs are usable and on its own thread when 1 is, and the two
+    transcripts are byte-identical, phase op counts included.  A transcript
+    holds no shard bytes, so the 1-provider trade also matches its golden
+    digest, pinned at 1 KiB shards."""
+    names, consumer_names = [], []
+    hash_leaves, leaf_digests = merkle._hash_leaves, actors.leaf_digests
+
+    def recording(leaves):
+        names.append(threading.current_thread().name)
+        return hash_leaves(leaves)
+
+    def consumer_digests(leaves):
+        start = len(names)
+        digests = leaf_digests(leaves)
+        consumer_names.extend(names[start:])
+        return digests
+
+    def trade():
+        if providers == 1:
+            return run_scenario(profile, slot=MIB)
+        rng = random.Random(profile)
+        data = rng.randbytes(8 * MIB)
+        return run_trade(profile, data, MIB, bench._ranges(8, 2), deliver_in_memory, rng)
+
+    monkeypatch.setattr(merkle, "_hash_leaves", recording)
+    monkeypatch.setattr(actors, "leaf_digests", consumer_digests)
+    runs, pooled = {}, {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(merkle, "_usable_cpus", lambda cpus=cpus: cpus)
+        consumer_names.clear()
+        runs[cpus] = trade().to_json()
+        pooled[cpus] = any(name.startswith("merkle-leaves") for name in consumer_names)
+    assert runs[1] == runs[3]
+    assert pooled == {1: False, 3: True}
+    if providers == 1:
+        with open(GOLDEN) as fh:
+            want = json.load(fh)[f"{profile}/seed0"]
+        assert hashlib.sha256(runs[1].encode()).hexdigest() == want

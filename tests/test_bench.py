@@ -34,6 +34,31 @@ def test_synthetic_data_size_and_seed():
     assert bench.synthetic_data(100, 1) != bench.synthetic_data(100, 2)
 
 
+MIB = 1 << 20
+# sha256 of synthetic_data(size, seed): the bytes every benchmark trade draws
+SYNTHETIC_DIGESTS = {
+    (1, 0): "27abdeddfe8503496adeb623466caa47da5f63abd2bc6fa19f6cfcb73ecfed70",
+    (MIB - 1, 0): "00427140fc26ab710eb429227f501dc874bbedce67b99f83948242f35de9dbad",
+    (MIB, 0): "bf9e4dbc1b0ceb74caba85fccbf7c4b3b066f9ce92d11580fa0ab8f607c68bce",
+    (MIB + 1, 0): "6d32956e61f0c57647fa1bd4dcb0c3e9e6e12bc6ff84a75819c813402c84e0fa",
+    (3 * MIB + 17, 0): "ff75196cf09ec86733da05e46ccb16fbbc6f18720c4534155cb65277cf1daebf",
+    (1, 11): "62c66a7a5dd70c3146618063c344e531e6d4b59e379808443ce962b3abd63c5a",
+    (MIB - 1, 11): "4b21d0cbdfa756ea988055f1485fb2b613d0bbdf77ee03158ef1e7901e480ffa",
+    (MIB, 11): "d4c309d296d56a2f165d5b9bbbe8d6aa24c2a334aa712824a263b62079642719",
+    (MIB + 1, 11): "3a6c3bb2eff3b758e51e833622a64bc68c93ec814a984f1143aec34658509f43",
+    (3 * MIB + 17, 11): "b8db705bac397a612946ce3fd28a20e9ca329e2e9b8a8272a3c7ee6c04b20dab",
+}
+
+
+@pytest.mark.parametrize("size, seed", list(SYNTHETIC_DIGESTS))
+def test_synthetic_data_bytes_are_pinned(size, seed):
+    # one keystream across the whole output, whatever the sizes of the
+    # pieces it is drawn in
+    blob = bench.synthetic_data(size, seed)
+    assert len(blob) == size
+    assert hashlib.sha256(blob).hexdigest() == SYNTHETIC_DIGESTS[size, seed]
+
+
 def test_synthetic_data_does_not_compress():
     blob = bench.synthetic_data(1_000_000, seed=3)
     assert len(zlib.compress(blob, 9)) >= 0.99 * len(blob)

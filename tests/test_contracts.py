@@ -27,6 +27,7 @@ from bdts.errors import (
     IncompleteCover,
     InsufficientDeposit,
     InsufficientTokens,
+    InvalidInput,
     LateAppeal,
     NoPubKey,
     NotFound,
@@ -103,6 +104,32 @@ def test_register_escrows_deposit():
     s = make_system()
     register(s)
     assert s.ledger.balance(SELLER) == 1000 - 20
+
+
+@pytest.mark.parametrize("bad", [
+    {"n": 0}, {"n": -2}, {"price": -1}, {"unit_price": -3},
+    {"r_d": bytes(5)}, {"r_ed": b""}, {"r_d": bytes(33)},
+])
+def test_register_refuses_malformed_listing(bad):
+    s = make_system()
+    shards = shard_encrypt(SECRET, b"0123456789abcdef" * 8, slot=32)
+    listing = {"n": shards.n, "r_d": shards.root_plain, "r_ed": shards.root_enc,
+               "price": 40, "unit_price": 2, **bad}
+    with pytest.raises(InvalidInput):
+        s.ssmc_register_seller(SELLER, "ep", "solar telemetry", 128, **listing, deposit=20)
+    s.ledger.mine_block()
+    assert (s.ledger.balance(SELLER), s.records, s.ledger.events) == (1000, {}, [])
+
+
+def test_negative_unit_price_cannot_lock_an_order():
+    # with n=4 and unit_price=-3 an order of 28 tokens opened an escrow
+    # whose provider tranche was -12, and settle then kept the 28 for good;
+    # the listing is refused before its deposit moves
+    s = make_system()
+    with pytest.raises(InvalidInput):
+        open_escrow(s, unit_price=-3)
+    assert s.ledger.balance(SELLER) == 1000 and s.records == {}
+    assert s.ledger.total_supply() == 3000 and not s.orders
 
 
 def test_duplicate_root_rejected():

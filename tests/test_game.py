@@ -15,6 +15,13 @@ GRID = [(x, y) for x in (0, 5, 10, 19) for y in (0, 1, 2, 3)]
 # -- raw table fidelity -----------------------------------------------------
 
 
+@pytest.mark.parametrize("profile", ["zzz", "ae", "aeii", ["a", "e", "i"]])
+@pytest.mark.parametrize("payoff", [game.raw_payoff, game.enforced_payoff, game.token_flows])
+def test_payoffs_refuse_a_malformed_profile(payoff, profile):
+    with pytest.raises(InvalidInput):
+        payoff(profile, 10, 2)
+
+
 def test_pinned_raw_cells():
     assert tuple(game.raw_payoff("aei", 10, 2)) == (9, -4, 2)
     assert tuple(game.raw_payoff("afi", 10, 2)) == (10 - 11, 16 - 10, 2)
