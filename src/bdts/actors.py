@@ -41,6 +41,13 @@ names the shard by its global index.  Every sealing key hashes in the data
 set it seals, so trades with one seed and different data never share a
 (key, nonce) pair.  The expected outcome of each cheat profile is pinned
 by the tests' cheat catalog.
+
+Each party's copy of a layer is released once its next holder has its
+own, so the freed shard buffers take the next layer the consumer opens: the
+seller's enc layer goes once the consumer holds its frames, the providers'
+packages once the consumer has opened them, and a shard's eed frame once
+the shard opens under K_i, after which it is evidence only against the
+seller.
 """
 from __future__ import annotations
 
@@ -198,7 +205,7 @@ def run_trade(
     with metrics.collect() as col:
         with col.phase("upload"):
             shards = shard_encrypt(secret, data, slot)
-            n = shards.n
+            n, master = shards.n, shards.master
             # the offer in tokens: LISTING_PRICE / PRICE per unit to the
             # seller, n * UNIT_PRICE / FEE per unit to the providers
             to_seller, to_providers = consumer_offer(cm, x, y)
@@ -221,16 +228,15 @@ def run_trade(
             record = system.records[data_id]
             # published with the listing until the record holds them
             r_d_leaves = shards.tree_plain.levels[0]
-            # the key a cheating seller posts, bound to the data set as shards.master is
+            # the key a cheating seller posts, bound to the data set as master is
             wrong_master = hashlib.sha256(b"not-the-master" + seed_tag + record.r_d).digest()
             ledger.mine_block()  # seals the registration
             ledger.mine_block()  # supplies the exposure randomness
-            pieces = [
+            system.ssmc_expose(data_id, [
                 (i, shards.plain_shards[i], mproof(shards.tree_plain, i),
                  mproof(shards.tree_enc, i), shards.enc_shards[i])
                 for i in system.expected_exposure_indices(data_id)
-            ]
-            system.ssmc_expose(data_id, pieces)
+            ])
             for label, provider in zip(labels[2:], providers):
                 system.ssmc_register_provider(provider, f"tcp://{label}", data_id)
                 system.ssmc_confirm_provider(seller, provider, data_id)
@@ -254,7 +260,7 @@ def run_trade(
             # substituted), each shard with its proof in r_ed
             r_ed_proofs = [mproof(shards.tree_enc, i) for i in range(n)]
             if sl in "bd":
-                basis = shards.master if sl == "b" else wrong_master
+                basis = master if sl == "b" else wrong_master
                 keys = crypto.derive_keys(basis, n)
                 inner_served = tuple(
                     crypto.sym_encrypt(k, rng.randbytes(slot), SUBSTITUTE, i)
@@ -267,34 +273,40 @@ def run_trade(
             # commits that root; a listed provider left with none serves nothing
             packages = {}
             for p, (provider, indices) in enumerate(order.served.items()):
-                to_wrap = [inner_served[i] for i in indices]
-                if sp in "kl":
-                    to_wrap = [rng.randbytes(len(s)) for s in to_wrap]
                 # each provider key is bound to the data set through r_ed
                 sp_seed = hashlib.sha256(b"sp" + bytes([p]) + seed_tag + record.r_ed).digest()
-                packages[provider] = provider_encrypt(to_wrap, sp_seed)
+                packages[provider] = provider_encrypt([
+                    rng.randbytes(len(inner_served[i])) if sp in "kl" else inner_served[i]
+                    for i in indices
+                ], sp_seed)
                 system.scmc_record_provider_root(order_id, provider, packages[provider].root)
             escrow = system.cpc_open(order_id)
             kp = crypto.pk_keygen(b"consumer" + str((profile, seed)).encode())
             system.cpc_post_pubkey(order_id, kp.public)
             wrong_sp_key = hashlib.sha256(b"not-the-sp-key" + seed_tag).digest()
-            for provider, pkg in packages.items():
-                sp_key_posted = pkg.key if sp in "ik" else wrong_sp_key
+            for provider in packages:
+                sp_key_posted = packages[provider].key if sp in "ik" else wrong_sp_key
                 system.cpc_post_key(
                     order_id, provider_payee(provider),
                     crypto.pk_encrypt(kp.public, sp_key_posted),
                 )
             ledger.mine_block()
-            delivered = deliver([
+            received = dict(zip(order.served, deliver([
                 {i: (pkg.eed_shards[j], mproof(pkg.tree_eed, j), r_ed_proofs[i])
                  for j, i in enumerate(order.served[provider])}
                 for provider, pkg in packages.items()
-            ])
-            received = dict(zip(order.served, delivered))
+            ])))
+            # the consumer holds its own frames, so the seller's layer goes
+            # and its buffers take the provider layer the consumer opens
+            del shards, inner_served
             opened, appeals = _open_provider_layer(order, escrow, kp.private, received)
+            # the providers' packages go only now: released with the seller's
+            # layer, their pages went back to the kernel before the seller
+            # layer could take them
+            del received, packages
 
         with col.phase("decrypt"):
-            sl_key_posted = wrong_master if sl in "cd" else shards.master
+            sl_key_posted = wrong_master if sl in "cd" else master
             system.cpc_post_key(
                 order_id, SELLER_PAYEE, crypto.pk_encrypt(kp.public, sl_key_posted)
             )
@@ -361,7 +373,8 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
     appeal at any index, so it names shard 0.  Only when every shard opened
     is the plaintext checked against r_d, which alone decides recovery; the
     first shard off the published leaf digests ``r_d_leaves`` implicates
-    the seller.
+    the seller.  A shard that opens keeps in ``opened`` only its enc shard
+    and r_ed proof, the evidence an off-commitment appeal needs.
     """
     n = record.n
     try:
@@ -389,6 +402,8 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
             # anything off r_ed was swapped in transit
             appeals.append((provider_payee(provider), AppealEvidence(i, *frame)))
             caught.add(provider)
+        else:  # opened under K_i: evidence only against the seller now
+            opened[i] = provider, enc_i, frame[2]
     if shard_keys is None:  # no genuine shard was left to show it
         no_proof = MerkleProof(0, ())
         return appeals + [(SELLER_PAYEE, AppealEvidence(0, b"", no_proof, no_proof))]
@@ -399,8 +414,8 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
         return []
     # opened under the seller's posted key but off-commitment
     i = next(j for j in range(n) if check.levels[0][j] != r_d_leaves[j])
-    _, enc_i, frame = opened[i]
-    return [(SELLER_PAYEE, AppealEvidence(i, enc_i, frame[2], mproof(check, i)))]
+    _, enc_i, ed_proof = opened[i]
+    return [(SELLER_PAYEE, AppealEvidence(i, enc_i, ed_proof, mproof(check, i)))]
 
 
 def _finalize(tr, ledger, col, addrs, endow) -> RunTranscript:

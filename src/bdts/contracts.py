@@ -379,6 +379,12 @@ class ContractSystem:
         order = self._order(order_id)
         if provider not in order.served:
             raise UnconfirmedProvider(f"{provider} is not serving order {order_id}")
+        # an appeal against a provider is judged on this root: it is fixed
+        # once, before any key can be posted
+        if order_id in self.escrows:
+            raise BadState(f"escrow for {order_id} is open; provider roots are fixed")
+        if provider in order.provider_roots:
+            raise DoublePost(f"{provider} already recorded its root for {order_id}")
         order.provider_roots[provider] = r_eed
         self.ledger.log_event("provider_root", order_id=order_id, provider=provider)
 
@@ -495,7 +501,7 @@ class ContractSystem:
                 if height <= escrow.appeal_deadlines[payee]:
                     raise BadState(f"appeal window for {payee} still open")
             elif height <= escrow.post_deadline:
-                raise BadState(f"posting window still open")
+                raise BadState(f"posting window for {payee} still open")
         transfers: dict[str, int] = {}
         disbursed = 0
         rec = self._record(order.data_id)

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import threading
+import tracemalloc
 
 import pytest
 
@@ -188,6 +189,43 @@ def test_cheating_seller_is_appealed_once_over_providers(profile, providers):
         assert [tr.deltas[label] for label in labels] == [len(r) * tr.unit_price for r in ranges]
         assert tr.deltas["seller"] <= 0
         assert tr.deltas["consumer"] == -8 * tr.unit_price
+
+
+@pytest.mark.parametrize("providers", (1, 2))
+def test_each_layer_is_kept_only_until_its_next_holder_has_it(providers):
+    # over the copying transport every layer is a copy of its own: the
+    # seller's enc layer, the providers' eed layer, the consumer's frames and
+    # its two openings.  Holding all five would take five times the data.
+    n, slot = 16, 256 * 1024
+    data = random.Random(providers).randbytes(n * slot)
+    tracemalloc.start()  # the input is drawn: only the trade's copies count
+    try:
+        tr = run_trade(HONEST, data, slot, bench._ranges(n, providers), OVER_SOCKETS,
+                       random.Random(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.recovery
+    assert peak < 4 * len(data)
+
+
+@pytest.mark.parametrize(
+    "profile", ("aei", "bei", "cei", "dei", "aej", "aek", "ael", "cej", "dek", "del", "bek")
+)
+def test_appeal_evidence_survives_the_releases(profile):
+    # in memory the consumer's frames are the providers' own buffers; over
+    # the copying transport they are its own copies, so a frame released
+    # before its shard opens would take bytes an appeal needs with it
+    def trade(deliver):
+        rng = random.Random(profile)
+        data = rng.randbytes(8 * 64 * 1024)
+        return run_trade(profile, data, 64 * 1024, bench._ranges(8, 2), deliver, rng)
+
+    tr = trade(deliver_in_memory)
+    assert trade(OVER_SOCKETS).to_json() == tr.to_json()
+    assert tr.recovery == (profile == HONEST)
+    assert bool(tr.appeals) != tr.recovery
+    assert all(a["verdict"] == UPHELD for a in tr.appeals)
 
 
 # posted keys that ``crypto.pk_decrypt`` will not unwrap to one 32-byte key

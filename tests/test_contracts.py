@@ -1,6 +1,8 @@
 """Contract state machine coverage: listing/exposure, ordering, escrow,
 appeals, and settlement edge cases."""
 import hashlib
+import random
+import re
 from contextlib import contextmanager
 
 import pytest
@@ -39,7 +41,7 @@ from bdts.errors import (
     WrongIndices,
 )
 from bdts.ledger import Ledger, address_for
-from bdts.merkle import MerkleProof, mproof, mvrfy
+from bdts.merkle import MerkleProof, mproof, mtree, mvrfy
 from bdts.sharding import provider_encrypt, shard_encrypt
 from forged_wrap import forged_wrap
 
@@ -670,6 +672,20 @@ def test_settle_refunds_upheld_tranche():
     assert s.ledger.balance(PROVIDER) == 1000 + 8
 
 
+def test_settle_names_the_payee_whose_posting_window_is_open():
+    s = make_system()
+    _, shards, order, _, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, hashlib.sha256(b"wrong").digest())
+    ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
+                        mproof(shards.tree_enc, 0))
+    assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == UPHELD
+    # the seller's tranche is decided; the provider has not posted yet
+    payee = provider_payee(PROVIDER)
+    with pytest.raises(BadState, match=f"posting window for {re.escape(payee)} still open"):
+        s.cpc_settle(order)
+
+
 def test_settle_twice_rejected():
     s = make_system()
     _, shards, order, pkg, _ = open_escrow(s)
@@ -758,6 +774,42 @@ def test_open_requires_selection_and_opens_once():
     with refused(s, BadState):
         s.cpc_open(order)
     assert s.escrows[order] is escrow
+
+
+def test_provider_root_is_recorded_once():
+    s = make_system()
+    data_id, shards = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
+    s.scmc_record_provider_root(order, PROVIDER, pkg.root)
+    events = len(s.ledger.events)
+    with refused(s, DoublePost):
+        s.scmc_record_provider_root(order, PROVIDER, bytes(32))
+    assert s.orders[order].provider_roots == {PROVIDER: pkg.root}
+    assert len(s.ledger.events) == events
+
+
+def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
+    # the consumer records the root of four random blobs as an honest
+    # provider's, after both keys are posted, and appeals with one of them:
+    # the posted key cannot open the blob, so only the root judges it
+    s = make_system()
+    _, shards, order, pkg, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    payee = provider_payee(PROVIDER)
+    s.cpc_post_key(order, payee, crypto.pk_encrypt(kp.public, pkg.key))
+    rng = random.Random(0)
+    blobs = [rng.randbytes(len(pkg.eed_shards[0])) for _ in range(4)]
+    forged = mtree(blobs)
+    events = len(s.ledger.events)
+    with refused(s, BadState):
+        s.scmc_record_provider_root(order, PROVIDER, forged.root)
+    assert s.orders[order].provider_roots == {PROVIDER: pkg.root}
+    assert len(s.ledger.events) == events
+    ev = AppealEvidence(0, blobs[0], mproof(forged, 0), mproof(shards.tree_enc, 0))
+    assert s.cpc_appeal(order, payee, kp.private, ev) == DENIED
 
 
 def test_public_key_is_fresh_across_orders():
