@@ -44,10 +44,11 @@ by the tests' cheat catalog.
 
 Each party's copy of a layer is released once its next holder has its
 own, so the freed shard buffers take the next layer the consumer opens: the
-seller's enc layer goes once the consumer holds its frames, the providers'
-packages once the consumer has opened them, and a shard's eed frame once
-the shard opens under K_i, after which it is evidence only against the
-seller.
+providers' packages go as their frames are sent (a transport that copies
+drops each frame once it is sent, and the consumer's received frame takes
+its memory), the seller's enc layer once the consumer holds its frames, and
+a shard's eed frame once the shard opens under K_i, after which it is
+evidence only against the seller.
 """
 from __future__ import annotations
 
@@ -185,11 +186,12 @@ def run_trade(
     """Trade ``data`` end to end under ``profile`` and return the transcript.
 
     Provider ``p`` serves the shard indices ``assignment[p]``; ``deliver``
-    carries the shards the providers serve to the consumer.  Cheating
-    sellers and providers draw the garbage they serve from ``rng``.  The
-    consumer appeals once against each payee it catches cheating.  Raises
-    ``InvalidInput`` before any transfer unless the consumer's offer comes
-    to whole tokens at this data set's shard count.
+    carries the frames the providers serve to the consumer, and may take
+    them out of the dicts it is handed.  Cheating sellers and providers draw
+    the garbage they serve from ``rng``.  The consumer appeals once against
+    each payee it catches cheating.  Raises ``InvalidInput`` before any
+    transfer unless the consumer's offer comes to whole tokens at this data
+    set's shard count.
     """
     check_profile(profile)
     sl, cm, sp = profile
@@ -291,19 +293,21 @@ def run_trade(
                     crypto.pk_encrypt(kp.public, sp_key_posted),
                 )
             ledger.mine_block()
-            received = dict(zip(order.served, deliver([
+            served = [
                 {i: (pkg.eed_shards[j], mproof(pkg.tree_eed, j), r_ed_proofs[i])
                  for j, i in enumerate(order.served[provider])}
                 for provider, pkg in packages.items()
-            ])))
+            ]
+            # the frames hold the only copy of the eed layer, so a transport
+            # that drops each frame once it is sent frees the memory that
+            # the consumer's next received frame takes
+            del packages
+            received = dict(zip(order.served, deliver(served)))
             # the consumer holds its own frames, so the seller's layer goes
             # and its buffers take the provider layer the consumer opens
-            del shards, inner_served
+            del shards, inner_served, served
             opened, appeals = _open_provider_layer(order, escrow, kp.private, received)
-            # the providers' packages go only now: released with the seller's
-            # layer, their pages went back to the kernel before the seller
-            # layer could take them
-            del received, packages
+            del received
 
         with col.phase("decrypt"):
             sl_key_posted = wrong_master if sl in "cd" else master

@@ -3,22 +3,25 @@
 Each repetition is one honest trade through ``actors.run_trade``.
 Providers serve the frames of disjoint shard ranges over loopback socket
 pairs with a per-connection bandwidth cap (default 60 MB/s; 0 means no
-cap), so adding providers shortens the transfer even on one machine.  Only
-the transfer is timed.  Wall-time figures are medians over the configured repetitions;
+cap), so adding providers shortens the transfer even on one machine.  Each
+provider sends from a thread of its own; the frames are read on the
+caller's thread, which multiplexes the connections.  Only the transfer is
+timed.  Wall-time figures are medians over the configured repetitions;
 operation counts are timing-independent.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import random
+import selectors
 import socket
 import statistics
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Generator
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -105,10 +108,12 @@ def synthetic_data(size: int, seed: int) -> bytearray:
 
 def _serve(sock: socket.socket, frames: dict[int, Frame], bandwidth: int) -> None:
     """Send each frame, header and sibling digests first, under a rate cap
-    of ``bandwidth`` bytes/s; 0 means no cap."""
+    of ``bandwidth`` bytes/s; 0 means no cap.  Each frame is taken out of
+    ``frames`` as it goes, so its bytes are freed once they are sent."""
     start = time.perf_counter()
     sent = 0
-    for index, (payload, eed_proof, ed_proof) in frames.items():
+    for index in list(frames):
+        payload, eed_proof, ed_proof = frames.pop(index)
         counts = len(eed_proof.siblings), len(ed_proof.siblings)
         head = _HEADER.pack(index, eed_proof.index, *counts, len(payload))
         head += b"".join(eed_proof.siblings + ed_proof.siblings)
@@ -126,49 +131,93 @@ def _serve(sock: socket.socket, frames: dict[int, Frame], bandwidth: int) -> Non
                     time.sleep(due - elapsed)
 
 
-def _recv_exact(stream: io.BufferedReader, size: int) -> bytes:
-    data = stream.read(size)
-    if len(data) < size:
-        raise ConnectionError("peer closed mid-frame")
-    return data
+def _fill(sock: socket.socket, buf: bytearray):
+    """Fill ``buf`` from the non-blocking ``sock``, yielding whenever no
+    bytes are waiting, and return it."""
+    view, got = memoryview(buf), 0
+    while got < len(view):
+        try:
+            size = sock.recv_into(view[got:])
+        except BlockingIOError:
+            yield
+            continue
+        if not size:
+            raise ConnectionError("peer closed mid-frame")
+        got += size
+    return buf
 
 
-def _fetch(sock: socket.socket, count: int, into: dict[int, Frame]) -> None:
-    with sock.makefile("rb") as stream:
-        for _ in range(count):
-            i, j, eed_k, ed_k, length = _HEADER.unpack(_recv_exact(stream, _HEADER.size))
-            digests = _recv_exact(stream, (eed_k + ed_k) * DIGEST_SIZE)
-            sibs = [digests[at : at + DIGEST_SIZE] for at in range(0, len(digests), DIGEST_SIZE)]
-            proofs = MerkleProof(j, tuple(sibs[:eed_k])), MerkleProof(i, tuple(sibs[eed_k:]))
-            into[i] = (_recv_exact(stream, length), *proofs)
+def _read_frames(sock: socket.socket, count: int, into: dict[int, Frame]):
+    """Read ``count`` frames from the non-blocking ``sock`` into ``into``,
+    each shard into a buffer of its own; yield whenever no bytes are
+    waiting."""
+    for _ in range(count):
+        head = yield from _fill(sock, bytearray(_HEADER.size))
+        i, j, eed_k, ed_k, length = _HEADER.unpack(head)
+        digests = bytes((yield from _fill(sock, bytearray((eed_k + ed_k) * DIGEST_SIZE))))
+        sibs = [digests[at : at + DIGEST_SIZE] for at in range(0, len(digests), DIGEST_SIZE)]
+        proofs = MerkleProof(j, tuple(sibs[:eed_k])), MerkleProof(i, tuple(sibs[eed_k:]))
+        into[i] = ((yield from _fill(sock, bytearray(length))), *proofs)
+
+
+def _receive(readers: list[tuple[socket.socket, Generator]]) -> None:
+    """Run each connection's reader whenever its socket has bytes waiting,
+    until every reader is done."""
+    with selectors.DefaultSelector() as selector:
+        for sock, reader in readers:
+            sock.setblocking(False)
+            selector.register(sock, selectors.EVENT_READ, reader)
+        while selector.get_map():
+            for key, _ in selector.select():
+                try:
+                    next(key.data)
+                except StopIteration:
+                    selector.unregister(key.fileobj)
 
 
 def _deliver(bandwidth: int, times: list[float], served: Served) -> Served:
     """Move each provider's frames over its own socket pair, all providers in
     parallel, and append the transfer's wall time to ``times``.
 
-    An error in a sending or receiving thread is raised here."""
+    One thread per provider sends its frames, taking each out of its dict
+    in ``served`` as it is sent; this thread reads every connection, so the
+    received frames are allocated where the sent ones were freed.  The
+    first error, in sending or in reading, is raised here once every
+    sending thread has ended."""
     errors: list[Exception] = []
 
-    def run(target, sock, *args):
+    def send(sock, frames):
         try:
-            target(sock, *args)
+            _serve(sock, frames, bandwidth)
         except Exception as exc:
             errors.append(exc)  # before the close, so the cause comes first
         finally:
-            sock.close()  # the peer sees end of stream and stops too
+            sock.close()  # the reader sees end of stream and stops too
 
     received: Served = [{} for _ in served]
-    threads = []
+    pairs = [socket.socketpair() for _ in served]
+    # the frame counts are taken before the senders start emptying ``served``
+    readers = [
+        (right, _read_frames(right, len(frames), into))
+        for (_, right), frames, into in zip(pairs, served, received)
+    ]
+    threads = [
+        threading.Thread(target=send, args=(left, frames))
+        for (left, _), frames in zip(pairs, served)
+    ]
     t0 = time.perf_counter()
-    for shards, into in zip(served, received):
-        left, right = socket.socketpair()
-        threads.append(threading.Thread(target=run, args=(_serve, left, shards, bandwidth)))
-        threads.append(threading.Thread(target=run, args=(_fetch, right, len(shards), into)))
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    try:
+        for t in threads:
+            t.start()
+        _receive(readers)
+    except Exception as exc:
+        errors.append(exc)  # after any sender error that ended its stream
+    finally:
+        for _, right in pairs:
+            right.close()  # a sender still writing stops too
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
     times.append(time.perf_counter() - t0)
     if errors:
         raise errors[0]

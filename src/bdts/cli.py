@@ -14,6 +14,7 @@ import sys
 
 from . import actors, bench, game
 from .errors import BdtsError, InvalidInput, Mismatch
+from .sharding import DEFAULT_SLOT
 
 
 def _cmd_scenario(args) -> int:
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--bandwidth", type=int, default=bench.DEFAULT_BANDWIDTH)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--slot", type=int, default=1 << 20)
+    p.add_argument("--slot", type=int, default=DEFAULT_SLOT)
     p.set_defaults(fn=_cmd_bench)
     return parser
 

@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
 import zlib
 
 import pytest
@@ -140,17 +141,37 @@ def test_wire_delivers_odd_length_shards_exactly(bandwidth):
             )
             cursor += size
         served.append(frames)
+    sent = [dict(frames) for frames in served]
     times = []
-    assert bench._deliver(bandwidth, times, served) == served
+    assert bench._deliver(bandwidth, times, served) == sent
+    assert served == [{}, {}]  # each frame was taken out as it was sent
     if bandwidth:  # the cap paces each connection's framed bytes, proofs included
         framed = max(
             sum(
                 bench._HEADER.size + len(eed) + DIGEST_SIZE * (len(a.siblings) + len(b.siblings))
                 for eed, a, b in frames.values()
             )
-            for frames in served
+            for frames in sent
         )
         assert times[0] >= framed / bandwidth
+
+
+def test_peer_closed_mid_frame_is_raised_and_no_thread_outlives_it(monkeypatch):
+    # one sender stops half way through a payload; the other never stops
+    # writing, so it is blocked on a full socket when the reader gives up
+    def serve(sock, frames, bandwidth):
+        if 0 in frames:
+            sock.sendall(bench._HEADER.pack(0, 0, 0, 0, 1000) + bytes(500))
+        else:
+            while True:
+                sock.sendall(bytes(bench._CHUNK))
+
+    monkeypatch.setattr(bench, "_serve", serve)
+    frame = (bytes(1000), MerkleProof(0, ()), MerkleProof(0, ()))
+    before = threading.enumerate()
+    with pytest.raises(ConnectionError, match="peer closed mid-frame"):
+        bench._deliver(0, [], [{0: frame}, {1: frame}])
+    assert threading.enumerate() == before
 
 
 def test_dev_mode_run_is_clean():
