@@ -151,11 +151,9 @@ def run_scenario(
     """
     check_profile(profile)
     _validate_params(x, y)
-    rng = random.Random(("scenario", profile, seed).__repr__())
-    data = rng.randbytes(n * slot)
+    data = random.Random(("scenario", profile, seed).__repr__()).randbytes(n * slot)
     return run_trade(
-        profile, data, slot, [list(range(n))], deliver_in_memory, rng,
-        x=x, y=y, seed=seed,
+        profile, data, slot, [list(range(n))], deliver_in_memory, x=x, y=y, seed=seed
     )
 
 
@@ -178,7 +176,6 @@ def run_trade(
     slot: int,
     assignment: list[list[int]],
     deliver: Callable[[Served], Served],
-    rng: random.Random,
     x: float = 10.0,
     y: float = 2.0,
     seed: int = 0,
@@ -188,10 +185,10 @@ def run_trade(
     Provider ``p`` serves the shard indices ``assignment[p]``; ``deliver``
     carries the frames the providers serve to the consumer, and may take
     them out of the dicts it is handed.  Cheating sellers and providers draw
-    the garbage they serve from ``rng``.  The consumer appeals once against
-    each payee it catches cheating.  Raises ``InvalidInput`` before any
-    transfer unless the consumer's offer comes to whole tokens at this data
-    set's shard count.
+    the garbage they serve from a generator seeded by ``profile`` and
+    ``seed``.  The consumer appeals once against each payee it catches
+    cheating.  Raises ``InvalidInput`` before any transfer unless the
+    consumer's offer comes to whole tokens at this data set's shard count.
     """
     check_profile(profile)
     sl, cm, sp = profile
@@ -203,6 +200,7 @@ def run_trade(
     seller, consumer = addrs["seller"], addrs["consumer"]
     providers = [addrs[label] for label in labels[2:]]
     secret = hashlib.sha256(b"master" + seed_tag).digest()
+    rng = random.Random(repr(("garbage", profile, seed)))
 
     with metrics.collect() as col:
         with col.phase("upload"):
@@ -281,15 +279,17 @@ def run_trade(
                     rng.randbytes(len(inner_served[i])) if sp in "kl" else inner_served[i]
                     for i in indices
                 ], sp_seed)
-                system.scmc_record_provider_root(order_id, provider, packages[provider].root)
+                system.scmc_record_provider_root(
+                    provider, order_id, provider, packages[provider].root
+                )
             escrow = system.cpc_open(order_id)
             kp = crypto.pk_keygen(b"consumer" + str((profile, seed)).encode())
-            system.cpc_post_pubkey(order_id, kp.public)
+            system.cpc_post_pubkey(consumer, order_id, kp.public)
             wrong_sp_key = hashlib.sha256(b"not-the-sp-key" + seed_tag).digest()
             for provider in packages:
                 sp_key_posted = packages[provider].key if sp in "ik" else wrong_sp_key
                 system.cpc_post_key(
-                    order_id, provider_payee(provider),
+                    provider, order_id, provider_payee(provider),
                     crypto.pk_encrypt(kp.public, sp_key_posted),
                 )
             ledger.mine_block()
@@ -312,7 +312,7 @@ def run_trade(
         with col.phase("decrypt"):
             sl_key_posted = wrong_master if sl in "cd" else master
             system.cpc_post_key(
-                order_id, SELLER_PAYEE, crypto.pk_encrypt(kp.public, sl_key_posted)
+                seller, order_id, SELLER_PAYEE, crypto.pk_encrypt(kp.public, sl_key_posted)
             )
             ledger.mine_block()
             appeals += _open_seller_layer(record, escrow, kp.private, r_d_leaves, opened)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import random
 import selectors
 import socket
 import statistics
@@ -243,10 +242,7 @@ def bench_download(config: BenchConfig) -> BenchReport:
     assignment = _ranges(-(-config.size_bytes // config.slot), config.providers)
     deliver = functools.partial(_deliver, config.bandwidth, report.download_times)
     for rep in range(config.reps):
-        tr = run_trade(
-            "aei", data, config.slot, assignment, deliver, random.Random(config.seed),
-            seed=config.seed,
-        )
+        tr = run_trade("aei", data, config.slot, assignment, deliver, seed=config.seed)
         report.recovery = tr.recovery if rep == 0 else (report.recovery and tr.recovery)
         if rep == 0:
             report.counters = tr.phase_ops

@@ -2,7 +2,12 @@
 (SCMC), and escrowed payment with appeal arbitration (CPC).
 
 All state mutates through sequential method calls against one ledger, so a
-whole run is replayable.  Verdict logic for appeals:
+whole run is replayable.  Each order's escrow holds its tokens in a ledger
+account of its own, so settling one order reads and pays out of nothing
+but that account.  A call that one party must make (posting the consumer's
+public key, a payee's key, a provider's root) names its sender first, and
+any other sender is refused with ``WrongSender``.  Verdict logic for
+appeals:
 
 * the evidence index is a global shard index, and it must name a shard
   the payee is paid for (any of the data set's n shards for the seller, a
@@ -46,6 +51,7 @@ from .errors import (
     UnconfirmedProvider,
     UnknownData,
     WrongIndices,
+    WrongSender,
 )
 from .ledger import Address, Ledger, address_for, rand_indices
 from .merkle import DIGEST_SIZE, MerkleProof, mvrfy
@@ -121,7 +127,7 @@ class Order:
 
 @dataclass
 class Escrow:
-    order_id: str
+    account: Address  # holds this order's tokens, and no other order's
     post_deadline: int
     tranches: dict[str, int]  # payee -> token amount
     payee_addrs: dict[str, Address]
@@ -156,7 +162,6 @@ class ContractSystem:
         self.config = config or ContractConfig()
         self.ssmc_addr = address_for("contract:SSMC")
         self.scmc_addr = address_for("contract:SCMC")
-        self.cpc_addr = address_for("contract:CPC")
         self.records: dict[str, DataRecord] = {}
         self.orders: dict[str, Order] = {}
         self.escrows: dict[str, Escrow] = {}
@@ -374,11 +379,13 @@ class ContractSystem:
         self.ledger.log_event("order_selected", order_id=order_id)
 
     def scmc_record_provider_root(
-        self, order_id: str, provider: Address, r_eed: bytes
+        self, sender: Address, order_id: str, provider: Address, r_eed: bytes
     ) -> None:
         order = self._order(order_id)
         if provider not in order.served:
             raise UnconfirmedProvider(f"{provider} is not serving order {order_id}")
+        if sender != provider:
+            raise WrongSender(f"only {provider} can record its root")
         # an appeal against a provider is judged on this root: it is fixed
         # once, before any key can be posted
         if order_id in self.escrows:
@@ -400,14 +407,16 @@ class ContractSystem:
             # every r_eed is fixed before any key can be posted
             raise BadState(f"order {order_id} lacks a serving provider's root")
         rec = self._record(order.data_id)
-        self.ledger.transfer(self.scmc_addr, self.cpc_addr, order.tokens, memo="escrow-cpc")
+        account = address_for(f"contract:CPC:{order_id}")
+        if not self.ledger.transfer(self.scmc_addr, account, order.tokens, memo="escrow-cpc"):
+            raise BadState(f"SCMC could not fund the escrow for {order_id}")
         tranches = {SELLER_PAYEE: rec.price}
         payee_addrs = {SELLER_PAYEE: rec.seller}
         for provider, package in order.served.items():
             tranches[provider_payee(provider)] = len(package) * rec.unit_price
             payee_addrs[provider_payee(provider)] = provider
         escrow = Escrow(
-            order_id=order_id,
+            account=account,
             post_deadline=self.ledger.height + self.config.appeal_window,
             tranches=tranches,
             payee_addrs=payee_addrs,
@@ -416,8 +425,10 @@ class ContractSystem:
         self.ledger.log_event("escrow_open", order_id=order_id)
         return escrow
 
-    def cpc_post_pubkey(self, order_id: str, pub_cm: bytes) -> None:
+    def cpc_post_pubkey(self, sender: Address, order_id: str, pub_cm: bytes) -> None:
         escrow = self._escrow(order_id)
+        if sender != self.orders[order_id].consumer:
+            raise WrongSender(f"only the consumer of {order_id} can post its public key")
         if escrow.pub_cm is not None:
             raise DoublePost("public key already posted for this order")
         if pub_cm in self.seen_pubkeys:
@@ -426,12 +437,16 @@ class ContractSystem:
         escrow.pub_cm = pub_cm
         self.ledger.log_event("pubkey_posted", order_id=order_id)
 
-    def cpc_post_key(self, order_id: str, payee: str, wrapped_key: bytes) -> None:
+    def cpc_post_key(
+        self, sender: Address, order_id: str, payee: str, wrapped_key: bytes
+    ) -> None:
         escrow = self._escrow(order_id)
         if escrow.pub_cm is None:
             raise NoPubKey("consumer public key not posted yet")
         if payee not in escrow.tranches:
             raise NotFound(f"no tranche for payee {payee}")
+        if sender != escrow.payee_addrs[payee]:
+            raise WrongSender(f"only {payee} can post its key")
         if payee in escrow.posted_keys:
             raise DoublePost(f"{payee} already posted a key")
         if self.ledger.height > escrow.post_deadline:
@@ -505,12 +520,9 @@ class ContractSystem:
         transfers: dict[str, int] = {}
         disbursed = 0
         rec = self._record(order.data_id)
-        # CPC pools every open escrow: a shortfall in any one must not be
-        # paid out of another's tokens
-        held = self.ledger.balance(self.cpc_addr)
-        owed = sum(self.orders[o].tokens for o in self.escrows if self.orders[o].status != CLOSED)
-        if held < owed:
-            raise BadState(f"CPC holds {held} tokens, less than the {owed} its open escrows hold")
+        held = self.ledger.balance(escrow.account)
+        if held < order.tokens:
+            raise BadState(f"escrow for {order_id} holds {held} of its {order.tokens} tokens")
         for payee, amount in escrow.tranches.items():
             verdict = escrow.verdicts.get(payee)
             if payee not in escrow.posted_keys or verdict == UPHELD:
@@ -518,14 +530,14 @@ class ContractSystem:
             else:
                 dst, memo = escrow.payee_addrs[payee], f"pay:{payee}"
             if amount > 0:
-                self.ledger.transfer(self.cpc_addr, dst, amount, memo=memo)
+                self.ledger.transfer(escrow.account, dst, amount, memo=memo)
             transfers[memo] = amount
             disbursed += amount
         excess = order.tokens - disbursed
         if excess > 0:
-            self.ledger.transfer(self.cpc_addr, order.consumer, excess, memo="excess")
+            self.ledger.transfer(escrow.account, order.consumer, excess, memo="excess")
             transfers["excess"] = excess
-        if held - self.ledger.balance(self.cpc_addr) != order.tokens:
+        if held - self.ledger.balance(escrow.account) != order.tokens:
             raise BadState(f"escrow for {order_id} did not release its {order.tokens} tokens")
         order.status = CLOSED
         self._return_deposit(rec)

@@ -49,6 +49,10 @@ class NotSeller(ContractError):
     pass
 
 
+class WrongSender(ContractError):
+    """A contract method was called by someone other than the party it is for."""
+
+
 class InsufficientTokens(ContractError):
     pass
 

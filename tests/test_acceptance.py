@@ -209,7 +209,7 @@ def _fuzz_sequence(rng: random.Random) -> None:
     def op_open():
         order_id, _, shards = rng.choice(orders)
         pkg = provider_encrypt(list(shards.enc_shards), rng.randbytes(8))
-        system.scmc_record_provider_root(order_id, provider, pkg.root)
+        system.scmc_record_provider_root(provider, order_id, provider, pkg.root)
         system.cpc_open(order_id)
 
     def op_keys():
@@ -217,10 +217,11 @@ def _fuzz_sequence(rng: random.Random) -> None:
         order_id, kp, shards = entry
         if kp is None:
             kp = crypto.pk_keygen(rng.randbytes(16))
-            system.cpc_post_pubkey(order_id, kp.public)
+            system.cpc_post_pubkey(consumer, order_id, kp.public)
             entry[1] = kp
-        payee = rng.choice([SELLER_PAYEE, provider_payee(provider)])
-        system.cpc_post_key(order_id, payee, crypto.pk_encrypt(kp.public, rng.randbytes(32)))
+        payee, sender = rng.choice([(SELLER_PAYEE, seller), (provider_payee(provider), provider)])
+        key = crypto.pk_encrypt(kp.public, rng.randbytes(32))
+        system.cpc_post_key(sender, order_id, payee, key)
 
     def op_appeal():
         order_id, kp, shards = rng.choice(orders)
@@ -254,11 +255,10 @@ def _fuzz_sequence(rng: random.Random) -> None:
         except (BdtsError, IndexError):
             pass
         assert all(v >= 0 for v in ledger.balances.values())
-        open_tokens = sum(
-            order.tokens for order_id, order in system.orders.items()
-            if order_id in system.escrows and order.status != CLOSED
-        )
-        assert ledger.balance(system.cpc_addr) == open_tokens
+        for order_id, escrow in system.escrows.items():
+            order = system.orders[order_id]
+            held = order.tokens if order.status != CLOSED else 0
+            assert ledger.balance(escrow.account) == held, order_id
     assert ledger.total_supply() == supply
 
 
@@ -271,8 +271,9 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
     """Random key posts, appeals, settles and blocks against one opened
     escrow; returns whether the order settled.
 
-    CPC must hold exactly the order's tokens until it closes and nothing
-    after, so every tranche, refund and excess leaves it exactly once.
+    The escrow's account must hold exactly the order's tokens until it
+    closes and nothing after, so every tranche, refund and excess leaves it
+    exactly once.
     """
     seller, consumer, provider = (address_for(f"e:{r}") for r in ("sl", "cm", "sp"))
     ledger = Ledger({seller: 300, consumer: 300, provider: 300})
@@ -296,10 +297,10 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
     order = system.orders[order_id]
     system.scmc_select(order_id, [(provider, [0, 1, 2])])
     pkg = provider_encrypt(list(shards.enc_shards), rng.randbytes(8))
-    system.scmc_record_provider_root(order_id, provider, pkg.root)
-    system.cpc_open(order_id)
+    system.scmc_record_provider_root(provider, order_id, provider, pkg.root)
+    escrow = system.cpc_open(order_id)
     kp = crypto.pk_keygen(rng.randbytes(16))
-    system.cpc_post_pubkey(order_id, kp.public)
+    system.cpc_post_pubkey(consumer, order_id, kp.public)
     # payee -> (its genuine key, the ciphertexts it is paid for, their tree)
     layers = {
         SELLER_PAYEE: (shards.master, shards.enc_shards, shards.tree_enc),
@@ -309,7 +310,8 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
     def op_post():
         payee = rng.choice(list(layers))
         key = rng.choice([layers[payee][0], rng.randbytes(32)])
-        system.cpc_post_key(order_id, payee, crypto.pk_encrypt(kp.public, key))
+        wrapped = crypto.pk_encrypt(kp.public, key)
+        system.cpc_post_key(escrow.payee_addrs[payee], order_id, payee, wrapped)
 
     def op_appeal():
         payee = rng.choice(list(layers))
@@ -334,7 +336,7 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
         except BdtsError:
             pass
         held = order.tokens if order.status != CLOSED else 0
-        assert ledger.balance(system.cpc_addr) == held, order.status
+        assert ledger.balance(escrow.account) == held, order.status
         assert ledger.total_supply() == supply
     return order.status == CLOSED
 

@@ -123,7 +123,7 @@ def provider_labels(providers):
 
 
 def escrow_in_out(tr):
-    cpc = address_for("contract:CPC")
+    cpc = address_for("contract:CPC:o0001")  # the trade's one order's escrow
     moved = [e for e in tr.events if e["type"] == "transfer" and e["status"] == "applied"]
     return (
         sum(e["amount"] for e in moved if e["to"] == cpc),
@@ -137,7 +137,7 @@ def test_honest_multi_provider_trade(providers, deliver):
     n = 7
     data = random.Random(providers).randbytes(n * SLOT - 100)  # short last shard
     ranges = bench._ranges(n, providers)
-    tr = run_trade(HONEST, data, SLOT, ranges, deliver, random.Random(0))
+    tr = run_trade(HONEST, data, SLOT, ranges, deliver)
     assert tr.funded and tr.recovery and not tr.appeals and not tr.verdicts
     labels = provider_labels(providers)
     assert [tr.deltas[label] for label in labels] == [len(r) * tr.unit_price for r in ranges]
@@ -148,13 +148,11 @@ def test_honest_multi_provider_trade(providers, deliver):
 
 
 def cheat_over(profile, providers, deliver=deliver_in_memory, n=8):
-    """``profile`` traded over ``n`` shards split evenly across ``providers``;
-    its data and any garbage a cheater serves are drawn from one rng seeded
-    by the profile."""
-    rng = random.Random(profile)
-    data = rng.randbytes(n * SLOT)
+    """``profile`` traded over ``n`` shards split evenly across ``providers``,
+    of data drawn from an rng seeded by the profile."""
+    data = random.Random(profile).randbytes(n * SLOT)
     ranges = bench._ranges(n, providers)
-    tr = run_trade(profile, data, SLOT, ranges, deliver, rng)
+    tr = run_trade(profile, data, SLOT, ranges, deliver)
     return ranges, tr
 
 
@@ -202,8 +200,7 @@ def test_each_layer_is_kept_only_until_its_next_holder_has_it(providers):
     data = random.Random(providers).randbytes(n * slot)
     tracemalloc.start()  # the input is drawn: only the trade's copies count
     try:
-        tr = run_trade(HONEST, data, slot, bench._ranges(n, providers), OVER_SOCKETS,
-                       random.Random(0))
+        tr = run_trade(HONEST, data, slot, bench._ranges(n, providers), OVER_SOCKETS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -219,9 +216,8 @@ def test_appeal_evidence_survives_the_releases(profile):
     # the copying transport they are its own copies, so a frame released
     # before its shard opens would take bytes an appeal needs with it
     def trade(deliver):
-        rng = random.Random(profile)
-        data = rng.randbytes(8 * 64 * 1024)
-        return run_trade(profile, data, 64 * 1024, bench._ranges(8, 2), deliver, rng)
+        data = random.Random(profile).randbytes(8 * 64 * 1024)
+        return run_trade(profile, data, 64 * 1024, bench._ranges(8, 2), deliver)
 
     tr = trade(deliver_in_memory)
     assert trade(OVER_SOCKETS).to_json() == tr.to_json()
@@ -252,10 +248,10 @@ def test_unusable_posted_key_is_appealed(cheater, forge, deliver, monkeypatch):
               for label in cheaters]
     post = ContractSystem.cpc_post_key
 
-    def post_unusable(self, order_id, to, wrapped_key):
+    def post_unusable(self, sender, order_id, to, wrapped_key):
         if to in payees:
             wrapped_key = forge(self.escrows[order_id].pub_cm)
-        post(self, order_id, to, wrapped_key)
+        post(self, sender, order_id, to, wrapped_key)
 
     monkeypatch.setattr(ContractSystem, "cpc_post_key", post_unusable)
     ranges, tr = cheat_over("aei", 2, deliver)
@@ -269,14 +265,14 @@ def test_unusable_posted_key_is_appealed(cheater, forge, deliver, monkeypatch):
         assert tr.deltas[label] == (0 if label in cheaters else amount), label
     paid = sum(amount for label, amount in tranches.items() if label not in cheaters)
     assert tr.deltas["consumer"] == -paid
-    assert escrow_in_out(tr) == (tr.price + 8 * tr.unit_price,) * 2  # CPC keeps nothing
+    assert escrow_in_out(tr) == (tr.price + 8 * tr.unit_price,) * 2  # the escrow keeps nothing
     assert sum(tr.deltas.values()) == 0  # supply unchanged
 
 
 def test_provider_left_without_shards_serves_nothing():
     # every shard listed for provider1 is served by the provider listed first
     data = random.Random(4).randbytes(4 * SLOT)
-    tr = run_trade(HONEST, data, SLOT, [[0, 1, 2, 3], [3]], deliver_in_memory, random.Random(0))
+    tr = run_trade(HONEST, data, SLOT, [[0, 1, 2, 3], [3]], deliver_in_memory)
     assert tr.recovery and not tr.appeals
     assert tr.deltas["provider"] == 4 * tr.unit_price and tr.deltas["provider1"] == 0
     assert escrow_in_out(tr) == (tr.price + 4 * tr.unit_price,) * 2
@@ -291,7 +287,7 @@ def test_providers_serve_the_packages_the_contract_recorded():
         return served
 
     data = random.Random(8).randbytes(8 * SLOT)
-    tr = run_trade(HONEST, data, SLOT, [[0, 1, 2, 3], [3, 4, 5, 6, 7]], record, random.Random(0))
+    tr = run_trade(HONEST, data, SLOT, [[0, 1, 2, 3], [3, 4, 5, 6, 7]], record)
     assert delivered == [[0, 1, 2, 3], [4, 5, 6, 7]]
     assert tr.recovery and tr.deltas["provider1"] == 4 * tr.unit_price
 
@@ -305,7 +301,7 @@ def test_recovery_rests_on_r_d_not_the_sellers_copy():
         memoryview(data)[:] = bytes(len(data))
         return served
 
-    tr = run_trade(HONEST, data, SLOT, [[0, 1, 2, 3]], zero_the_sellers_copy, random.Random(0))
+    tr = run_trade(HONEST, data, SLOT, [[0, 1, 2, 3]], zero_the_sellers_copy)
     assert not any(data)
     assert tr.recovery and tr.appeals == []
     assert tr.deltas["seller"] == tr.price
@@ -336,7 +332,7 @@ def test_tampered_delivery_is_refused(tamper, monkeypatch):
         return served
 
     with pytest.raises(ProofFailure):
-        run_trade(HONEST, bytes(4 * SLOT), SLOT, [[0, 1, 2, 3]], tampered, random.Random(0))
+        run_trade(HONEST, bytes(4 * SLOT), SLOT, [[0, 1, 2, 3]], tampered)
     assert appealed == []
 
 
@@ -403,7 +399,7 @@ SHORT_SHARD_CASES = [c for c in cheat_catalog() if c[0] in ("aei", "bei", "cei",
 def test_short_shards_keep_catalog_outcomes(profile, expect, size, providers):
     data = random.Random(size).randbytes(size)
     ranges = bench._ranges(-(-size // SLOT), providers)
-    tr = run_trade(profile, data, SLOT, ranges, deliver_in_memory, random.Random(0))
+    tr = run_trade(profile, data, SLOT, ranges, deliver_in_memory)
     assert tr.funded and tr.recovery == expect["recovery"]  # recovery: the shards rebuild r_d
     cheater = expect["cheater"]
     if cheater == "provider":  # every provider cheats, and each is appealed once
@@ -444,9 +440,8 @@ def test_threaded_consumer_checks_change_nothing(monkeypatch, profile, providers
     def trade():
         if providers == 1:
             return run_scenario(profile, slot=MIB)
-        rng = random.Random(profile)
-        data = rng.randbytes(8 * MIB)
-        return run_trade(profile, data, MIB, bench._ranges(8, 2), deliver_in_memory, rng)
+        data = random.Random(profile).randbytes(8 * MIB)
+        return run_trade(profile, data, MIB, bench._ranges(8, 2), deliver_in_memory)
 
     monkeypatch.setattr(merkle, "_hash_leaves", recording)
     monkeypatch.setattr(actors, "leaf_digests", consumer_digests)

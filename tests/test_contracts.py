@@ -1,5 +1,6 @@
 """Contract state machine coverage: listing/exposure, ordering, escrow,
 appeals, and settlement edge cases."""
+import copy
 import hashlib
 import random
 import re
@@ -39,6 +40,7 @@ from bdts.errors import (
     UnconfirmedProvider,
     UnknownData,
     WrongIndices,
+    WrongSender,
 )
 from bdts.ledger import Ledger, address_for
 from bdts.merkle import MerkleProof, mproof, mtree, mvrfy
@@ -292,7 +294,7 @@ def open_escrow(s, excess=0, **listing):
     order = s.scmc_place_order(CONSUMER, data_id, rec.price + rec.n * rec.unit_price + excess)
     s.scmc_select(order, [(PROVIDER, list(range(rec.n)))])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
-    s.scmc_record_provider_root(order, PROVIDER, pkg.root)
+    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
     escrow = s.cpc_open(order)
     return data_id, shards, order, pkg, escrow
 
@@ -303,11 +305,9 @@ def test_open_requires_every_serving_providers_root():
     rec = s.records[data_id]
     order = s.scmc_place_order(CONSUMER, data_id, rec.price + rec.n * rec.unit_price)
     s.scmc_select(order, [(PROVIDER, list(range(rec.n)))])
-    held = {addr: s.ledger.balance(addr) for addr in (CONSUMER, s.scmc_addr, s.cpc_addr)}
-    with pytest.raises(BadState):
+    with refused(s, BadState):
         s.cpc_open(order)  # PROVIDER never recorded its r_eed
     assert order not in s.escrows
-    assert {addr: s.ledger.balance(addr) for addr in held} == held
 
 
 def test_escrow_tranches():
@@ -320,43 +320,47 @@ def test_post_key_requires_pubkey():
     s = make_system()
     _, _, order, pkg, _ = open_escrow(s)
     with pytest.raises(NoPubKey):
-        s.cpc_post_key(order, SELLER_PAYEE, b"x" * 64)
+        s.cpc_post_key(SELLER, order, SELLER_PAYEE, b"x" * 64)
 
 
 def test_pubkey_reuse_rejected():
     s = make_system()
     _, _, order, _, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    s.cpc_post_pubkey(order, kp.public)
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
     with pytest.raises(DoublePost):
-        s.cpc_post_pubkey(order, kp.public)
+        s.cpc_post_pubkey(CONSUMER, order, kp.public)
 
 
 def test_double_key_post_rejected():
     s = make_system()
     _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    s.cpc_post_pubkey(order, kp.public)
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
     blob = crypto.pk_encrypt(kp.public, shards.master)
-    s.cpc_post_key(order, SELLER_PAYEE, blob)
+    s.cpc_post_key(SELLER, order, SELLER_PAYEE, blob)
     with pytest.raises(DoublePost):
-        s.cpc_post_key(order, SELLER_PAYEE, blob)
+        s.cpc_post_key(SELLER, order, SELLER_PAYEE, blob)
 
 
 def test_post_after_window_rejected():
     s = make_system(appeal_window=2)
     _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    s.cpc_post_pubkey(order, kp.public)
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
     for _ in range(3):
         s.ledger.mine_block()
     with pytest.raises(LateAppeal):
-        s.cpc_post_key(order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, shards.master))
+        s.cpc_post_key(SELLER, order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, shards.master))
 
 
 def seller_posts(s, order, kp, master):
-    s.cpc_post_pubkey(order, kp.public)
-    s.cpc_post_key(order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, master))
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
+    s.cpc_post_key(SELLER, order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, master))
+
+
+def provider_posts(s, order, kp, key, provider=PROVIDER):
+    s.cpc_post_key(provider, order, provider_payee(provider), crypto.pk_encrypt(kp.public, key))
 
 
 def test_appeal_needs_matching_private_key():
@@ -428,7 +432,7 @@ def test_appeal_outside_the_served_shards_rejected(index):
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     payee = provider_payee(PROVIDER)
-    s.cpc_post_key(order, payee, crypto.pk_encrypt(kp.public, pkg.key))
+    provider_posts(s, order, kp, pkg.key)
     ev = AppealEvidence(index, pkg.eed_shards[0], mproof(pkg.tree_eed, 0),
                         mproof(shards.tree_enc, 0))
     with pytest.raises(WrongIndices):
@@ -453,13 +457,13 @@ def open_two_provider_escrow(s, kp, sp2_key=None):
     pkgs = []
     for provider, indices in zip((PROVIDER, PROVIDER2), ranges):
         pkg = provider_encrypt([shards.enc_shards[i] for i in indices], provider.encode())
-        s.scmc_record_provider_root(order, provider, pkg.root)
+        s.scmc_record_provider_root(provider, order, provider, pkg.root)
         pkgs.append(pkg)
     s.cpc_open(order)
     seller_posts(s, order, kp, shards.master)
     posted = (pkgs[0].key, sp2_key or pkgs[1].key)
     for provider, key in zip((PROVIDER, PROVIDER2), posted):
-        s.cpc_post_key(order, provider_payee(provider), crypto.pk_encrypt(kp.public, key))
+        provider_posts(s, order, kp, key, provider)
     return shards, order, pkgs[1]
 
 
@@ -513,8 +517,8 @@ def test_unusable_posted_key_upholds_appeal(payee, wrap):
     s = make_system()
     _, _, order, pkg, escrow = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    s.cpc_post_pubkey(order, kp.public)
-    s.cpc_post_key(order, payee, wrap(kp, pkg))
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
+    s.cpc_post_key(escrow.payee_addrs[payee], order, payee, wrap(kp, pkg))
     # no posted key opens anything, so the evidence cannot matter
     ev = AppealEvidence(0, b"\x99" * 64, mproof(pkg.tree_eed, 0), mproof(pkg.tree_eed, 0))
     assert s.cpc_appeal(order, payee, kp.private, ev) == UPHELD
@@ -558,22 +562,22 @@ def test_settle_blocked_while_window_open():
     _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
-    s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
+    provider_posts(s, order, kp, pkg.key)
     with pytest.raises(BadState):
         s.cpc_settle(order)
 
 
 def test_settle_pays_posted_payees_and_returns_deposit():
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg, escrow = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
-    s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
+    provider_posts(s, order, kp, pkg.key)
     settle_after_windows(s, order)
     assert s.ledger.balance(SELLER) == 1000 + 40  # price in, deposit back
     assert s.ledger.balance(PROVIDER) == 1000 + 8
     assert s.ledger.balance(CONSUMER) == 1000 - 48
-    assert s.ledger.balance(s.cpc_addr) == s.ledger.balance(s.scmc_addr) == 0
+    assert s.ledger.balance(escrow.account) == s.ledger.balance(s.scmc_addr) == 0
 
 
 def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
@@ -581,7 +585,7 @@ def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
     _, shards, order, pkg, _ = open_escrow(s, excess=5)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
-    s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
+    provider_posts(s, order, kp, pkg.key)
     transfer = s.ledger.transfer
 
     def drop_excess(src, dst, amount, memo=""):
@@ -591,7 +595,7 @@ def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
     with pytest.raises(BadState):
         settle_after_windows(s, order)
     assert s.orders[order].status != CLOSED
-    assert s.ledger.balance(s.cpc_addr) == 5
+    assert s.ledger.balance(s.escrows[order].account) == 5
 
 
 def test_refused_settle_moves_no_token_on_retry(monkeypatch):
@@ -599,7 +603,7 @@ def test_refused_settle_moves_no_token_on_retry(monkeypatch):
     _, shards, order, pkg, _ = open_escrow(s, excess=5)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
-    s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
+    provider_posts(s, order, kp, pkg.key)
     transfer = s.ledger.transfer
     monkeypatch.setattr(
         s.ledger, "transfer",
@@ -607,26 +611,30 @@ def test_refused_settle_moves_no_token_on_retry(monkeypatch):
     )
     with pytest.raises(BadState):
         settle_after_windows(s, order)
-    # the real ledger again: CPC no longer holds the order's tokens, so the
-    # retry is refused before any payout is tried
+    # the real ledger again: the escrow no longer holds the order's tokens,
+    # so the retry is refused before any payout is tried
     attempts = []
     monkeypatch.setattr(s.ledger, "transfer", lambda *args, **kw: attempts.append(args))
     with pytest.raises(BadState):
         s.cpc_settle(order)
     assert attempts == []
     assert s.orders[order].status != CLOSED
-    assert s.ledger.balance(s.cpc_addr) == 5
+    assert s.ledger.balance(s.escrows[order].account) == 5
 
 
 def test_refused_settle_never_spends_another_orders_escrow(monkeypatch):
     s = make_system()
-    _, shards_a, a, pkg_a, _ = open_escrow(s, excess=5)
-    _, shards_b, b, pkg_b, _ = open_escrow(s, data=b"fedcba9876543210" * 8)
+    _, shards_a, a, pkg_a, escrow_a = open_escrow(s, excess=5)
+    _, shards_b, b, pkg_b, escrow_b = open_escrow(s, data=b"fedcba9876543210" * 8)
     for order, shards, pkg in ((a, shards_a, pkg_a), (b, shards_b, pkg_b)):
         kp = crypto.pk_keygen(b"cm" + order.encode())
         seller_posts(s, order, kp, shards.master)
-        s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
-    assert s.ledger.balance(s.cpc_addr) == 53 + 48
+        provider_posts(s, order, kp, pkg.key)
+
+    def held():
+        return s.ledger.balance(escrow_a.account), s.ledger.balance(escrow_b.account)
+
+    assert held() == (53, 48)
     transfer = s.ledger.transfer
     monkeypatch.setattr(
         s.ledger, "transfer",
@@ -634,17 +642,19 @@ def test_refused_settle_never_spends_another_orders_escrow(monkeypatch):
     )
     with pytest.raises(BadState):
         settle_after_windows(s, a)
-    # the real ledger again: CPC now holds less than A's and B's escrows
-    # together, so neither settle may pay out of the other's tokens
+    # the real ledger again: A's escrow holds 5 of its 53 tokens, so its
+    # retry is refused before any transfer, and B settles from its own
     attempts = []
     monkeypatch.setattr(
         s.ledger, "transfer", lambda *args, **kw: attempts.append(args) or transfer(*args, **kw)
     )
-    for order in (a, b):
-        with pytest.raises(BadState):
-            s.cpc_settle(order)
+    with pytest.raises(BadState):
+        s.cpc_settle(a)
     assert attempts == []
-    assert s.ledger.balance(s.cpc_addr) == 53
+    assert s.cpc_settle(b) == {"pay:seller": 40, f"pay:{provider_payee(PROVIDER)}": 8}
+    assert escrow_a.account not in {src for src, *_ in attempts}
+    assert (s.orders[a].status, s.orders[b].status) == (contracts.DOWNLOADING, CLOSED)
+    assert held() == (5, 0)
 
 
 def test_settle_refunds_never_posted_payee():
@@ -662,7 +672,7 @@ def test_settle_refunds_upheld_tranche():
     _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, hashlib.sha256(b"wrong").digest())
-    s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
+    provider_posts(s, order, kp, pkg.key)
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
     assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == UPHELD
@@ -691,7 +701,7 @@ def test_settle_twice_rejected():
     _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
-    s.cpc_post_key(order, provider_payee(PROVIDER), crypto.pk_encrypt(kp.public, pkg.key))
+    provider_posts(s, order, kp, pkg.key)
     settle_after_windows(s, order)
     with pytest.raises(AlreadyClosed):
         s.cpc_settle(order)
@@ -724,6 +734,20 @@ def refused(s, error):
     with pytest.raises(error):
         yield
     assert s.ledger.balances == held
+
+
+@contextmanager
+def refused_silently(s, order, error):
+    """The block raises ``error``, moves no token, changes no state of
+    ``order`` or its escrow, and logs no event."""
+    s.ledger.mine_block()  # the next block then holds only what the block logs
+    state = copy.deepcopy((s.orders[order], s.escrows.get(order), s.seen_pubkeys))
+    events = len(s.ledger.events)
+    with refused(s, error):
+        yield
+    s.ledger.mine_block()
+    assert (s.orders[order], s.escrows.get(order), s.seen_pubkeys) == state
+    assert len(s.ledger.events) == events
 
 
 def test_confirm_requires_a_registered_provider():
@@ -769,7 +793,7 @@ def test_open_requires_selection_and_opens_once():
         s.cpc_open(order)  # the order is Funded, not yet Downloading
     s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
-    s.scmc_record_provider_root(order, PROVIDER, pkg.root)
+    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
     escrow = s.cpc_open(order)
     with refused(s, BadState):
         s.cpc_open(order)
@@ -782,12 +806,10 @@ def test_provider_root_is_recorded_once():
     order = s.scmc_place_order(CONSUMER, data_id, 48)
     s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
-    s.scmc_record_provider_root(order, PROVIDER, pkg.root)
-    events = len(s.ledger.events)
-    with refused(s, DoublePost):
-        s.scmc_record_provider_root(order, PROVIDER, bytes(32))
+    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
+    with refused_silently(s, order, DoublePost):
+        s.scmc_record_provider_root(PROVIDER, order, PROVIDER, bytes(32))
     assert s.orders[order].provider_roots == {PROVIDER: pkg.root}
-    assert len(s.ledger.events) == events
 
 
 def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
@@ -799,17 +821,89 @@ def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     payee = provider_payee(PROVIDER)
-    s.cpc_post_key(order, payee, crypto.pk_encrypt(kp.public, pkg.key))
+    provider_posts(s, order, kp, pkg.key)
     rng = random.Random(0)
     blobs = [rng.randbytes(len(pkg.eed_shards[0])) for _ in range(4)]
     forged = mtree(blobs)
-    events = len(s.ledger.events)
-    with refused(s, BadState):
-        s.scmc_record_provider_root(order, PROVIDER, forged.root)
+    with refused_silently(s, order, BadState):
+        s.scmc_record_provider_root(PROVIDER, order, PROVIDER, forged.root)
     assert s.orders[order].provider_roots == {PROVIDER: pkg.root}
-    assert len(s.ledger.events) == events
     ev = AppealEvidence(0, blobs[0], mproof(forged, 0), mproof(shards.tree_enc, 0))
     assert s.cpc_appeal(order, payee, kp.private, ev) == DENIED
+
+
+def test_open_refuses_an_escrow_it_cannot_fund(monkeypatch):
+    # an escrow opened unfunded could never settle, so it must not open
+    s = make_system()
+    data_id, shards = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
+    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
+    transfer = s.ledger.transfer
+    monkeypatch.setattr(s.ledger, "transfer", lambda *args, **kw: False)
+    with refused_silently(s, order, BadState):
+        s.cpc_open(order)
+    assert order not in s.escrows
+    monkeypatch.setattr(s.ledger, "transfer", transfer)
+    escrow = s.cpc_open(order)
+    assert s.ledger.balance(escrow.account) == 48
+
+
+def test_only_the_seller_posts_the_sellers_key():
+    # the consumer posts junk as the seller's key: unchecked, it took the
+    # seller's place, whose own post raised DoublePost, and the consumer's
+    # appeal against the junk was upheld
+    s = make_system()
+    _, shards, order, _, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
+    with refused_silently(s, order, WrongSender):
+        s.cpc_post_key(CONSUMER, order, SELLER_PAYEE, b"junk")
+    s.cpc_post_key(SELLER, order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, shards.master))
+    ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
+                        mproof(shards.tree_plain, 0))
+    assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == DENIED
+
+
+def test_only_the_consumer_posts_its_public_key():
+    # the seller posts a public key of its own first: unchecked, the
+    # consumer's own post raised DoublePost, so no appeal could be made
+    s = make_system()
+    _, shards, order, _, escrow = open_escrow(s)
+    with refused_silently(s, order, WrongSender):
+        s.cpc_post_pubkey(SELLER, order, crypto.pk_keygen(b"sl").public)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, hashlib.sha256(b"wrong").digest())
+    assert escrow.pub_cm == kp.public
+    ev = AppealEvidence(1, shards.enc_shards[1], mproof(shards.tree_enc, 1),
+                        mproof(shards.tree_enc, 1))
+    assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == UPHELD
+
+
+def test_only_the_provider_records_its_root():
+    # the consumer records the root of four random blobs as the provider's
+    # first: unchecked, the provider's own record raised DoublePost, an
+    # appeal with a blob was upheld, and settle refunded the honest provider
+    s = make_system()
+    data_id, shards = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
+    rng = random.Random(0)
+    blobs = [rng.randbytes(len(pkg.eed_shards[0])) for _ in range(4)]
+    forged = mtree(blobs)
+    with refused_silently(s, order, WrongSender):
+        s.scmc_record_provider_root(CONSUMER, order, PROVIDER, forged.root)
+    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
+    s.cpc_open(order)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    provider_posts(s, order, kp, pkg.key)
+    payee = provider_payee(PROVIDER)
+    ev = AppealEvidence(0, blobs[0], mproof(forged, 0), mproof(shards.tree_enc, 0))
+    assert s.cpc_appeal(order, payee, kp.private, ev) == DENIED
+    assert settle_after_windows(s, order)[f"pay:{payee}"] == 8
 
 
 def test_public_key_is_fresh_across_orders():
@@ -817,9 +911,9 @@ def test_public_key_is_fresh_across_orders():
     _, _, first, _, _ = open_escrow(s)
     _, _, second, _, escrow = open_escrow(s, data=b"fedcba9876543210" * 8)
     kp = crypto.pk_keygen(b"cm")
-    s.cpc_post_pubkey(first, kp.public)
+    s.cpc_post_pubkey(CONSUMER, first, kp.public)
     with refused(s, DoublePost):
-        s.cpc_post_pubkey(second, kp.public)
+        s.cpc_post_pubkey(CONSUMER, second, kp.public)
     assert escrow.pub_cm is None
 
 
@@ -827,10 +921,10 @@ def test_post_key_for_an_unknown_payee_rejected():
     s = make_system()
     _, shards, order, _, escrow = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
-    s.cpc_post_pubkey(order, kp.public)
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
     blob = crypto.pk_encrypt(kp.public, shards.master)
     with refused(s, NotFound):
-        s.cpc_post_key(order, provider_payee(CONSUMER), blob)
+        s.cpc_post_key(CONSUMER, order, provider_payee(CONSUMER), blob)
     assert escrow.posted_keys == {}
 
 

@@ -123,7 +123,7 @@ def test_crosscheck_over_several_providers(providers):
     ranges = bench._ranges(8, providers)
     for p in all_profiles():
         data = random.Random(p).randbytes(8 * 1024)
-        tr = run_trade(p, data, 1024, ranges, deliver_in_memory, random.Random(0))
+        tr = run_trade(p, data, 1024, ranges, deliver_in_memory)
         assert game.crosscheck_transcript(tr), p
 
 

@@ -5,6 +5,9 @@
 to alter transcripts, and say why in the change log:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites the file and prints the name and the count of every case
+whose digest changed.
 """
 import hashlib
 import json
@@ -33,8 +36,7 @@ def cases():
             n = 7
             data = random.Random(providers).randbytes(n * SLOT - 100)
             return run_trade(
-                "aei", data, SLOT, bench._ranges(n, providers),
-                deliver_in_memory, random.Random(0),
+                "aei", data, SLOT, bench._ranges(n, providers), deliver_in_memory
             ).to_json()
 
         yield f"aei/{providers}-providers", trade
@@ -54,6 +56,13 @@ def test_transcripts_match_golden():
 
 
 if __name__ == "__main__":
+    with open(GOLDEN) as fh:
+        old = json.load(fh)
+    new = {name: digest(thunk()) for name, thunk in cases()}
     with open(GOLDEN, "w") as fh:
-        json.dump({name: digest(thunk()) for name, thunk in cases()}, fh, indent=1)
+        json.dump(new, fh, indent=1)
         fh.write("\n")
+    changed = [name for name in new if old.get(name) != new[name]]
+    for name in changed:
+        print(name)
+    print(f"{len(changed)} of {len(new)} digests changed")
