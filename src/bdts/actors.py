@@ -55,7 +55,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,7 +150,7 @@ def run_scenario(
     """
     check_profile(profile)
     _validate_params(x, y)
-    data = random.Random(("scenario", profile, seed).__repr__()).randbytes(n * slot)
+    data = crypto.seeded_bytes(n * slot, "scenario", profile, seed)
     return run_trade(
         profile, data, slot, [list(range(n))], deliver_in_memory, x=x, y=y, seed=seed
     )
@@ -185,9 +184,9 @@ def run_trade(
     Provider ``p`` serves the shard indices ``assignment[p]``; ``deliver``
     carries the frames the providers serve to the consumer, and may take
     them out of the dicts it is handed.  Cheating sellers and providers draw
-    the garbage they serve from a generator seeded by ``profile`` and
-    ``seed``.  The consumer appeals once against each payee it catches
-    cheating.  Raises ``InvalidInput`` before any transfer unless the
+    the garbage they serve from ``crypto.seeded_bytes``, seeded by
+    ``profile`` and ``seed``.  The consumer appeals once against each payee
+    it catches cheating.  Raises ``InvalidInput`` before any transfer unless the
     consumer's offer comes to whole tokens at this data set's shard count.
     """
     check_profile(profile)
@@ -200,7 +199,6 @@ def run_trade(
     seller, consumer = addrs["seller"], addrs["consumer"]
     providers = [addrs[label] for label in labels[2:]]
     secret = hashlib.sha256(b"master" + seed_tag).digest()
-    rng = random.Random(repr(("garbage", profile, seed)))
 
     with metrics.collect() as col:
         with col.phase("upload"):
@@ -262,12 +260,19 @@ def run_trade(
             if sl in "bd":
                 basis = master if sl == "b" else wrong_master
                 keys = crypto.derive_keys(basis, n)
+                garbage = _garbage([slot] * n, "seller", profile, seed)
                 inner_served = tuple(
-                    crypto.sym_encrypt(k, rng.randbytes(slot), SUBSTITUTE, i)
-                    for i, k in enumerate(keys)
+                    crypto.sym_encrypt(k, g, SUBSTITUTE, i)
+                    for i, (k, g) in enumerate(zip(keys, garbage))
                 )
+                del garbage
             else:
                 inner_served = shards.enc_shards
+            # a cheating provider wraps garbage of the same sizes instead
+            wrapped = (
+                _garbage(list(map(len, inner_served)), "provider", profile, seed)
+                if sp in "kl" else inner_served
+            )
             # each provider wraps the package the contract recorded for it (its
             # listed shards less those an earlier-listed provider serves) and
             # commits that root; a listed provider left with none serves nothing
@@ -275,13 +280,11 @@ def run_trade(
             for p, (provider, indices) in enumerate(order.served.items()):
                 # each provider key is bound to the data set through r_ed
                 sp_seed = hashlib.sha256(b"sp" + bytes([p]) + seed_tag + record.r_ed).digest()
-                packages[provider] = provider_encrypt([
-                    rng.randbytes(len(inner_served[i])) if sp in "kl" else inner_served[i]
-                    for i in indices
-                ], sp_seed)
+                packages[provider] = provider_encrypt([wrapped[i] for i in indices], sp_seed)
                 system.scmc_record_provider_root(
                     provider, order_id, provider, packages[provider].root
                 )
+            del wrapped  # a cheating provider's garbage is sealed in its packages
             escrow = system.cpc_open(order_id)
             kp = crypto.pk_keygen(b"consumer" + str((profile, seed)).encode())
             system.cpc_post_pubkey(consumer, order_id, kp.public)
@@ -328,6 +331,13 @@ def run_trade(
         ledger.mine_block()
         tr.verdicts = dict(system.escrows[order_id].verdicts)
     return _finalize(tr, ledger, col, addrs, endow)
+
+
+def _garbage(sizes: list[int], *label) -> list[memoryview]:
+    """Consecutive pieces of the given sizes from one ``seeded_bytes`` draw."""
+    view = memoryview(crypto.seeded_bytes(sum(sizes), "garbage", *label))
+    starts = itertools.accumulate(sizes, initial=0)
+    return [view[at : at + size] for at, size in zip(starts, sizes)]
 
 
 def _open_provider_layer(order, escrow, private, received):

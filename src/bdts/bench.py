@@ -12,7 +12,6 @@ operation counts are timing-independent.
 from __future__ import annotations
 
 import functools
-import hashlib
 import selectors
 import socket
 import statistics
@@ -22,9 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Generator
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
 from .actors import Frame, Served, run_trade
+from .crypto import seeded_bytes
 from .errors import BdtsError, InvalidInput
 from .merkle import DIGEST_SIZE, MerkleProof
 from .sharding import DEFAULT_SLOT
@@ -35,7 +33,6 @@ DEFAULT_BANDWIDTH = 60 * 1000 * 1000  # bytes/s per connection
 # the shard.  The r_ed proof's index is the shard index.
 _HEADER = struct.Struct("!IIBBI")
 _CHUNK = 64 * 1024
-_KEYSTREAM_CHUNK = 1 << 20  # zero input reused for each slice of synthetic_data
 
 
 @dataclass
@@ -88,21 +85,8 @@ class BenchReport:
 
 
 def synthetic_data(size: int, seed: int) -> bytearray:
-    """Seeded incompressible bytes: an AES-256-CTR keystream under a key
-    hashed from the arguments, several times faster than ``random.randbytes``.
-
-    The keystream is written straight into the one output buffer, a chunk at
-    a time; CTR carries its counter across calls, so the bytes do not depend
-    on the chunk size."""
-    key = hashlib.sha256(repr(("bench", size, seed)).encode()).digest()
-    keystream = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor()
-    out = bytearray(size)
-    zeros = memoryview(bytes(min(size, _KEYSTREAM_CHUNK)))
-    view = memoryview(out)
-    for off in range(0, size, _KEYSTREAM_CHUNK):
-        chunk = view[off : off + _KEYSTREAM_CHUNK]
-        keystream.update_into(zeros[: len(chunk)], chunk)
-    return out
+    """The benchmark's seeded input: ``size`` bytes of ``crypto.seeded_bytes``."""
+    return seeded_bytes(size, "bench", size, seed)
 
 
 def _serve(sock: socket.socket, frames: dict[int, Frame], bandwidth: int) -> None:

@@ -250,14 +250,14 @@ class ContractSystem:
             ):
                 self._reject(rec, reason="exposure proof failed")
                 raise ProofFailure(f"exposure proof failed at index {i}")
-        for i, plain, *_ in pieces:
-            digest = hashlib.sha256(plain).digest()
+        digests = [hashlib.sha256(plain).digest() for _, plain, *_ in pieces]
+        for (i, *_), digest in zip(pieces, digests):
             owner = self.exposed_piece_index.get(digest)
             if owner is not None and owner != data_id:
                 self._reject(rec, reason=f"plagiarism of {owner}")
                 raise ProofFailure(f"exposed piece {i} duplicates {owner}")
-        for i, plain, *_ in pieces:
-            self.exposed_piece_index[hashlib.sha256(plain).digest()] = data_id
+        for digest in digests:
+            self.exposed_piece_index[digest] = data_id
         rec.status = EXPOSED
         self.ledger.log_event("expose_ok", data_id=data_id, indices=expected)
         return EXPOSED

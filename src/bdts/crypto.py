@@ -13,6 +13,9 @@ sealing exactly one 32-byte key under AES-256-GCM.  A blob that does not
 unwrap to one 32-byte key, whatever its length or authentication,
 surfaces as :class:`DecryptError`; the appeal arbitration and the
 consumer both rely on that one rule to judge a posted key.
+
+Every seeded byte the package draws (benchmark input, scenario input, a
+cheater's garbage) is an AES-256-CTR keystream from ``seeded_bytes``.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import metrics
@@ -34,6 +38,7 @@ NONCE_SIZE = 12
 TAG_SIZE = 16
 LAYER_TAG_SIZE = 4
 OVERHEAD = NONCE_SIZE + TAG_SIZE  # ciphertext length minus plaintext length
+_KEYSTREAM_CHUNK = 1 << 20  # zero input reused for each slice of seeded_bytes
 
 
 def _sha256(*parts: bytes) -> bytes:
@@ -41,6 +46,25 @@ def _sha256(*parts: bytes) -> bytes:
     for part in parts:
         h.update(part)
     return h.digest()
+
+
+def seeded_bytes(size: int, *label) -> bytearray:
+    """``size`` incompressible bytes fixed by ``label``: the AES-256-CTR
+    keystream under the key sha256(repr(label)), several times faster than
+    ``random.randbytes``.  Records no op.
+
+    The keystream is written straight into the one output buffer, a chunk at
+    a time; CTR carries its counter across calls, so the bytes do not depend
+    on the chunk size."""
+    key = _sha256(repr(label).encode())
+    keystream = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor()
+    out = bytearray(size)
+    zeros = memoryview(bytes(min(size, _KEYSTREAM_CHUNK)))
+    view = memoryview(out)
+    for off in range(0, size, _KEYSTREAM_CHUNK):
+        chunk = view[off : off + _KEYSTREAM_CHUNK]
+        keystream.update_into(zeros[: len(chunk)], chunk)
+    return out
 
 
 @dataclass(frozen=True)

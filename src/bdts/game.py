@@ -182,18 +182,33 @@ def verify_table(x: float, y: float) -> list[dict]:
     return mismatches
 
 
+_PROFILES = all_profiles()
+
+
+def _deviation_groups(role: int) -> list[list[str]]:
+    """The profiles grouped by every letter but ``role``'s: within a group,
+    only that role's unilateral deviations separate them."""
+    groups: dict[str, list[str]] = {}
+    for p in _PROFILES:
+        groups.setdefault(p[:role] + p[role + 1 :], []).append(p)
+    return list(groups.values())
+
+
+_DEVIATION_GROUPS = [_deviation_groups(role) for role in range(len(ROLES))]
+# the move prefixes of each role's decision nodes, in profile order
+_PREFIXES = [sorted({p[:role] for p in _PROFILES}) for role in range(len(ROLES))]
+
+
 def nash_equilibria(payoff_fn: PayoffFn, x: float, y: float) -> set[str]:
-    """Profiles where no player's unilateral deviation strictly improves him."""
-    table = {p: payoff_fn(p, x, y) for p in all_profiles()}
-    return {
-        name
-        for name, payoff in table.items()
-        if all(
-            table[name[:role] + alt + name[role + 1 :]][role] <= payoff[role]
-            for role, letters in enumerate(ROLES)
-            for alt in letters
-        )
-    }
+    """Profiles where no player's unilateral deviation strictly improves him:
+    each role's payoff is the best in that role's deviation group."""
+    table = {p: payoff_fn(p, x, y) for p in _PROFILES}
+    stable = set(_PROFILES)
+    for role, groups in enumerate(_DEVIATION_GROUPS):
+        for group in groups:
+            best = max(table[p][role] for p in group)
+            stable.difference_update(p for p in group if table[p][role] < best)
+    return stable
 
 
 def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> str:
@@ -207,16 +222,18 @@ def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> str:
     ``ahi`` where x+y < 4: forfeiting less than honest play's net cost of 4
     beats paying, and the unfunded order ties seller and provider at 0.
     """
-
-    def solve(prefix: str) -> tuple[str, PayoffVector]:
-        # the profile and payoffs that play after the moves in ``prefix`` reaches
-        if len(prefix) == len(ROLES):
-            return prefix, payoff_fn(prefix, x, y)
-        role = len(prefix)
-        # max keeps the first of equal payoffs, i.e. the earlier-listed letter
-        return max((solve(prefix + s) for s in ROLES[role]), key=lambda out: out[1][role])
-
-    return solve("")[0]
+    # the profile and payoffs that play after each move prefix reaches,
+    # folded from the last mover back to the first
+    reached = {p: (p, payoff_fn(p, x, y)) for p in _PROFILES}
+    for role in reversed(range(len(ROLES))):
+        reached = {
+            # max keeps the first of equal payoffs, i.e. the earlier-listed letter
+            prefix: max(
+                (reached[prefix + s] for s in ROLES[role]), key=lambda out: out[1][role]
+            )
+            for prefix in _PREFIXES[role]
+        }
+    return reached[""][0]
 
 
 def crosscheck_transcript(tr: RunTranscript) -> bool:

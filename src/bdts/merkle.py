@@ -55,8 +55,10 @@ def _hash_leaves(leaves: list[bytes]) -> list[bytes]:
 def leaf_digests(leaves: list[bytes]) -> list[bytes]:
     """The leaf digest of each of ``leaves``, in order; lists of at least
     4 MiB in total are hashed on one thread per usable CPU."""
+    if sum(map(len, leaves)) < _POOL_MIN_BYTES:  # before the affinity call
+        return _hash_leaves(leaves)
     workers = min(_usable_cpus(), len(leaves))
-    if workers < 2 or sum(map(len, leaves)) < _POOL_MIN_BYTES:
+    if workers < 2:
         return _hash_leaves(leaves)
     from concurrent.futures import ThreadPoolExecutor  # ~9 ms; large trees only
 

@@ -23,9 +23,6 @@ class OpCounters(dict):
     def __init__(self) -> None:
         super().__init__(dict.fromkeys(FIELDS, 0))
 
-    def bump(self, name: str) -> None:
-        self[name] += 1
-
     def as_dict(self) -> dict[str, int]:
         return dict(self)
 
@@ -48,7 +45,10 @@ class OpCollector:
 
     def record(self, op: str) -> None:
         if self._active is not None:
-            self.phases.setdefault(self._active, OpCounters()).bump(op)
+            counters = self.phases.get(self._active)
+            if counters is None:  # the phase's first op
+                counters = self.phases[self._active] = OpCounters()
+            counters[op] += 1
 
 
 _state = threading.local()

@@ -67,6 +67,23 @@ def test_transcript_changes_with_seed():
     assert run("aei", seed=1).to_json() != run("aei", seed=2).to_json()
 
 
+def test_scenario_input_is_fixed_by_profile_and_seed(monkeypatch):
+    inputs = []
+    real = actors.run_trade
+
+    def capture(profile, data, *args, **kwargs):
+        inputs.append(bytes(data))
+        return real(profile, data, *args, **kwargs)
+
+    monkeypatch.setattr(actors, "run_trade", capture)
+    for profile, seed in (("aei", 1), ("aei", 1), ("aei", 2), ("cei", 1)):
+        run(profile, seed=seed)
+    first, same, other_seed, other_profile = inputs
+    assert len(first) == 8 * SLOT
+    assert first == same
+    assert first != other_seed and first != other_profile
+
+
 @pytest.mark.parametrize("profile,expect", cheat_catalog())
 def test_cheat_catalog_outcomes(profile, expect):
     tr = run(profile)

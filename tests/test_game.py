@@ -4,9 +4,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bdts import bench, game
-from bdts.actors import all_profiles, deliver_in_memory, run_scenario, run_trade
+from bdts.actors import ROLES, all_profiles, deliver_in_memory, run_scenario, run_trade
 from bdts.errors import InvalidInput, Mismatch
 
 GRID = [(x, y) for x in (0, 5, 10, 19) for y in (0, 1, 2, 3)]
@@ -84,6 +85,54 @@ def test_backward_induction_honest_at_reference_point():
 def test_backward_induction_lexicographic_ties():
     fn = lambda p, x, y: game.PayoffVector(0, 0, 0)
     assert game.backward_induction(fn, 10, 2) == "aei"
+
+
+# Reference solvers: a per-profile scan of every unilateral deviation, and
+# the recursive descent of the game tree.  The module's solvers must agree.
+
+
+def reference_nash_equilibria(payoff_fn, x, y):
+    table = {p: payoff_fn(p, x, y) for p in all_profiles()}
+    return {
+        name
+        for name, payoff in table.items()
+        if all(
+            table[name[:role] + alt + name[role + 1 :]][role] <= payoff[role]
+            for role, letters in enumerate(ROLES)
+            for alt in letters
+        )
+    }
+
+
+def reference_backward_induction(payoff_fn, x, y):
+    def solve(prefix):
+        if len(prefix) == len(ROLES):
+            return prefix, payoff_fn(prefix, x, y)
+        role = len(prefix)
+        return max((solve(prefix + s) for s in ROLES[role]), key=lambda out: out[1][role])
+
+    return solve("")[0]
+
+
+# small payoffs, so that ties within a deviation group are common
+PAYOFF_TABLES = st.lists(
+    st.tuples(*[st.integers(-2, 2)] * len(ROLES)), min_size=64, max_size=64
+)
+
+
+@given(PAYOFF_TABLES)
+def test_solvers_match_the_reference_on_tied_tables(cells):
+    table = dict(zip(all_profiles(), (game.PayoffVector(*c) for c in cells)))
+    fn = lambda p, x, y: table[p]
+    assert game.nash_equilibria(fn, 10, 2) == reference_nash_equilibria(fn, 10, 2)
+    assert game.backward_induction(fn, 10, 2) == reference_backward_induction(fn, 10, 2)
+
+
+@pytest.mark.parametrize("fn", [game.raw_payoff, game.enforced_payoff])
+@pytest.mark.parametrize("x,y", GRID)
+def test_solvers_match_the_reference_on_the_grid(fn, x, y):
+    assert game.nash_equilibria(fn, x, y) == reference_nash_equilibria(fn, x, y)
+    assert game.backward_induction(fn, x, y) == reference_backward_induction(fn, x, y)
 
 
 # -- enforced payoffs -------------------------------------------------------
