@@ -329,7 +329,8 @@ def run_trade(
             ledger.mine_block()
         system.cpc_settle(order_id)
         ledger.mine_block()
-        tr.verdicts = dict(system.escrows[order_id].verdicts)
+        tranches = system.escrows[order_id].tranches.items()
+        tr.verdicts = {payee: t.verdict for payee, t in tranches if t.verdict is not None}
     return _finalize(tr, ledger, col, addrs, endow)
 
 
@@ -363,7 +364,7 @@ def _open_provider_layer(order, escrow, private, received):
                 raise ProofFailure(f"shard {i} does not match {provider}'s root")
         package = {}
         try:
-            key = crypto.pk_decrypt(private, escrow.posted_keys[provider_payee(provider)])
+            key = crypto.pk_decrypt(private, escrow.tranches[provider_payee(provider)].wrapped_key)
             for i in indices:
                 package[i] = provider, crypto.sym_decrypt(key, frames[i][0]), frames[i]
         except DecryptError:
@@ -392,7 +393,7 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
     """
     n = record.n
     try:
-        master = crypto.pk_decrypt(private, escrow.posted_keys[SELLER_PAYEE])
+        master = crypto.pk_decrypt(private, escrow.tranches[SELLER_PAYEE].wrapped_key)
         shard_keys = crypto.derive_keys(master, n)
     except DecryptError:
         shard_keys = None  # an unusable key opens no shard

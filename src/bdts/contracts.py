@@ -2,12 +2,14 @@
 (SCMC), and escrowed payment with appeal arbitration (CPC).
 
 All state mutates through sequential method calls against one ledger, so a
-whole run is replayable.  Each order's escrow holds its tokens in a ledger
-account of its own, so settling one order reads and pays out of nothing
-but that account.  A call that one party must make (posting the consumer's
-public key, a payee's key, a provider's root) names its sender first, and
-any other sender is refused with ``WrongSender``.  Verdict logic for
-appeals:
+whole run is replayable.  A funded order's tokens go straight from the
+consumer into a ledger account of the order's own (``Order.account``) and
+stay there until settle, which reads and pays out of nothing but that
+account.  The escrow holds one ``Tranche`` per payee: its party, its
+amount, the key it posted, its appeal deadline and its verdict.  A call
+that one party must make (posting the consumer's public key, a payee's
+key, a provider's root) names its sender first, and any other sender is
+refused with ``WrongSender``.  Verdict logic for appeals:
 
 * the evidence index is a global shard index, and it must name a shard
   the payee is paid for (any of the data set's n shards for the seller, a
@@ -27,7 +29,6 @@ appeals:
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -54,7 +55,7 @@ from .errors import (
     WrongSender,
 )
 from .ledger import Address, Ledger, address_for, rand_indices
-from .merkle import DIGEST_SIZE, MerkleProof, mvrfy
+from .merkle import DIGEST_SIZE, MerkleProof, leaf_digests, mvrfy, mvrfy_digest
 
 # record / order statuses
 REGISTERED = "Registered"
@@ -119,6 +120,7 @@ class Order:
     consumer: Address
     data_id: str
     tokens: int
+    account: Address  # holds this order's tokens, and no other order's
     status: str = FUNDED
     # provider -> the global shard indices it serves, in package order
     served: dict[Address, list[int]] = field(default_factory=dict)
@@ -126,15 +128,21 @@ class Order:
 
 
 @dataclass
+class Tranche:
+    """One payee's share of an escrow; its key is ``None`` until posted."""
+
+    party: Address
+    amount: int
+    wrapped_key: bytes | None = None
+    appeal_deadline: int | None = None  # set when the key is posted
+    verdict: str | None = None
+
+
+@dataclass
 class Escrow:
-    account: Address  # holds this order's tokens, and no other order's
     post_deadline: int
-    tranches: dict[str, int]  # payee -> token amount
-    payee_addrs: dict[str, Address]
+    tranches: dict[str, Tranche]  # payee -> its share
     pub_cm: bytes | None = None
-    posted_keys: dict[str, bytes] = field(default_factory=dict)
-    appeal_deadlines: dict[str, int] = field(default_factory=dict)
-    verdicts: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -161,11 +169,10 @@ class ContractSystem:
         self.ledger = ledger
         self.config = config or ContractConfig()
         self.ssmc_addr = address_for("contract:SSMC")
-        self.scmc_addr = address_for("contract:SCMC")
         self.records: dict[str, DataRecord] = {}
         self.orders: dict[str, Order] = {}
         self.escrows: dict[str, Escrow] = {}
-        self.exposed_piece_index: dict[bytes, str] = {}  # plaintext hash -> data_id
+        self.exposed_piece_index: dict[bytes, str] = {}  # plaintext leaf digest -> data_id
         self.listed_roots: dict[bytes, str] = {}  # r_d -> data_id, while listed
         self.seen_pubkeys: set[bytes] = set()
         # order -> {"in": tokens}; kept only for the market benchmark, which reads it
@@ -191,8 +198,14 @@ class ContractSystem:
         unit_price: int,
         deposit: int,
     ) -> str:
+        if not all(isinstance(v, str) for v in (endpoint, description)):
+            raise InvalidInput("endpoint and description must be str")
+        if not all(type(v) is int for v in (n, size_bytes, price, unit_price, deposit)):
+            raise InvalidInput("n, size_bytes, price, unit_price and deposit must be int")
         if n < 1:
             raise InvalidInput(f"a listing needs at least one shard, got n={n}")
+        if size_bytes < 1:
+            raise InvalidInput(f"a listing holds at least one byte, got size_bytes={size_bytes}")
         if price < 0 or unit_price < 0:
             raise InvalidInput(f"prices must be >= 0, got {price} and {unit_price} per shard")
         if not all(isinstance(r, bytes) and len(r) == DIGEST_SIZE for r in (r_d, r_ed)):
@@ -244,13 +257,14 @@ class ContractSystem:
         expected = self.expected_exposure_indices(data_id)
         if sorted(i for i, *_ in pieces) != expected:
             raise WrongIndices(f"expected indices {expected}")
-        for i, plain, p_d, p_ed, enc in pieces:
+        digests = leaf_digests([plain for _, plain, *_ in pieces])
+        for (i, _, p_d, p_ed, enc), digest in zip(pieces, digests):
             if not (
-                mvrfy(i, rec.r_d, plain, p_d, rec.n) and mvrfy(i, rec.r_ed, enc, p_ed, rec.n)
+                mvrfy_digest(i, rec.r_d, digest, p_d, rec.n)
+                and mvrfy(i, rec.r_ed, enc, p_ed, rec.n)
             ):
                 self._reject(rec, reason="exposure proof failed")
                 raise ProofFailure(f"exposure proof failed at index {i}")
-        digests = [hashlib.sha256(plain).digest() for _, plain, *_ in pieces]
         for (i, *_), digest in zip(pieces, digests):
             owner = self.exposed_piece_index.get(digest)
             if owner is not None and owner != data_id:
@@ -326,7 +340,7 @@ class ContractSystem:
                         "description": rec.description,
                         "price": rec.price,
                         "size": rec.size_bytes,
-                        "providers": sorted(rec.providers),
+                        "providers": sorted(p for p, sp in rec.providers.items() if sp.confirmed),
                     }
                 )
         return sorted(out, key=lambda d: d["data_id"])
@@ -334,6 +348,8 @@ class ContractSystem:
     # ---------------------------------------------------------------- SCMC
 
     def scmc_place_order(self, consumer: Address, data_id: str, tokens: int) -> str:
+        if type(tokens) is not int:
+            raise InvalidInput(f"an order pays whole tokens, got {tokens!r}")
         rec = self.records.get(data_id)
         if rec is None or rec.status != LIVE or rec.delisted:
             raise UnknownData(f"no live listing {data_id}")
@@ -345,12 +361,14 @@ class ContractSystem:
                 "order_discarded", data_id=data_id, tokens=tokens, required=required
             )
             raise InsufficientTokens(f"{tokens} < price+size*unit price = {required}")
-        if not self.ledger.transfer(consumer, self.scmc_addr, tokens, memo="escrow"):
+        order_id = f"o{self._order_counter + 1:04d}"
+        account = address_for(f"contract:CPC:{order_id}")
+        if not self.ledger.transfer(consumer, account, tokens, memo="escrow"):
             raise InsufficientTokens("consumer balance does not cover the order")
         self._order_counter += 1
-        order_id = f"o{self._order_counter:04d}"
         self.orders[order_id] = Order(
             order_id=order_id, consumer=consumer, data_id=data_id, tokens=tokens,
+            account=account,
         )
         self.escrow_flows[order_id] = {"in": tokens}
         self.ledger.log_event("order_funded", order_id=order_id, data_id=data_id)
@@ -407,19 +425,11 @@ class ContractSystem:
             # every r_eed is fixed before any key can be posted
             raise BadState(f"order {order_id} lacks a serving provider's root")
         rec = self._record(order.data_id)
-        account = address_for(f"contract:CPC:{order_id}")
-        if not self.ledger.transfer(self.scmc_addr, account, order.tokens, memo="escrow-cpc"):
-            raise BadState(f"SCMC could not fund the escrow for {order_id}")
-        tranches = {SELLER_PAYEE: rec.price}
-        payee_addrs = {SELLER_PAYEE: rec.seller}
+        tranches = {SELLER_PAYEE: Tranche(rec.seller, rec.price)}
         for provider, package in order.served.items():
-            tranches[provider_payee(provider)] = len(package) * rec.unit_price
-            payee_addrs[provider_payee(provider)] = provider
+            tranches[provider_payee(provider)] = Tranche(provider, len(package) * rec.unit_price)
         escrow = Escrow(
-            account=account,
-            post_deadline=self.ledger.height + self.config.appeal_window,
-            tranches=tranches,
-            payee_addrs=payee_addrs,
+            post_deadline=self.ledger.height + self.config.appeal_window, tranches=tranches,
         )
         self.escrows[order_id] = escrow
         self.ledger.log_event("escrow_open", order_id=order_id)
@@ -443,16 +453,17 @@ class ContractSystem:
         escrow = self._escrow(order_id)
         if escrow.pub_cm is None:
             raise NoPubKey("consumer public key not posted yet")
-        if payee not in escrow.tranches:
+        tranche = escrow.tranches.get(payee)
+        if tranche is None:
             raise NotFound(f"no tranche for payee {payee}")
-        if sender != escrow.payee_addrs[payee]:
+        if sender != tranche.party:
             raise WrongSender(f"only {payee} can post its key")
-        if payee in escrow.posted_keys:
+        if tranche.wrapped_key is not None:
             raise DoublePost(f"{payee} already posted a key")
         if self.ledger.height > escrow.post_deadline:
             raise LateAppeal(f"posting window closed at height {escrow.post_deadline}")
-        escrow.posted_keys[payee] = wrapped_key
-        escrow.appeal_deadlines[payee] = self.ledger.height + self.config.appeal_window
+        tranche.wrapped_key = wrapped_key
+        tranche.appeal_deadline = self.ledger.height + self.config.appeal_window
         self.ledger.log_event("key_posted", order_id=order_id, payee=payee)
 
     def cpc_appeal(
@@ -463,11 +474,12 @@ class ContractSystem:
             raise NoPubKey("no consumer public key on record")
         if crypto.public_key_of(pri_cm) != escrow.pub_cm:
             raise PrivKeyMismatch("private key does not match the posted public key")
-        if payee not in escrow.posted_keys:
+        tranche = escrow.tranches.get(payee)
+        if tranche is None or tranche.wrapped_key is None:
             raise BadState(f"{payee} has not posted a key; nothing to appeal")
-        if payee in escrow.verdicts:
+        if tranche.verdict is not None:
             raise BadState(f"appeal against {payee} already decided")
-        if self.ledger.height > escrow.appeal_deadlines[payee]:
+        if self.ledger.height > tranche.appeal_deadline:
             raise LateAppeal("appeal window closed")
         order = self._order(order_id)
         rec = self._record(order.data_id)
@@ -475,13 +487,12 @@ class ContractSystem:
         if payee == SELLER_PAYEE:
             package, inner_root, own_root = range(rec.n), rec.r_d, rec.r_ed
         else:
-            provider = escrow.payee_addrs[payee]
-            package, inner_root = order.served[provider], rec.r_ed
-            own_root = order.provider_roots[provider]
+            package, inner_root = order.served[tranche.party], rec.r_ed
+            own_root = order.provider_roots[tranche.party]
         if i not in package:
             raise WrongIndices(f"shard {i} is not one that {payee} is paid for")
         try:
-            posted = crypto.pk_decrypt(pri_cm, escrow.posted_keys[payee])
+            posted = crypto.pk_decrypt(pri_cm, tranche.wrapped_key)
         except DecryptError:
             # the payee posted no key anyone could open the data with
             upheld = True
@@ -499,7 +510,7 @@ class ContractSystem:
             else:
                 upheld = not mvrfy(i, inner_root, payload, evidence.inner_proof, rec.n)
         verdict = UPHELD if upheld else DENIED
-        escrow.verdicts[payee] = verdict
+        tranche.verdict = verdict
         self.ledger.log_event("appeal", order_id=order_id, payee=payee, verdict=verdict)
         return verdict
 
@@ -509,35 +520,34 @@ class ContractSystem:
             raise AlreadyClosed(f"order {order_id} already settled")
         escrow = self._escrow(order_id)
         height = self.ledger.height
-        for payee in escrow.tranches:
-            if payee in escrow.verdicts:
+        for payee, tranche in escrow.tranches.items():
+            if tranche.verdict is not None:
                 continue
-            if payee in escrow.posted_keys:
-                if height <= escrow.appeal_deadlines[payee]:
+            if tranche.wrapped_key is not None:
+                if height <= tranche.appeal_deadline:
                     raise BadState(f"appeal window for {payee} still open")
             elif height <= escrow.post_deadline:
                 raise BadState(f"posting window for {payee} still open")
         transfers: dict[str, int] = {}
         disbursed = 0
         rec = self._record(order.data_id)
-        held = self.ledger.balance(escrow.account)
+        held = self.ledger.balance(order.account)
         if held < order.tokens:
             raise BadState(f"escrow for {order_id} holds {held} of its {order.tokens} tokens")
-        for payee, amount in escrow.tranches.items():
-            verdict = escrow.verdicts.get(payee)
-            if payee not in escrow.posted_keys or verdict == UPHELD:
+        for payee, tranche in escrow.tranches.items():
+            if tranche.wrapped_key is None or tranche.verdict == UPHELD:
                 dst, memo = order.consumer, f"refund:{payee}"
             else:
-                dst, memo = escrow.payee_addrs[payee], f"pay:{payee}"
-            if amount > 0:
-                self.ledger.transfer(escrow.account, dst, amount, memo=memo)
-            transfers[memo] = amount
-            disbursed += amount
+                dst, memo = tranche.party, f"pay:{payee}"
+            if tranche.amount > 0:
+                self.ledger.transfer(order.account, dst, tranche.amount, memo=memo)
+            transfers[memo] = tranche.amount
+            disbursed += tranche.amount
         excess = order.tokens - disbursed
         if excess > 0:
-            self.ledger.transfer(escrow.account, order.consumer, excess, memo="excess")
+            self.ledger.transfer(order.account, order.consumer, excess, memo="excess")
             transfers["excess"] = excess
-        if held - self.ledger.balance(escrow.account) != order.tokens:
+        if held - self.ledger.balance(order.account) != order.tokens:
             raise BadState(f"escrow for {order_id} did not release its {order.tokens} tokens")
         order.status = CLOSED
         self._return_deposit(rec)

@@ -53,10 +53,10 @@ class Ledger:
     # -- transfers --------------------------------------------------------
 
     def transfer(self, src: Address, dst: Address, amount: int, memo: str = "") -> bool:
-        """Apply a transfer; returns False (and logs a rejection) if it would
-        overdraw the source account."""
-        if amount <= 0:
-            raise InvalidInput("transfer amount must be positive")
+        """Apply a transfer of a positive ``int`` amount; returns False (and
+        logs a rejection) if it would overdraw the source account."""
+        if type(amount) is not int or amount <= 0:
+            raise InvalidInput(f"transfer amount must be a positive int, got {amount!r}")
         ok = self.balance(src) >= amount
         if ok:
             self.balances[src] = self.balance(src) - amount

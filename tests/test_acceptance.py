@@ -255,10 +255,10 @@ def _fuzz_sequence(rng: random.Random) -> None:
         except (BdtsError, IndexError):
             pass
         assert all(v >= 0 for v in ledger.balances.values())
-        for order_id, escrow in system.escrows.items():
-            order = system.orders[order_id]
+        # from funding, whether or not its escrow ever opens
+        for order_id, order in system.orders.items():
             held = order.tokens if order.status != CLOSED else 0
-            assert ledger.balance(escrow.account) == held, order_id
+            assert ledger.balance(order.account) == held, order_id
     assert ledger.total_supply() == supply
 
 
@@ -271,7 +271,7 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
     """Random key posts, appeals, settles and blocks against one opened
     escrow; returns whether the order settled.
 
-    The escrow's account must hold exactly the order's tokens until it
+    The order's account must hold exactly the order's tokens until it
     closes and nothing after, so every tranche, refund and excess leaves it
     exactly once.
     """
@@ -311,7 +311,7 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
         payee = rng.choice(list(layers))
         key = rng.choice([layers[payee][0], rng.randbytes(32)])
         wrapped = crypto.pk_encrypt(kp.public, key)
-        system.cpc_post_key(escrow.payee_addrs[payee], order_id, payee, wrapped)
+        system.cpc_post_key(escrow.tranches[payee].party, order_id, payee, wrapped)
 
     def op_appeal():
         payee = rng.choice(list(layers))
@@ -336,7 +336,7 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
         except BdtsError:
             pass
         held = order.tokens if order.status != CLOSED else 0
-        assert ledger.balance(escrow.account) == held, order.status
+        assert ledger.balance(order.account) == held, order.status
         assert ledger.total_supply() == supply
     return order.status == CLOSED
 

@@ -113,14 +113,23 @@ def test_register_escrows_deposit():
 @pytest.mark.parametrize("bad", [
     {"n": 0}, {"n": -2}, {"price": -1}, {"unit_price": -3},
     {"r_d": bytes(5)}, {"r_ed": b""}, {"r_d": bytes(33)},
+    # a None description made every later search raise AttributeError
+    {"description": None}, {"endpoint": None}, {"description": b"solar telemetry"},
+    # a negative size was listed and shown in search results
+    {"size_bytes": -5}, {"size_bytes": 0},
+    # a 40.5-token price with 0.25 per shard listed, and its order left
+    # the consumer 958.5 tokens
+    {"price": 40.5}, {"unit_price": 0.25}, {"deposit": 20.5},
+    {"n": 4.0}, {"size_bytes": "128"}, {"n": True}, {"price": False},
 ])
 def test_register_refuses_malformed_listing(bad):
     s = make_system()
     shards = shard_encrypt(SECRET, b"0123456789abcdef" * 8, slot=32)
-    listing = {"n": shards.n, "r_d": shards.root_plain, "r_ed": shards.root_enc,
-               "price": 40, "unit_price": 2, **bad}
+    listing = {"seller": SELLER, "endpoint": "ep", "description": "solar telemetry",
+               "size_bytes": 128, "n": shards.n, "r_d": shards.root_plain,
+               "r_ed": shards.root_enc, "price": 40, "unit_price": 2, "deposit": 20, **bad}
     with pytest.raises(InvalidInput):
-        s.ssmc_register_seller(SELLER, "ep", "solar telemetry", 128, **listing, deposit=20)
+        s.ssmc_register_seller(**listing)
     s.ledger.mine_block()
     assert (s.ledger.balance(SELLER), s.records, s.ledger.events) == (1000, {}, [])
 
@@ -235,6 +244,15 @@ def test_match_products_substring():
     assert s.match_products("nonexistent") == []
 
 
+def test_match_products_lists_only_confirmed_providers():
+    # anyone can register for a listing; only those the seller confirmed
+    # can be selected, so only they are listed
+    s = make_system()
+    data_id, _ = go_live(s)
+    s.ssmc_register_provider(address_for("t:stranger"), "ep", data_id)
+    assert s.match_products("telemetry")[0]["providers"] == [PROVIDER]
+
+
 def test_unknown_data_id():
     s = make_system()
     with pytest.raises(UnknownData):
@@ -258,6 +276,32 @@ def test_underfunded_order_strict_forfeit():
         s.scmc_place_order(CONSUMER, data_id, 47)
     assert s.ledger.balance(CONSUMER) == 1000 - 47
     assert s.ledger.balance(s.ssmc_addr) >= 47
+
+
+@pytest.mark.parametrize("tokens", (41.5, 48.0, "48", None, True))
+def test_order_refuses_tokens_that_are_not_whole(tokens):
+    # a fractional order was funded when it covered the price, and
+    # forfeited as a fraction of a token when it did not
+    s = make_system()
+    data_id, _ = go_live(s)
+    s.ledger.mine_block()
+    events = len(s.ledger.events)
+    with refused(s, InvalidInput):
+        s.scmc_place_order(CONSUMER, data_id, tokens)
+    s.ledger.mine_block()
+    assert s.orders == {} and len(s.ledger.events) == events
+
+
+def test_order_the_consumer_cannot_cover_is_refused():
+    s = make_system()
+    data_id, _ = go_live(s)
+    account = address_for("contract:CPC:o0001")
+    with refused(s, InsufficientTokens):
+        s.scmc_place_order(CONSUMER, data_id, 1001)
+    assert s.orders == {} and s.ledger.balance(account) == 0
+    # the next order takes the id, and its account holds exactly its tokens
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    assert (order, s.orders[order].account, s.ledger.balance(account)) == ("o0001", account, 48)
 
 
 def test_select_rejects_unconfirmed_provider():
@@ -313,7 +357,9 @@ def test_open_requires_every_serving_providers_root():
 def test_escrow_tranches():
     s = make_system()
     *_, escrow = open_escrow(s)
-    assert escrow.tranches == {SELLER_PAYEE: 40, provider_payee(PROVIDER): 8}
+    assert {payee: (t.party, t.amount) for payee, t in escrow.tranches.items()} == {
+        SELLER_PAYEE: (SELLER, 40), provider_payee(PROVIDER): (PROVIDER, 8),
+    }
 
 
 def test_post_key_requires_pubkey():
@@ -422,7 +468,7 @@ def test_appeal_past_the_last_shard_rejected():
     ev = AppealEvidence(3, shards.enc_shards[2], proof, proof)
     with pytest.raises(WrongIndices):
         s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev)
-    assert escrow.verdicts == {}
+    assert not any(t.verdict for t in escrow.tranches.values())
 
 
 @pytest.mark.parametrize("index", (4, -1))
@@ -437,7 +483,7 @@ def test_appeal_outside_the_served_shards_rejected(index):
                         mproof(shards.tree_enc, 0))
     with pytest.raises(WrongIndices):
         s.cpc_appeal(order, payee, kp.private, ev)
-    assert escrow.verdicts == {}
+    assert not any(t.verdict for t in escrow.tranches.values())
 
 
 PROVIDER2 = address_for("t:provider2")
@@ -489,7 +535,7 @@ def test_appeal_at_a_shard_another_provider_served_rejected():
     ev = second_provider_evidence(shards, pkg2, 0)  # shard 0 is PROVIDER's
     with pytest.raises(WrongIndices):
         s.cpc_appeal(order, provider_payee(PROVIDER2), kp.private, ev)
-    assert s.escrows[order].verdicts == {}
+    assert not any(t.verdict for t in s.escrows[order].tranches.values())
 
 
 def test_second_provider_wrong_key_appeal_upheld():
@@ -518,12 +564,12 @@ def test_unusable_posted_key_upholds_appeal(payee, wrap):
     _, _, order, pkg, escrow = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
-    s.cpc_post_key(escrow.payee_addrs[payee], order, payee, wrap(kp, pkg))
+    s.cpc_post_key(escrow.tranches[payee].party, order, payee, wrap(kp, pkg))
     # no posted key opens anything, so the evidence cannot matter
     ev = AppealEvidence(0, b"\x99" * 64, mproof(pkg.tree_eed, 0), mproof(pkg.tree_eed, 0))
     assert s.cpc_appeal(order, payee, kp.private, ev) == UPHELD
     transfers = settle_after_windows(s, order)
-    assert transfers[f"refund:{payee}"] == escrow.tranches[payee]
+    assert transfers[f"refund:{payee}"] == escrow.tranches[payee].amount
 
 
 def test_second_appeal_rejected():
@@ -569,7 +615,7 @@ def test_settle_blocked_while_window_open():
 
 def test_settle_pays_posted_payees_and_returns_deposit():
     s = make_system()
-    _, shards, order, pkg, escrow = open_escrow(s)
+    _, shards, order, pkg, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     provider_posts(s, order, kp, pkg.key)
@@ -577,7 +623,7 @@ def test_settle_pays_posted_payees_and_returns_deposit():
     assert s.ledger.balance(SELLER) == 1000 + 40  # price in, deposit back
     assert s.ledger.balance(PROVIDER) == 1000 + 8
     assert s.ledger.balance(CONSUMER) == 1000 - 48
-    assert s.ledger.balance(escrow.account) == s.ledger.balance(s.scmc_addr) == 0
+    assert s.ledger.balance(s.orders[order].account) == 0
 
 
 def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
@@ -595,7 +641,7 @@ def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
     with pytest.raises(BadState):
         settle_after_windows(s, order)
     assert s.orders[order].status != CLOSED
-    assert s.ledger.balance(s.escrows[order].account) == 5
+    assert s.ledger.balance(s.orders[order].account) == 5
 
 
 def test_refused_settle_moves_no_token_on_retry(monkeypatch):
@@ -619,20 +665,21 @@ def test_refused_settle_moves_no_token_on_retry(monkeypatch):
         s.cpc_settle(order)
     assert attempts == []
     assert s.orders[order].status != CLOSED
-    assert s.ledger.balance(s.escrows[order].account) == 5
+    assert s.ledger.balance(s.orders[order].account) == 5
 
 
 def test_refused_settle_never_spends_another_orders_escrow(monkeypatch):
     s = make_system()
-    _, shards_a, a, pkg_a, escrow_a = open_escrow(s, excess=5)
-    _, shards_b, b, pkg_b, escrow_b = open_escrow(s, data=b"fedcba9876543210" * 8)
+    _, shards_a, a, pkg_a, _ = open_escrow(s, excess=5)
+    _, shards_b, b, pkg_b, _ = open_escrow(s, data=b"fedcba9876543210" * 8)
+    account_a, account_b = s.orders[a].account, s.orders[b].account
     for order, shards, pkg in ((a, shards_a, pkg_a), (b, shards_b, pkg_b)):
         kp = crypto.pk_keygen(b"cm" + order.encode())
         seller_posts(s, order, kp, shards.master)
         provider_posts(s, order, kp, pkg.key)
 
     def held():
-        return s.ledger.balance(escrow_a.account), s.ledger.balance(escrow_b.account)
+        return s.ledger.balance(account_a), s.ledger.balance(account_b)
 
     assert held() == (53, 48)
     transfer = s.ledger.transfer
@@ -652,7 +699,7 @@ def test_refused_settle_never_spends_another_orders_escrow(monkeypatch):
         s.cpc_settle(a)
     assert attempts == []
     assert s.cpc_settle(b) == {"pay:seller": 40, f"pay:{provider_payee(PROVIDER)}": 8}
-    assert escrow_a.account not in {src for src, *_ in attempts}
+    assert account_a not in {src for src, *_ in attempts}
     assert (s.orders[a].status, s.orders[b].status) == (contracts.DOWNLOADING, CLOSED)
     assert held() == (5, 0)
 
@@ -832,24 +879,6 @@ def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
     assert s.cpc_appeal(order, payee, kp.private, ev) == DENIED
 
 
-def test_open_refuses_an_escrow_it_cannot_fund(monkeypatch):
-    # an escrow opened unfunded could never settle, so it must not open
-    s = make_system()
-    data_id, shards = go_live(s)
-    order = s.scmc_place_order(CONSUMER, data_id, 48)
-    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
-    pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
-    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
-    transfer = s.ledger.transfer
-    monkeypatch.setattr(s.ledger, "transfer", lambda *args, **kw: False)
-    with refused_silently(s, order, BadState):
-        s.cpc_open(order)
-    assert order not in s.escrows
-    monkeypatch.setattr(s.ledger, "transfer", transfer)
-    escrow = s.cpc_open(order)
-    assert s.ledger.balance(escrow.account) == 48
-
-
 def test_only_the_seller_posts_the_sellers_key():
     # the consumer posts junk as the seller's key: unchecked, it took the
     # seller's place, whose own post raised DoublePost, and the consumer's
@@ -925,7 +954,7 @@ def test_post_key_for_an_unknown_payee_rejected():
     blob = crypto.pk_encrypt(kp.public, shards.master)
     with refused(s, NotFound):
         s.cpc_post_key(CONSUMER, order, provider_payee(CONSUMER), blob)
-    assert escrow.posted_keys == {}
+    assert not any(t.wrapped_key for t in escrow.tranches.values())
 
 
 def test_appeal_before_any_public_key_rejected():
@@ -935,7 +964,7 @@ def test_appeal_before_any_public_key_rejected():
                         mproof(shards.tree_enc, 0))
     with refused(s, NoPubKey):
         s.cpc_appeal(order, SELLER_PAYEE, crypto.pk_keygen(b"cm").private, ev)
-    assert escrow.verdicts == {}
+    assert not any(t.verdict for t in escrow.tranches.values())
 
 
 def test_unknown_order_id():

@@ -42,6 +42,16 @@ def test_zero_amount_rejected():
         led.transfer(A, B, 0)
 
 
+@pytest.mark.parametrize("amount", (1.5, 2.0, "2", True))
+def test_non_int_amount_rejected(amount):
+    # 1.5 moved, leaving fractional balances behind
+    led = Ledger({A: 3})
+    with pytest.raises(InvalidInput):
+        led.transfer(A, B, amount)
+    led.mine_block()
+    assert led.balances == {A: 3} and led.events == []
+
+
 def test_supply_conserved_through_blocks():
     led = Ledger({A: 50, B: 50})
     for src, dst, amount in ((A, B, 10), (B, C, 30), (C, A, 5)):
