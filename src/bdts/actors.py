@@ -7,10 +7,11 @@ deltas, appeal verdicts, and a data-recovery flag.  ``run_scenario`` runs it
 on seeded random data with one provider and in-memory delivery; the
 benchmark runs it over throttled sockets.  Cheating variants:
 
-* seller ``b``/``d`` substitute garbage shards after passing exposure (the
-  exposure step kills pre-exposure fakery outright, which would make those
-  strategies unreachable), sealed under the ``SUBSTITUTE`` nonce tag so that
-  ``b`` never reuses a nonce its honest seal took under the same K_i;
+* seller ``b``/``d`` substitute garbage shards after passing exposure
+  (exposure catches fakery in the shards it samples, but a seller that
+  grinds the block hash its indices come from can steer them clear of
+  fake shards), sealed under the ``SUBSTITUTE`` nonce tag so that ``b``
+  never reuses a nonce its honest seal took under the same K_i;
 * seller ``c``/``d`` post a key unrelated to the one the shards were
   encrypted under; ``d`` encrypts its garbage under the key it posts, so
   the substitution is only detectable through the plaintext commitment;
@@ -309,7 +310,7 @@ def run_trade(
             # the consumer holds its own frames, so the seller's layer goes
             # and its buffers take the provider layer the consumer opens
             del shards, inner_served, served
-            opened, appeals = _open_provider_layer(order, escrow, kp.private, received)
+            opened, appeals = _open_provider_layer(order, escrow, kp.key, received)
             del received
 
         with col.phase("decrypt"):
@@ -318,7 +319,7 @@ def run_trade(
                 seller, order_id, SELLER_PAYEE, crypto.pk_encrypt(kp.public, sl_key_posted)
             )
             ledger.mine_block()
-            appeals += _open_seller_layer(record, escrow, kp.private, r_d_leaves, opened)
+            appeals += _open_seller_layer(record, escrow, kp.key, r_d_leaves, opened)
         tr.recovery = not appeals
 
         with col.phase("appeal"):

@@ -206,8 +206,10 @@ class ContractSystem:
             raise InvalidInput(f"a listing needs at least one shard, got n={n}")
         if size_bytes < 1:
             raise InvalidInput(f"a listing holds at least one byte, got size_bytes={size_bytes}")
-        if price < 0 or unit_price < 0:
-            raise InvalidInput(f"prices must be >= 0, got {price} and {unit_price} per shard")
+        if price < 1 or unit_price < 0:
+            raise InvalidInput(
+                f"need price >= 1 and unit_price >= 0, got {price} and {unit_price} per shard"
+            )
         if not all(isinstance(r, bytes) and len(r) == DIGEST_SIZE for r in (r_d, r_ed)):
             raise InvalidInput(f"r_d and r_ed must be {DIGEST_SIZE}-byte roots")
         if deposit < self.min_deposit(price):
@@ -439,6 +441,8 @@ class ContractSystem:
         escrow = self._escrow(order_id)
         if sender != self.orders[order_id].consumer:
             raise WrongSender(f"only the consumer of {order_id} can post its public key")
+        if not isinstance(pub_cm, bytes) or len(pub_cm) != crypto.KEY_SIZE:
+            raise InvalidInput(f"a public key is {crypto.KEY_SIZE} bytes")
         if escrow.pub_cm is not None:
             raise DoublePost("public key already posted for this order")
         if pub_cm in self.seen_pubkeys:
@@ -458,6 +462,8 @@ class ContractSystem:
             raise NotFound(f"no tranche for payee {payee}")
         if sender != tranche.party:
             raise WrongSender(f"only {payee} can post its key")
+        if not isinstance(wrapped_key, bytes):
+            raise InvalidInput(f"a posted key is bytes, got {type(wrapped_key).__name__}")
         if tranche.wrapped_key is not None:
             raise DoublePost(f"{payee} already posted a key")
         if self.ledger.height > escrow.post_deadline:
@@ -472,7 +478,9 @@ class ContractSystem:
         escrow = self._escrow(order_id)
         if escrow.pub_cm is None:
             raise NoPubKey("no consumer public key on record")
-        if crypto.public_key_of(pri_cm) != escrow.pub_cm:
+        # parsed once, for the check and the unwrap
+        sk = crypto.private_key(pri_cm)
+        if crypto.public_key_of(sk) != escrow.pub_cm:
             raise PrivKeyMismatch("private key does not match the posted public key")
         tranche = escrow.tranches.get(payee)
         if tranche is None or tranche.wrapped_key is None:
@@ -492,7 +500,7 @@ class ContractSystem:
         if i not in package:
             raise WrongIndices(f"shard {i} is not one that {payee} is paid for")
         try:
-            posted = crypto.pk_decrypt(pri_cm, tranche.wrapped_key)
+            posted = crypto.pk_decrypt(sk, tranche.wrapped_key)
         except DecryptError:
             # the payee posted no key anyone could open the data with
             upheld = True

@@ -20,7 +20,7 @@ cheater's garbage) is an AES-256-CTR keystream from ``seeded_bytes``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -69,10 +69,12 @@ def seeded_bytes(size: int, *label) -> bytearray:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """X25519 key pair; both halves are raw 32-byte strings."""
+    """X25519 key pair: both halves as raw 32-byte strings, and the private
+    half parsed once, for ``pk_decrypt``."""
 
     public: bytes
     private: bytes
+    key: X25519PrivateKey = field(repr=False, compare=False)
 
 
 def derive_keys(master: bytes, n: int) -> list[bytes]:
@@ -117,34 +119,51 @@ def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
         raise DecryptError("authentication failed") from exc
 
 
+def private_key(private: bytes) -> X25519PrivateKey:
+    """Parse a raw X25519 private key.  Parsing derives the public key, one
+    scalar multiplication, so a holder parses each key once and passes the
+    object on.  Anything but 32 ``bytes`` raises :class:`InvalidInput`."""
+    if not isinstance(private, bytes) or len(private) != KEY_SIZE:
+        raise InvalidInput(f"an X25519 private key is {KEY_SIZE} bytes")
+    return X25519PrivateKey.from_private_bytes(private)
+
+
 def pk_keygen(seed: bytes) -> KeyPair:
     """Deterministic key pair from an arbitrary-length seed."""
-    private = X25519PrivateKey.from_private_bytes(_sha256(b"keygen", seed))
-    return KeyPair(
-        public=private.public_key().public_bytes_raw(),
-        private=private.private_bytes_raw(),
-    )
+    private = _sha256(b"keygen", seed)
+    key = private_key(private)
+    return KeyPair(public=public_key_of(key), private=private, key=key)
 
 
-def public_key_of(private: bytes) -> bytes:
-    return X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
+def public_key_of(private: X25519PrivateKey) -> bytes:
+    return private.public_key().public_bytes_raw()
 
 
 def pk_encrypt(public: bytes, key: bytes) -> bytes:
-    """ECIES-style wrap of one 32-byte key: ephemeral pub || nonce || AES-GCM body."""
+    """ECIES-style wrap of one 32-byte key: ephemeral pub || nonce || AES-GCM body.
+
+    A recipient key that is not 32 bytes, or a low-order point that X25519
+    refuses (RFC 7748 section 6.1; the all-zero key is one), raises
+    :class:`InvalidInput`."""
     if len(key) != KEY_SIZE:
         raise InvalidInput("hybrid encryption wraps one 32-byte key")
+    if not isinstance(public, bytes) or len(public) != KEY_SIZE:
+        raise InvalidInput(f"an X25519 public key is {KEY_SIZE} bytes")
     metrics.record("asym_encryptions")
     eph = X25519PrivateKey.from_private_bytes(_sha256(b"eph", public, key))
-    shared = eph.exchange(X25519PublicKey.from_public_bytes(public))
+    try:
+        shared = eph.exchange(X25519PublicKey.from_public_bytes(public))
+    except ValueError as exc:
+        raise InvalidInput("X25519 refuses a low-order public key") from exc
     wrap_key = _sha256(b"wrap", shared)
     nonce = _sha256(b"wrapnonce", shared, key)[:NONCE_SIZE]
     body = AESGCM(wrap_key).encrypt(nonce, key, None)
     return eph.public_key().public_bytes_raw() + nonce + body
 
 
-def pk_decrypt(private: bytes, ciphertext: bytes) -> bytes:
-    """Unwrap a ``pk_encrypt`` ciphertext to its 32-byte key.
+def pk_decrypt(private: X25519PrivateKey, ciphertext: bytes) -> bytes:
+    """Unwrap a ``pk_encrypt`` ciphertext to its 32-byte key, under a key
+    that ``private_key`` parsed.
 
     Anything that does not unwrap to one 32-byte key raises
     :class:`DecryptError`: this is the one rule for a usable posted key.
@@ -158,8 +177,7 @@ def pk_decrypt(private: bytes, ciphertext: bytes) -> bytes:
         ciphertext[32 + NONCE_SIZE :],
     )
     try:
-        sk = X25519PrivateKey.from_private_bytes(private)
-        shared = sk.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        shared = private.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         wrap_key = _sha256(b"wrap", shared)
         return AESGCM(wrap_key).decrypt(nonce, body, None)
     except (InvalidTag, ValueError) as exc:

@@ -15,6 +15,7 @@ Two payoff modes:
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 from .actors import (
@@ -68,17 +69,14 @@ def enforced_payoff(profile: str, x: float, y: float) -> PayoffVector:
     mode returns ``aei`` where x+y >= 4 (the tie at 4 breaks toward e) and
     ``ahi`` where x+y < 4.
     """
-    flows = token_flows(profile, x, y)
+    flow_sl, flow_cm, flow_sp = _flows(profile, x, y)
     sl, cm, sp = profile
     if cm != "e":
         # the order is never funded: nobody produces or earns, the
         # consumer forfeits what he sent
-        return flows
-    flow_sl, flow_cm, flow_sp = flows
-    u_sl = SELLER_COST[sl] + flow_sl
-    u_sp = PROVIDER_COST[sp] + flow_sp
+        return PayoffVector(flow_sl, flow_cm, flow_sp)
     u_cm = flow_cm + (UTILITY if (sl == "a" and sp == "i") else 0)
-    return PayoffVector(u_sl, u_cm, u_sp)
+    return PayoffVector(SELLER_COST[sl] + flow_sl, u_cm, PROVIDER_COST[sp] + flow_sp)
 
 
 def token_flows(profile: str, x: float, y: float) -> PayoffVector:
@@ -89,14 +87,19 @@ def token_flows(profile: str, x: float, y: float) -> PayoffVector:
     when the provider layer is broken (the consumer never reaches the
     seller's layer to gather evidence).
     """
+    return PayoffVector(*_flows(profile, x, y))
+
+
+def _flows(profile: str, x: float, y: float) -> tuple[float, float, float]:
+    """``token_flows`` as a plain tuple, for the payoffs built on it."""
     check_profile(profile)
     _validate_params(x, y)
     sl, cm, sp = profile
     if cm != "e":
-        return PayoffVector(0, -sum(consumer_offer(cm, x, y)), 0)
+        return 0, -sum(consumer_offer(cm, x, y)), 0
     flow_sl = PRICE if (sl == "a" or sp != "i") else 0
     flow_sp = FEE if sp == "i" else 0
-    return PayoffVector(flow_sl, -(flow_sl + flow_sp), flow_sp)
+    return flow_sl, -(flow_sl + flow_sp), flow_sp
 
 
 # Literal transcription of the published 64-cell profit table, kept separate
@@ -185,30 +188,35 @@ def verify_table(x: float, y: float) -> list[dict]:
 _PROFILES = all_profiles()
 
 
-def _deviation_groups(role: int) -> list[list[str]]:
-    """The profiles grouped by every letter but ``role``'s: within a group,
-    only that role's unilateral deviations separate them."""
-    groups: dict[str, list[str]] = {}
-    for p in _PROFILES:
-        groups.setdefault(p[:role] + p[role + 1 :], []).append(p)
-    return list(groups.values())
+def _deviation_groups(role: int) -> list[slice]:
+    """The profiles grouped by every letter but ``role``'s, each group a
+    slice of profile positions: within a group, only that role's unilateral
+    deviations separate them.  ``_PROFILES`` lists the last role's letter
+    innermost, so a group's positions lie one ``stride`` apart."""
+    size = len(ROLES[role])
+    stride = math.prod(len(letters) for letters in ROLES[role + 1 :])
+    return [
+        slice(first, first + size * stride, stride)
+        for first in range(len(_PROFILES))
+        if first // stride % size == 0  # the group's first letter of ``role``
+    ]
 
 
 _DEVIATION_GROUPS = [_deviation_groups(role) for role in range(len(ROLES))]
-# the move prefixes of each role's decision nodes, in profile order
-_PREFIXES = [sorted({p[:role] for p in _PROFILES}) for role in range(len(ROLES))]
 
 
 def nash_equilibria(payoff_fn: PayoffFn, x: float, y: float) -> set[str]:
     """Profiles where no player's unilateral deviation strictly improves him:
     each role's payoff is the best in that role's deviation group."""
-    table = {p: payoff_fn(p, x, y) for p in _PROFILES}
-    stable = set(_PROFILES)
+    table = [payoff_fn(p, x, y) for p in _PROFILES]
+    stable = [True] * len(table)
     for role, groups in enumerate(_DEVIATION_GROUPS):
+        column = [u[role] for u in table]
+        best = [None] * len(column)  # per position, its group's best payoff
         for group in groups:
-            best = max(table[p][role] for p in group)
-            stable.difference_update(p for p in group if table[p][role] < best)
-    return stable
+            best[group] = [max(column[group])] * len(ROLES[role])
+        stable = [s and u >= b for s, u, b in zip(stable, column, best)]
+    return {p for p, s in zip(_PROFILES, stable) if s}
 
 
 def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> str:
@@ -222,18 +230,23 @@ def backward_induction(payoff_fn: PayoffFn, x: float, y: float) -> str:
     ``ahi`` where x+y < 4: forfeiting less than honest play's net cost of 4
     beats paying, and the unfunded order ties seller and provider at 0.
     """
-    # the profile and payoffs that play after each move prefix reaches,
-    # folded from the last mover back to the first
-    reached = {p: (p, payoff_fn(p, x, y)) for p in _PROFILES}
+    # the profile and payoffs that play after each move prefix reaches, by
+    # the prefix's position, folded from the last mover back to the first:
+    # a decision node's children are consecutive, as the last letter is
+    # innermost in profile order
+    profiles = _PROFILES
+    payoffs = [payoff_fn(p, x, y) for p in profiles]
     for role in reversed(range(len(ROLES))):
-        reached = {
-            # max keeps the first of equal payoffs, i.e. the earlier-listed letter
-            prefix: max(
-                (reached[prefix + s] for s in ROLES[role]), key=lambda out: out[1][role]
-            )
-            for prefix in _PREFIXES[role]
-        }
-    return reached[""][0]
+        column = [u[role] for u in payoffs]
+        size = len(ROLES[role])
+        # index finds the first of equal payoffs, i.e. the earlier-listed letter
+        picks = [
+            column.index(max(column[at : at + size]), at)
+            for at in range(0, len(column), size)
+        ]
+        profiles = [profiles[i] for i in picks]
+        payoffs = [payoffs[i] for i in picks]
+    return profiles[0]
 
 
 def crosscheck_transcript(tr: RunTranscript) -> bool:

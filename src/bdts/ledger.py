@@ -30,6 +30,10 @@ class Block:
 
 
 GENESIS_PARENT = b"\x00" * 32
+# a block's events are sealed as json.dumps(events, sort_keys=True) gives
+# them; an empty block's encoding is the constant "[]"
+_EVENTS_JSON = json.JSONEncoder(sort_keys=True)
+_EMPTY_TX_DIGEST = hashlib.sha256(b"[]").digest()
 
 
 class Ledger:
@@ -87,9 +91,10 @@ class Ledger:
         """Seal a block over every event since the last one."""
         height = len(self.blocks)
         parent = self.blocks[-1].hash if self.blocks else GENESIS_PARENT
-        tx_digest = hashlib.sha256(
-            json.dumps(self._pending_events, sort_keys=True).encode()
-        ).digest()
+        tx_digest = (
+            hashlib.sha256(_EVENTS_JSON.encode(self._pending_events).encode()).digest()
+            if self._pending_events else _EMPTY_TX_DIGEST
+        )
         block_hash = hashlib.sha256(
             height.to_bytes(8, "big") + parent + tx_digest
         ).digest()

@@ -43,21 +43,18 @@ class OpCollector:
         finally:
             self._active = previous
 
-    def record(self, op: str) -> None:
-        if self._active is not None:
-            counters = self.phases.get(self._active)
-            if counters is None:  # the phase's first op
-                counters = self.phases[self._active] = OpCounters()
-            counters[op] += 1
+
+class _State(threading.local):
+    collector: OpCollector | None = None
 
 
-_state = threading.local()
+_state = _State()
 
 
 @contextmanager
 def collect():
     """Install a fresh collector; yields it for phase labeling and readout."""
-    previous = getattr(_state, "collector", None)
+    previous = _state.collector
     collector = _state.collector = OpCollector()
     try:
         yield collector
@@ -66,6 +63,11 @@ def collect():
 
 
 def record(op: str) -> None:
-    collector = getattr(_state, "collector", None)
-    if collector is not None:
-        collector.record(op)
+    """Count ``op`` in the active phase of this thread's collector, if any."""
+    collector = _state.collector
+    if collector is None or collector._active is None:
+        return
+    counters = collector.phases.get(collector._active)
+    if counters is None:  # the phase's first op
+        counters = collector.phases[collector._active] = OpCounters()
+    counters[op] += 1

@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from bdts import actors, bench, crypto, merkle
 from bdts.actors import (
@@ -35,6 +36,22 @@ def test_bad_profile_is_refused():
     for profile in ("zzz", "ae", "aeii", "eai"):
         with pytest.raises(InvalidInput):
             run(profile)
+
+
+@pytest.mark.parametrize("profile,parses", [("aei", 3), ("cei", 4)])
+def test_each_x25519_private_key_is_parsed_once(profile, parses, monkeypatch):
+    # the consumer's key pair, one ephemeral key per wrap, and the
+    # appellant's key once per appeal; each parse is a scalar multiplication
+    calls = []
+    parse = X25519PrivateKey.from_private_bytes
+
+    def counted(data):
+        calls.append(bytes(data))
+        return parse(data)
+
+    monkeypatch.setattr(X25519PrivateKey, "from_private_bytes", counted)
+    run(profile)
+    assert len(calls) == parses
 
 
 def test_all_profiles_enumerates_64():

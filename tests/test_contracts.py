@@ -121,6 +121,8 @@ def test_register_escrows_deposit():
     # the consumer 958.5 tokens
     {"price": 40.5}, {"unit_price": 0.25}, {"deposit": 20.5},
     {"n": 4.0}, {"size_bytes": "128"}, {"n": True}, {"price": False},
+    # a free listing: with no deposit the ledger, not the contract, refused it
+    {"price": 0}, {"price": 0, "unit_price": 0, "deposit": 0},
 ])
 def test_register_refuses_malformed_listing(bad):
     s = make_system()
@@ -973,3 +975,58 @@ def test_unknown_order_id():
     for call in (s.cpc_open, s.cpc_settle, lambda order: s.scmc_select(order, [])):
         with refused(s, NotFound):
             call("o9999")
+
+
+@pytest.mark.parametrize("pri_cm", [None, "k" * 32, b"short", bytes(31)])
+def test_appeal_refuses_a_malformed_private_key(pri_cm):
+    # None and a str raised TypeError from the key parse, 5 and 31 bytes
+    # ValueError
+    s = make_system()
+    _, shards, order, _, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
+                        mproof(shards.tree_plain, 0))
+    with refused_silently(s, order, InvalidInput):
+        s.cpc_appeal(order, SELLER_PAYEE, pri_cm, ev)
+    assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == DENIED
+
+
+@pytest.mark.parametrize("pub_cm", [None, "k" * 32, b"short", bytes(31), bytes(33)])
+def test_post_pubkey_refuses_a_malformed_key(pub_cm):
+    # unchecked, each was posted and every payee's pk_encrypt to it raised;
+    # after None the consumer's second post was no DoublePost
+    s = make_system()
+    _, shards, order, _, escrow = open_escrow(s)
+    with refused_silently(s, order, InvalidInput):
+        s.cpc_post_pubkey(CONSUMER, order, pub_cm)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    assert escrow.pub_cm == kp.public
+
+
+def test_no_payee_can_wrap_to_a_low_order_public_key():
+    # the contract takes any 32 bytes as the consumer's key; the all-zero
+    # point is one X25519 refuses, so every payee's wrap to it is refused
+    s = make_system()
+    _, shards, order, pkg, escrow = open_escrow(s)
+    s.cpc_post_pubkey(CONSUMER, order, bytes(32))
+    for key in (shards.master, pkg.key):
+        with pytest.raises(InvalidInput):
+            crypto.pk_encrypt(escrow.pub_cm, key)
+
+
+@pytest.mark.parametrize("wrapped_key", [None, "junk"])
+def test_post_key_refuses_a_key_that_is_not_bytes(wrapped_key):
+    # unchecked, None counted as never posted: a second None was accepted,
+    # and settle refunded the provider's tranche to the consumer
+    s = make_system()
+    _, shards, order, pkg, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    payee = provider_payee(PROVIDER)
+    for _ in range(2):
+        with refused_silently(s, order, InvalidInput):
+            s.cpc_post_key(PROVIDER, order, payee, wrapped_key)
+    provider_posts(s, order, kp, pkg.key)
+    assert settle_after_windows(s, order) == {"pay:seller": 40, f"pay:{payee}": 8}

@@ -94,7 +94,7 @@ def test_derive_keys_distinct():
 def test_pk_roundtrip():
     kp = crypto.pk_keygen(b"seed")
     ct = crypto.pk_encrypt(kp.public, KEY)
-    assert crypto.pk_decrypt(kp.private, ct) == KEY
+    assert crypto.pk_decrypt(kp.key, ct) == KEY
 
 
 def test_pk_keygen_deterministic():
@@ -104,14 +104,31 @@ def test_pk_keygen_deterministic():
 
 def test_public_key_of():
     kp = crypto.pk_keygen(b"seed")
-    assert crypto.public_key_of(kp.private) == kp.public
+    assert crypto.public_key_of(crypto.private_key(kp.private)) == kp.public
+    assert crypto.public_key_of(kp.key) == kp.public
+
+
+@pytest.mark.parametrize("private", [None, "k" * 32, b"short", bytes(31), bytes(33),
+                                     bytearray(32)])
+def test_private_key_refuses_anything_but_32_bytes(private):
+    # None and str raised TypeError from the parse, 5 and 31 bytes ValueError
+    with pytest.raises(InvalidInput):
+        crypto.private_key(private)
+
+
+# the all-zero key is a low-order point: X25519 with it gives the all-zero
+# shared secret, which the exchange refuses (RFC 7748 section 6.1)
+@pytest.mark.parametrize("public", [None, b"short", bytes(31), "k" * 32, bytes(32)])
+def test_pk_encrypt_refuses_an_unusable_public_key(public):
+    with pytest.raises(InvalidInput):
+        crypto.pk_encrypt(public, KEY)
 
 
 def test_pk_wrong_recipient():
     kp, other = crypto.pk_keygen(b"a"), crypto.pk_keygen(b"b")
     ct = crypto.pk_encrypt(kp.public, KEY)
     with pytest.raises(DecryptError):
-        crypto.pk_decrypt(other.private, ct)
+        crypto.pk_decrypt(other.key, ct)
 
 
 def test_pk_tamper():
@@ -119,7 +136,7 @@ def test_pk_tamper():
     ct = bytearray(crypto.pk_encrypt(kp.public, KEY))
     ct[40] ^= 0xFF
     with pytest.raises(DecryptError):
-        crypto.pk_decrypt(kp.private, bytes(ct))
+        crypto.pk_decrypt(kp.key, bytes(ct))
 
 
 def test_pk_message_size_limit():
@@ -133,10 +150,10 @@ def test_pk_message_size_limit():
 def test_pk_decrypt_refuses_anything_but_one_wrapped_key():
     kp = crypto.pk_keygen(b"a")
     # the forged layout is the real one: around a 32-byte key it unwraps
-    assert crypto.pk_decrypt(kp.private, forged_wrap(kp.public, KEY)) == KEY
+    assert crypto.pk_decrypt(kp.key, forged_wrap(kp.public, KEY)) == KEY
     for blob in (b"\x07" * 20, forged_wrap(kp.public, KEY[:16]), forged_wrap(kp.public, KEY * 2)):
         with pytest.raises(DecryptError):
-            crypto.pk_decrypt(kp.private, blob)
+            crypto.pk_decrypt(kp.key, blob)
 
 
 @given(st.binary(min_size=32, max_size=32), st.binary(max_size=256))
@@ -159,4 +176,4 @@ def test_sym_bitflip_rejected(key, msg, pos):
 @given(st.binary(min_size=1, max_size=32), st.binary(min_size=32, max_size=32))
 def test_pk_roundtrip_property(seed, key):
     kp = crypto.pk_keygen(seed)
-    assert crypto.pk_decrypt(kp.private, crypto.pk_encrypt(kp.public, key)) == key
+    assert crypto.pk_decrypt(kp.key, crypto.pk_encrypt(kp.public, key)) == key

@@ -1,4 +1,6 @@
 import collections
+import hashlib
+import json
 
 import pytest
 
@@ -34,6 +36,21 @@ def test_overdraw_rejected_and_logged():
     led.mine_block()
     rejected = [e for e in led.events if e.get("status") == "rejected"]
     assert len(rejected) == 1 and rejected[0]["amount"] == 5
+
+
+@pytest.mark.parametrize("moves", [0, 1, 3])
+def test_block_seals_the_json_of_its_events(moves):
+    led = Ledger({A: 10})
+    for _ in range(moves):
+        led.transfer(A, B, 1, memo="m")
+    led.log_event("note", text="\u00e9", n=moves)
+    block = led.mine_block()
+    sealed = [e for e in led.events if e["height"] == block.height]
+    assert len(sealed) == moves + 1
+    want = hashlib.sha256(json.dumps(sealed, sort_keys=True).encode()).digest()
+    assert block.tx_digest == want
+    empty = led.mine_block()
+    assert empty.tx_digest == hashlib.sha256(json.dumps([], sort_keys=True).encode()).digest()
 
 
 def test_zero_amount_rejected():
