@@ -23,8 +23,9 @@ benchmark runs it over throttled sockets.  Cheating variants:
 Each provider delivers one frame per shard: the eed shard, its proof in
 the provider's r_eed, and the seller's proof of the inner shard in r_ed,
 which the seller hands over with the shard.  The honest consumer holds only
-what a consumer holds: the on-chain record, order and escrow, its private
-key, the listing's r_d leaf digests and the delivered frames.  It files one
+what a consumer holds: the on-chain record and order (whose tranches hold
+each payee's shards, root and posted key), its private key, the listing's
+r_d leaf digests and the delivered frames.  It files one
 appeal per cheating payee, peeling the layers in the phase that posts their
 keys.  In the download phase it checks each provider's frames against that
 provider's on-chain root, refusing a missing or mismatched frame before any
@@ -60,12 +61,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import crypto, metrics
-from .contracts import (
-    AppealEvidence,
-    ContractSystem,
-    SELLER_PAYEE,
-    provider_payee,
-)
+from .contracts import APPEAL_WINDOW, AppealEvidence, ContractSystem, SELLER_PAYEE
 from .errors import DecryptError, InsufficientTokens, InvalidInput, ProofFailure
 from .ledger import Ledger, address_for
 from .merkle import MerkleProof, leaf_digests, mproof, mtree, mvrfy_digest
@@ -277,40 +273,41 @@ def run_trade(
             # each provider wraps the package the contract recorded for it (its
             # listed shards less those an earlier-listed provider serves) and
             # commits that root; a listed provider left with none serves nothing
+            serving = _provider_tranches(order)
             packages = {}
-            for p, (provider, indices) in enumerate(order.served.items()):
+            for p, (payee, tranche) in enumerate(serving.items()):
                 # each provider key is bound to the data set through r_ed
                 sp_seed = hashlib.sha256(b"sp" + bytes([p]) + seed_tag + record.r_ed).digest()
-                packages[provider] = provider_encrypt([wrapped[i] for i in indices], sp_seed)
+                packages[payee] = provider_encrypt([wrapped[i] for i in tranche.shards], sp_seed)
                 system.scmc_record_provider_root(
-                    provider, order_id, provider, packages[provider].root
+                    tranche.party, order_id, tranche.party, packages[payee].root
                 )
             del wrapped  # a cheating provider's garbage is sealed in its packages
-            escrow = system.cpc_open(order_id)
+            system.cpc_open(order_id)
             kp = crypto.pk_keygen(b"consumer" + str((profile, seed)).encode())
             system.cpc_post_pubkey(consumer, order_id, kp.public)
             wrong_sp_key = hashlib.sha256(b"not-the-sp-key" + seed_tag).digest()
-            for provider in packages:
-                sp_key_posted = packages[provider].key if sp in "ik" else wrong_sp_key
+            for payee in packages:
+                sp_key_posted = packages[payee].key if sp in "ik" else wrong_sp_key
                 system.cpc_post_key(
-                    provider, order_id, provider_payee(provider),
+                    serving[payee].party, order_id, payee,
                     crypto.pk_encrypt(kp.public, sp_key_posted),
                 )
             ledger.mine_block()
             served = [
                 {i: (pkg.eed_shards[j], mproof(pkg.tree_eed, j), r_ed_proofs[i])
-                 for j, i in enumerate(order.served[provider])}
-                for provider, pkg in packages.items()
+                 for j, i in enumerate(serving[payee].shards)}
+                for payee, pkg in packages.items()
             ]
             # the frames hold the only copy of the eed layer, so a transport
             # that drops each frame once it is sent frees the memory that
             # the consumer's next received frame takes
             del packages
-            received = dict(zip(order.served, deliver(served)))
+            received = dict(zip(serving, deliver(served)))
             # the consumer holds its own frames, so the seller's layer goes
             # and its buffers take the provider layer the consumer opens
             del shards, inner_served, served
-            opened, appeals = _open_provider_layer(order, escrow, kp.key, received)
+            opened, appeals = _open_provider_layer(order, kp.key, received)
             del received
 
         with col.phase("decrypt"):
@@ -319,18 +316,18 @@ def run_trade(
                 seller, order_id, SELLER_PAYEE, crypto.pk_encrypt(kp.public, sl_key_posted)
             )
             ledger.mine_block()
-            appeals += _open_seller_layer(record, escrow, kp.key, r_d_leaves, opened)
+            appeals += _open_seller_layer(record, order, kp.key, r_d_leaves, opened)
         tr.recovery = not appeals
 
         with col.phase("appeal"):
             for payee, evidence in appeals:
                 verdict = system.cpc_appeal(order_id, payee, kp.private, evidence)
                 tr.appeals.append({"payee": payee, "index": evidence.index, "verdict": verdict})
-        for _ in range(system.config.appeal_window + 1):
+        for _ in range(APPEAL_WINDOW + 1):
             ledger.mine_block()
         system.cpc_settle(order_id)
         ledger.mine_block()
-        tranches = system.escrows[order_id].tranches.items()
+        tranches = order.tranches.items()
         tr.verdicts = {payee: t.verdict for payee, t in tranches if t.verdict is not None}
     return _finalize(tr, ledger, col, addrs, endow)
 
@@ -342,41 +339,47 @@ def _garbage(sizes: list[int], *label) -> list[memoryview]:
     return [view[at : at + size] for at, size in zip(starts, sizes)]
 
 
-def _open_provider_layer(order, escrow, private, received):
+def _provider_tranches(order):
+    """The order's provider tranches (payee -> tranche), in selection order."""
+    return {payee: t for payee, t in order.tranches.items() if payee != SELLER_PAYEE}
+
+
+def _open_provider_layer(order, private, received):
     """The consumer's provider layer, in the download phase.
 
-    Checks each provider's delivered frames against its on-chain root, then
-    unwraps its posted key and opens its eed shards with it in package
-    order.  Returns the opened seller-layer shards (global index ->
-    (provider, shard, frame)) and one appeal against each provider with a
-    shard that will not open, whose package is dropped; an unusable key is
-    a first shard that will not open.  A missing or mismatched frame raises
-    ``ProofFailure`` before any appeal.
+    Checks each provider's delivered frames (``received``: payee -> global
+    index -> frame) against its on-chain root, then unwraps its posted key
+    and opens its eed shards with it in package order.  Returns the opened
+    seller-layer shards (global index -> (payee, shard, frame)) and one
+    appeal against each provider with a shard that will not open, whose
+    package is dropped; an unusable key is a first shard that will not
+    open.  A missing or mismatched frame raises ``ProofFailure`` before any
+    appeal.
     """
     opened, appeals = {}, []
-    for provider, indices in order.served.items():
-        frames, root = received.get(provider, {}), order.provider_roots[provider]
+    for payee, tranche in _provider_tranches(order).items():
+        frames, indices, root = received.get(payee, {}), tranche.shards, tranche.root
         # hashed in one call, on every core; the digests line up with
         # ``indices`` up to the first missing frame, where the scan stops
         digests = leaf_digests([frames[i][0] for i in indices if i in frames])
         for j, i in enumerate(indices):
             frame = frames.get(i)
             if frame is None or not mvrfy_digest(j, root, digests[j], frame[1], len(indices)):
-                raise ProofFailure(f"shard {i} does not match {provider}'s root")
+                raise ProofFailure(f"shard {i} does not match {payee}'s root")
         package = {}
         try:
-            key = crypto.pk_decrypt(private, escrow.tranches[provider_payee(provider)].wrapped_key)
+            key = crypto.pk_decrypt(private, tranche.wrapped_key)
             for i in indices:
-                package[i] = provider, crypto.sym_decrypt(key, frames[i][0]), frames[i]
+                package[i] = payee, crypto.sym_decrypt(key, frames[i][0]), frames[i]
         except DecryptError:
             i = indices[len(package)]  # the first shard that did not open
-            appeals.append((provider_payee(provider), AppealEvidence(i, *frames[i])))
+            appeals.append((payee, AppealEvidence(i, *frames[i])))
         else:
             opened.update(package)
     return opened, appeals
 
 
-def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
+def _open_seller_layer(record, order, private, r_d_leaves, opened):
     """The consumer's seller layer, in the decrypt phase.
 
     Unwraps the seller's posted key, then opens the shards of the providers
@@ -394,7 +397,7 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
     """
     n = record.n
     try:
-        master = crypto.pk_decrypt(private, escrow.tranches[SELLER_PAYEE].wrapped_key)
+        master = crypto.pk_decrypt(private, order.tranches[SELLER_PAYEE].wrapped_key)
         shard_keys = crypto.derive_keys(master, n)
     except DecryptError:
         shard_keys = None  # an unusable key opens no shard
@@ -404,8 +407,8 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
     # only where the scan reaches it
     digests = dict(zip(indices, leaf_digests([opened[i][1] for i in indices])))
     for i in indices:
-        provider, enc_i, frame = opened[i]
-        if provider in caught:
+        payee, enc_i, frame = opened[i]
+        if payee in caught:
             continue
         on_r_ed = mvrfy_digest(i, record.r_ed, digests[i], frame[2], n)
         try:
@@ -416,10 +419,10 @@ def _open_seller_layer(record, escrow, private, r_d_leaves, opened):
             if on_r_ed:
                 return appeals + [(SELLER_PAYEE, AppealEvidence(i, enc_i, frame[2], frame[2]))]
             # anything off r_ed was swapped in transit
-            appeals.append((provider_payee(provider), AppealEvidence(i, *frame)))
-            caught.add(provider)
+            appeals.append((payee, AppealEvidence(i, *frame)))
+            caught.add(payee)
         else:  # opened under K_i: evidence only against the seller now
-            opened[i] = provider, enc_i, frame[2]
+            opened[i] = payee, enc_i, frame[2]
     if shard_keys is None:  # no genuine shard was left to show it
         no_proof = MerkleProof(0, ())
         return appeals + [(SELLER_PAYEE, AppealEvidence(0, b"", no_proof, no_proof))]

@@ -2,19 +2,26 @@
 (SCMC), and escrowed payment with appeal arbitration (CPC).
 
 All state mutates through sequential method calls against one ledger, so a
-whole run is replayable.  A funded order's tokens go straight from the
-consumer into a ledger account of the order's own (``Order.account``) and
-stay there until settle, which reads and pays out of nothing but that
-account.  The escrow holds one ``Tranche`` per payee: its party, its
-amount, the key it posted, its appeal deadline and its verdict.  A call
-that one party must make (posting the consumer's public key, a payee's
-key, a provider's root) names its sender first, and any other sender is
-refused with ``WrongSender``.  Verdict logic for appeals:
+whole run is replayable.  Each listing and each order is in one status, and
+every call checks it first: a listing goes Registered -> Exposed -> Live,
+ends Rejected or Delisted, and only an exposed listing can be delisted; an
+order goes Funded -> Downloading (providers selected) -> Escrowed (keys,
+appeals) -> Closed.  An order is its own escrow.  Its tokens go straight
+from the consumer into a ledger account of the order's own
+(``Order.account``) and stay there until settle, which reads and pays out
+of nothing but that account.  Selection gives the order one ``Tranche``
+per payee, the seller's first: its party, its amount, the global shard
+indices it is paid for in package order, the root those shards are
+committed to, the key it posted, its appeal deadline and its verdict.  A
+call that one party must make (confirming a provider, delisting, posting
+the consumer's public key, a payee's key, a provider's root) names its
+sender first, and any other sender is refused with ``WrongSender``.
+Verdict logic for appeals:
 
 * the evidence index is a global shard index, and it must name a shard
   the payee is paid for (any of the data set's n shards for the seller, a
   shard the provider served); the contract derives the shard's position in
-  the provider's package and both trees' leaf counts itself;
+  the payee's package and both trees' leaf counts itself;
 * a posted key that ``crypto.pk_decrypt`` will not unwrap to one 32-byte
   key under the consumer's private key upholds the appeal;
 * otherwise the evidence ciphertext is tried against the key the payee posted;
@@ -30,6 +37,7 @@ refused with ``WrongSender``.  Verdict logic for appeals:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import crypto
@@ -46,7 +54,6 @@ from .errors import (
     LateAppeal,
     NoPubKey,
     NotFound,
-    NotSeller,
     PrivKeyMismatch,
     ProofFailure,
     UnconfirmedProvider,
@@ -62,15 +69,18 @@ REGISTERED = "Registered"
 EXPOSED = "Exposed"
 LIVE = "Live"
 REJECTED = "Rejected"
+DELISTED = "Delisted"
 
 FUNDED = "Funded"
 DOWNLOADING = "Downloading"
+ESCROWED = "Escrowed"
 CLOSED = "Closed"
 
 UPHELD = "Upheld"
 DENIED = "Denied"
 
 SELLER_PAYEE = "seller"
+APPEAL_WINDOW = 10  # blocks to post a key after escrow opens, and to appeal a posted key
 
 
 def provider_payee(addr: Address) -> str:
@@ -79,11 +89,6 @@ def provider_payee(addr: Address) -> str:
 
 def default_exposure_count(n: int) -> int:
     return max(1, math.ceil(math.log2(n))) if n > 1 else 1
-
-
-@dataclass
-class ContractConfig:
-    appeal_window: int = 10  # blocks
 
 
 @dataclass
@@ -111,7 +116,19 @@ class DataRecord:
     status: str = REGISTERED
     providers: dict[Address, SPRecord] = field(default_factory=dict)
     deposit_returned: bool = False
-    delisted: bool = False
+
+
+@dataclass
+class Tranche:
+    """One payee's share of an order; its key is ``None`` until posted."""
+
+    party: Address
+    amount: int
+    shards: Sequence[int]  # the global shard indices it is paid for, in package order
+    root: bytes | None  # the root of its package: r_ed, or the provider's r_eed once recorded
+    wrapped_key: bytes | None = None
+    appeal_deadline: int | None = None  # set when the key is posted
+    verdict: str | None = None
 
 
 @dataclass
@@ -122,26 +139,9 @@ class Order:
     tokens: int
     account: Address  # holds this order's tokens, and no other order's
     status: str = FUNDED
-    # provider -> the global shard indices it serves, in package order
-    served: dict[Address, list[int]] = field(default_factory=dict)
-    provider_roots: dict[Address, bytes] = field(default_factory=dict)
-
-
-@dataclass
-class Tranche:
-    """One payee's share of an escrow; its key is ``None`` until posted."""
-
-    party: Address
-    amount: int
-    wrapped_key: bytes | None = None
-    appeal_deadline: int | None = None  # set when the key is posted
-    verdict: str | None = None
-
-
-@dataclass
-class Escrow:
-    post_deadline: int
-    tranches: dict[str, Tranche]  # payee -> its share
+    # payee -> its share, the seller's first, then the providers in selection order
+    tranches: dict[str, Tranche] = field(default_factory=dict)
+    post_deadline: int | None = None  # set when the escrow opens
     pub_cm: bytes | None = None
 
 
@@ -165,20 +165,16 @@ class AppealEvidence:
 class ContractSystem:
     """SSMC + SCMC + CPC over one ledger."""
 
-    def __init__(self, ledger: Ledger, config: ContractConfig | None = None):
+    def __init__(self, ledger: Ledger):
         self.ledger = ledger
-        self.config = config or ContractConfig()
         self.ssmc_addr = address_for("contract:SSMC")
         self.records: dict[str, DataRecord] = {}
         self.orders: dict[str, Order] = {}
-        self.escrows: dict[str, Escrow] = {}
         self.exposed_piece_index: dict[bytes, str] = {}  # plaintext leaf digest -> data_id
         self.listed_roots: dict[bytes, str] = {}  # r_d -> data_id, while listed
         self.seen_pubkeys: set[bytes] = set()
         # order -> {"in": tokens}; kept only for the market benchmark, which reads it
         self.escrow_flows: dict[str, dict[str, int]] = {}
-        self._data_counter = 0
-        self._order_counter = 0
 
     # ---------------------------------------------------------------- SSMC
 
@@ -220,8 +216,7 @@ class ContractSystem:
             raise DuplicateRoot(f"root already listed as {self.listed_roots[r_d]}")
         if not self.ledger.transfer(seller, self.ssmc_addr, deposit, memo="deposit"):
             raise InsufficientDeposit("seller balance does not cover deposit")
-        self._data_counter += 1
-        data_id = f"d{self._data_counter:04d}"
+        data_id = f"d{len(self.records) + 1:04d}"
         # sealed in the block currently being built
         reg_block = self.ledger.height + 1
         self.records[data_id] = DataRecord(
@@ -299,8 +294,10 @@ class ContractSystem:
 
     def ssmc_confirm_provider(self, seller: Address, provider: Address, data_id: str) -> None:
         rec = self._record(data_id)
+        if rec.status not in (EXPOSED, LIVE):
+            raise BadState(f"{data_id} is {rec.status}, providers are confirmed after exposure")
         if seller != rec.seller:
-            raise NotSeller("only the listing seller can confirm providers")
+            raise WrongSender("only the listing seller can confirm providers")
         if provider not in rec.providers:
             raise UnknownData(f"provider {provider} not registered for {data_id}")
         rec.providers[provider].confirmed = True
@@ -308,18 +305,18 @@ class ContractSystem:
         self.ledger.log_event("confirm_provider", data_id=data_id, provider=provider)
 
     def ssmc_delist(self, seller: Address, data_id: str) -> None:
-        """Withdraw a listing and reclaim the deposit (unless forfeited)."""
+        """Withdraw an exposed listing and reclaim the deposit (unless
+        forfeited).  A Registered listing must expose first, so a seller
+        cannot re-register its root for other exposure indices."""
         rec = self._record(data_id)
+        if rec.status == REGISTERED:
+            raise BadState(f"{data_id} is {REGISTERED}; it must expose before it can delist")
         if seller != rec.seller:
-            raise NotSeller("only the listing seller can delist")
-        open_orders = [
-            o
-            for o in self.orders.values()
-            if o.data_id == data_id and o.status not in (CLOSED,)
-        ]
-        if open_orders:
+            raise WrongSender("only the listing seller can delist")
+        if any(o.data_id == data_id and o.status != CLOSED for o in self.orders.values()):
             raise BadState("cannot delist with open orders")
-        rec.delisted = True
+        if rec.status != REJECTED:  # a rejected listing keeps its forfeit
+            rec.status = DELISTED
         self._unlist_root(rec)
         self._return_deposit(rec)
         self.ledger.log_event("delist", data_id=data_id)
@@ -333,7 +330,7 @@ class ContractSystem:
     def match_products(self, keyword: str) -> list[dict]:
         out = []
         for rec in self.records.values():
-            if rec.status != LIVE or rec.delisted:
+            if rec.status != LIVE:
                 continue
             if keyword.lower() in rec.description.lower():
                 out.append(
@@ -353,7 +350,7 @@ class ContractSystem:
         if type(tokens) is not int:
             raise InvalidInput(f"an order pays whole tokens, got {tokens!r}")
         rec = self.records.get(data_id)
-        if rec is None or rec.status != LIVE or rec.delisted:
+        if rec is None or rec.status != LIVE:
             raise UnknownData(f"no live listing {data_id}")
         required = rec.price + rec.n * rec.unit_price
         if tokens < required:
@@ -363,11 +360,10 @@ class ContractSystem:
                 "order_discarded", data_id=data_id, tokens=tokens, required=required
             )
             raise InsufficientTokens(f"{tokens} < price+size*unit price = {required}")
-        order_id = f"o{self._order_counter + 1:04d}"
+        order_id = f"o{len(self.orders) + 1:04d}"
         account = address_for(f"contract:CPC:{order_id}")
         if not self.ledger.transfer(consumer, account, tokens, memo="escrow"):
             raise InsufficientTokens("consumer balance does not cover the order")
-        self._order_counter += 1
         self.orders[order_id] = Order(
             order_id=order_id, consumer=consumer, data_id=data_id, tokens=tokens,
             account=account,
@@ -379,9 +375,7 @@ class ContractSystem:
     def scmc_select(
         self, order_id: str, assignments: list[tuple[Address, list[int]]]
     ) -> None:
-        order = self._order(order_id)
-        if order.status != FUNDED:
-            raise BadState(f"order {order_id} is {order.status}, expected {FUNDED}")
+        order = self._order(order_id, FUNDED)
         rec = self._record(order.data_id)
         covered: dict[int, Address] = {}
         for provider, indices in assignments:
@@ -393,71 +387,64 @@ class ContractSystem:
         if set(covered) != set(range(rec.n)):
             missing = sorted(set(range(rec.n)) - set(covered))
             raise IncompleteCover(f"shards {missing} unassigned")
+        served: dict[Address, list[int]] = {}
         for i, provider in covered.items():
-            order.served.setdefault(provider, []).append(i)
+            served.setdefault(provider, []).append(i)
+        order.tranches[SELLER_PAYEE] = Tranche(rec.seller, rec.price, range(rec.n), rec.r_ed)
+        for provider, package in served.items():
+            order.tranches[provider_payee(provider)] = Tranche(
+                provider, len(package) * rec.unit_price, package, None
+            )
         order.status = DOWNLOADING
         self.ledger.log_event("order_selected", order_id=order_id)
 
     def scmc_record_provider_root(
         self, sender: Address, order_id: str, provider: Address, r_eed: bytes
     ) -> None:
-        order = self._order(order_id)
-        if provider not in order.served:
+        # an appeal against a provider is judged on this root: it is fixed
+        # once, before the escrow opens and any key can be posted
+        order = self._order(order_id, DOWNLOADING)
+        tranche = order.tranches.get(provider_payee(provider))
+        if tranche is None:
             raise UnconfirmedProvider(f"{provider} is not serving order {order_id}")
         if sender != provider:
             raise WrongSender(f"only {provider} can record its root")
-        # an appeal against a provider is judged on this root: it is fixed
-        # once, before any key can be posted
-        if order_id in self.escrows:
-            raise BadState(f"escrow for {order_id} is open; provider roots are fixed")
-        if provider in order.provider_roots:
+        if tranche.root is not None:
             raise DoublePost(f"{provider} already recorded its root for {order_id}")
-        order.provider_roots[provider] = r_eed
+        tranche.root = r_eed
         self.ledger.log_event("provider_root", order_id=order_id, provider=provider)
 
     # ----------------------------------------------------------------- CPC
 
-    def cpc_open(self, order_id: str) -> Escrow:
-        order = self._order(order_id)
-        if order.status != DOWNLOADING:
-            raise BadState(f"order {order_id} is {order.status}, expected {DOWNLOADING}")
-        if order_id in self.escrows:
-            raise BadState(f"escrow for {order_id} already open")
-        if set(order.provider_roots) != set(order.served):
+    def cpc_open(self, order_id: str) -> None:
+        order = self._order(order_id, DOWNLOADING)
+        if any(t.root is None for t in order.tranches.values()):
             # every r_eed is fixed before any key can be posted
             raise BadState(f"order {order_id} lacks a serving provider's root")
-        rec = self._record(order.data_id)
-        tranches = {SELLER_PAYEE: Tranche(rec.seller, rec.price)}
-        for provider, package in order.served.items():
-            tranches[provider_payee(provider)] = Tranche(provider, len(package) * rec.unit_price)
-        escrow = Escrow(
-            post_deadline=self.ledger.height + self.config.appeal_window, tranches=tranches,
-        )
-        self.escrows[order_id] = escrow
+        order.post_deadline = self.ledger.height + APPEAL_WINDOW
+        order.status = ESCROWED
         self.ledger.log_event("escrow_open", order_id=order_id)
-        return escrow
 
     def cpc_post_pubkey(self, sender: Address, order_id: str, pub_cm: bytes) -> None:
-        escrow = self._escrow(order_id)
-        if sender != self.orders[order_id].consumer:
+        order = self._order(order_id, ESCROWED)
+        if sender != order.consumer:
             raise WrongSender(f"only the consumer of {order_id} can post its public key")
-        if not isinstance(pub_cm, bytes) or len(pub_cm) != crypto.KEY_SIZE:
-            raise InvalidInput(f"a public key is {crypto.KEY_SIZE} bytes")
-        if escrow.pub_cm is not None:
+        crypto.check_public_key(pub_cm)
+        if order.pub_cm is not None:
             raise DoublePost("public key already posted for this order")
         if pub_cm in self.seen_pubkeys:
             raise DoublePost("consumer key pair must be fresh per order")
         self.seen_pubkeys.add(pub_cm)
-        escrow.pub_cm = pub_cm
+        order.pub_cm = pub_cm
         self.ledger.log_event("pubkey_posted", order_id=order_id)
 
     def cpc_post_key(
         self, sender: Address, order_id: str, payee: str, wrapped_key: bytes
     ) -> None:
-        escrow = self._escrow(order_id)
-        if escrow.pub_cm is None:
+        order = self._order(order_id, ESCROWED)
+        if order.pub_cm is None:
             raise NoPubKey("consumer public key not posted yet")
-        tranche = escrow.tranches.get(payee)
+        tranche = order.tranches.get(payee)
         if tranche is None:
             raise NotFound(f"no tranche for payee {payee}")
         if sender != tranche.party:
@@ -466,56 +453,52 @@ class ContractSystem:
             raise InvalidInput(f"a posted key is bytes, got {type(wrapped_key).__name__}")
         if tranche.wrapped_key is not None:
             raise DoublePost(f"{payee} already posted a key")
-        if self.ledger.height > escrow.post_deadline:
-            raise LateAppeal(f"posting window closed at height {escrow.post_deadline}")
+        if self.ledger.height > order.post_deadline:
+            raise LateAppeal(f"posting window closed at height {order.post_deadline}")
         tranche.wrapped_key = wrapped_key
-        tranche.appeal_deadline = self.ledger.height + self.config.appeal_window
+        tranche.appeal_deadline = self.ledger.height + APPEAL_WINDOW
         self.ledger.log_event("key_posted", order_id=order_id, payee=payee)
 
     def cpc_appeal(
         self, order_id: str, payee: str, pri_cm: bytes, evidence: AppealEvidence
     ) -> str:
-        escrow = self._escrow(order_id)
-        if escrow.pub_cm is None:
+        order = self._order(order_id, ESCROWED)
+        if order.pub_cm is None:
             raise NoPubKey("no consumer public key on record")
         # parsed once, for the check and the unwrap
         sk = crypto.private_key(pri_cm)
-        if crypto.public_key_of(sk) != escrow.pub_cm:
+        if crypto.public_key_of(sk) != order.pub_cm:
             raise PrivKeyMismatch("private key does not match the posted public key")
-        tranche = escrow.tranches.get(payee)
+        tranche = order.tranches.get(payee)
         if tranche is None or tranche.wrapped_key is None:
             raise BadState(f"{payee} has not posted a key; nothing to appeal")
         if tranche.verdict is not None:
             raise BadState(f"appeal against {payee} already decided")
         if self.ledger.height > tranche.appeal_deadline:
             raise LateAppeal("appeal window closed")
-        order = self._order(order_id)
         rec = self._record(order.data_id)
-        i = evidence.index
-        if payee == SELLER_PAYEE:
-            package, inner_root, own_root = range(rec.n), rec.r_d, rec.r_ed
-        else:
-            package, inner_root = order.served[tranche.party], rec.r_ed
-            own_root = order.provider_roots[tranche.party]
+        i, package = evidence.index, tranche.shards
         if i not in package:
             raise WrongIndices(f"shard {i} is not one that {payee} is paid for")
+        seller = payee == SELLER_PAYEE
         try:
             posted = crypto.pk_decrypt(sk, tranche.wrapped_key)
         except DecryptError:
             # the payee posted no key anyone could open the data with
             upheld = True
         else:
-            shard_key = crypto.derive_keys(posted, i + 1)[i] if payee == SELLER_PAYEE else posted
+            shard_key = crypto.derive_keys(posted, i + 1)[i] if seller else posted
             try:
                 payload = crypto.sym_decrypt(shard_key, evidence.ciphertext)
             except DecryptError:
                 # posted key cannot open the evidence: upheld only when the
                 # evidence is provably the genuine delivered ciphertext
                 upheld = mvrfy(
-                    package.index(i), own_root, evidence.ciphertext, evidence.auth_proof,
+                    package.index(i), tranche.root, evidence.ciphertext, evidence.auth_proof,
                     len(package),
                 )
             else:
+                inner_root = rec.r_d if seller else rec.r_ed
                 upheld = not mvrfy(i, inner_root, payload, evidence.inner_proof, rec.n)
         verdict = UPHELD if upheld else DENIED
         tranche.verdict = verdict
@@ -523,18 +506,15 @@ class ContractSystem:
         return verdict
 
     def cpc_settle(self, order_id: str) -> dict[str, int]:
-        order = self._order(order_id)
-        if order.status == CLOSED:
-            raise AlreadyClosed(f"order {order_id} already settled")
-        escrow = self._escrow(order_id)
+        order = self._order(order_id, ESCROWED)
         height = self.ledger.height
-        for payee, tranche in escrow.tranches.items():
+        for payee, tranche in order.tranches.items():
             if tranche.verdict is not None:
                 continue
             if tranche.wrapped_key is not None:
                 if height <= tranche.appeal_deadline:
                     raise BadState(f"appeal window for {payee} still open")
-            elif height <= escrow.post_deadline:
+            elif height <= order.post_deadline:
                 raise BadState(f"posting window for {payee} still open")
         transfers: dict[str, int] = {}
         disbursed = 0
@@ -542,7 +522,7 @@ class ContractSystem:
         held = self.ledger.balance(order.account)
         if held < order.tokens:
             raise BadState(f"escrow for {order_id} holds {held} of its {order.tokens} tokens")
-        for payee, tranche in escrow.tranches.items():
+        for payee, tranche in order.tranches.items():
             if tranche.wrapped_key is None or tranche.verdict == UPHELD:
                 dst, memo = order.consumer, f"refund:{payee}"
             else:
@@ -570,15 +550,12 @@ class ContractSystem:
             raise UnknownData(f"unknown data id {data_id}")
         return rec
 
-    def _order(self, order_id: str) -> Order:
+    def _order(self, order_id: str, status: str) -> Order:
+        """The order, if it is in ``status``; a closed one raises ``AlreadyClosed``."""
         order = self.orders.get(order_id)
         if order is None:
             raise NotFound(f"unknown order id {order_id}")
+        if order.status != status:
+            error = AlreadyClosed if order.status == CLOSED else BadState
+            raise error(f"order {order_id} is {order.status}, expected {status}")
         return order
-
-    def _escrow(self, order_id: str) -> Escrow:
-        self._order(order_id)
-        escrow = self.escrows.get(order_id)
-        if escrow is None:
-            raise BadState(f"escrow for {order_id} not open")
-        return escrow

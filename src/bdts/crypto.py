@@ -139,6 +139,22 @@ def public_key_of(private: X25519PrivateKey) -> bytes:
     return private.public_key().public_bytes_raw()
 
 
+_PROBE = X25519PrivateKey.from_private_bytes(_sha256(b"probe"))
+
+
+def check_public_key(public: bytes) -> None:
+    """Raise :class:`InvalidInput` unless ``public`` is 32 bytes that X25519
+    accepts as a recipient: one trial exchange against a fixed key refuses a
+    low-order point (RFC 7748 section 6.1; the all-zero key is one), whose
+    every ``pk_encrypt`` would raise.  Records no op."""
+    if not isinstance(public, bytes) or len(public) != KEY_SIZE:
+        raise InvalidInput(f"an X25519 public key is {KEY_SIZE} bytes")
+    try:
+        _PROBE.exchange(X25519PublicKey.from_public_bytes(public))
+    except ValueError as exc:
+        raise InvalidInput("X25519 refuses a low-order public key") from exc
+
+
 def pk_encrypt(public: bytes, key: bytes) -> bytes:
     """ECIES-style wrap of one 32-byte key: ephemeral pub || nonce || AES-GCM body.
 

@@ -45,10 +45,6 @@ class UnknownData(ContractError):
     pass
 
 
-class NotSeller(ContractError):
-    pass
-
-
 class WrongSender(ContractError):
     """A contract method was called by someone other than the party it is for."""
 

@@ -15,12 +15,11 @@ import time
 
 import pytest
 
-from bdts import bench, crypto, game, metrics
+from bdts import bench, contracts, crypto, game, metrics
 from bdts.actors import all_profiles, run_scenario
 from bdts.contracts import (
     CLOSED,
     AppealEvidence,
-    ContractConfig,
     ContractSystem,
     SELLER_PAYEE,
     provider_payee,
@@ -152,7 +151,7 @@ def test_criterion_5_merkle_proofs_1000():
 # -- 6. escrow conservation fuzz -------------------------------------------
 
 
-def _fuzz_sequence(rng: random.Random) -> None:
+def _fuzz_sequence(rng: random.Random, monkeypatch) -> None:
     seller = address_for("f:seller")
     consumer = address_for("f:consumer")
     provider = address_for("f:provider")
@@ -160,7 +159,8 @@ def _fuzz_sequence(rng: random.Random) -> None:
     supply = sum(balances.values())
     ledger = Ledger(balances)
     rng.random()  # unused; the draw keeps each seed's sequence of ops
-    system = ContractSystem(ledger, ContractConfig(appeal_window=rng.choice([1, 2, 5])))
+    monkeypatch.setattr(contracts, "APPEAL_WINDOW", rng.choice([1, 2, 5]))
+    system = ContractSystem(ledger)
     listings: list = []  # (data_id, shards, master)
     orders: list = []  # (order_id, keypair or None)
 
@@ -262,12 +262,12 @@ def _fuzz_sequence(rng: random.Random) -> None:
     assert ledger.total_supply() == supply
 
 
-def test_criterion_6_escrow_conservation_fuzz():
+def test_criterion_6_escrow_conservation_fuzz(monkeypatch):
     for seq in range(500):
-        _fuzz_sequence(random.Random(60_000 + seq))
+        _fuzz_sequence(random.Random(60_000 + seq), monkeypatch)
 
 
-def _opened_escrow_sequence(rng: random.Random) -> bool:
+def _opened_escrow_sequence(rng: random.Random, monkeypatch) -> bool:
     """Random key posts, appeals, settles and blocks against one opened
     escrow; returns whether the order settled.
 
@@ -278,7 +278,8 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
     seller, consumer, provider = (address_for(f"e:{r}") for r in ("sl", "cm", "sp"))
     ledger = Ledger({seller: 300, consumer: 300, provider: 300})
     supply = ledger.total_supply()
-    system = ContractSystem(ledger, ContractConfig(appeal_window=rng.choice([1, 2, 5])))
+    monkeypatch.setattr(contracts, "APPEAL_WINDOW", rng.choice([1, 2, 5]))
+    system = ContractSystem(ledger)
     shards = shard_encrypt(rng.randbytes(32), rng.randbytes(48), slot=16)
     data_id = system.ssmc_register_seller(
         seller, "ep", "fuzz lot", 48, shards.n, shards.root_plain, shards.root_enc,
@@ -298,7 +299,7 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
     system.scmc_select(order_id, [(provider, [0, 1, 2])])
     pkg = provider_encrypt(list(shards.enc_shards), rng.randbytes(8))
     system.scmc_record_provider_root(provider, order_id, provider, pkg.root)
-    escrow = system.cpc_open(order_id)
+    system.cpc_open(order_id)
     kp = crypto.pk_keygen(rng.randbytes(16))
     system.cpc_post_pubkey(consumer, order_id, kp.public)
     # payee -> (its genuine key, the ciphertexts it is paid for, their tree)
@@ -311,7 +312,7 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
         payee = rng.choice(list(layers))
         key = rng.choice([layers[payee][0], rng.randbytes(32)])
         wrapped = crypto.pk_encrypt(kp.public, key)
-        system.cpc_post_key(escrow.tranches[payee].party, order_id, payee, wrapped)
+        system.cpc_post_key(order.tranches[payee].party, order_id, payee, wrapped)
 
     def op_appeal():
         payee = rng.choice(list(layers))
@@ -341,8 +342,10 @@ def _opened_escrow_sequence(rng: random.Random) -> bool:
     return order.status == CLOSED
 
 
-def test_escrow_conservation_from_an_opened_escrow():
-    settled = sum(_opened_escrow_sequence(random.Random(61_000 + seq)) for seq in range(500))
+def test_escrow_conservation_from_an_opened_escrow(monkeypatch):
+    settled = sum(
+        _opened_escrow_sequence(random.Random(61_000 + seq), monkeypatch) for seq in range(500)
+    )
     assert settled >= 100, settled
 
 

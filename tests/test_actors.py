@@ -284,7 +284,7 @@ def test_unusable_posted_key_is_appealed(cheater, forge, deliver, monkeypatch):
 
     def post_unusable(self, sender, order_id, to, wrapped_key):
         if to in payees:
-            wrapped_key = forge(self.escrows[order_id].pub_cm)
+            wrapped_key = forge(self.orders[order_id].pub_cm)
         post(self, sender, order_id, to, wrapped_key)
 
     monkeypatch.setattr(ContractSystem, "cpc_post_key", post_unusable)

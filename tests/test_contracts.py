@@ -11,12 +11,16 @@ import pytest
 from bdts import contracts, crypto
 from bdts.contracts import (
     CLOSED,
+    DELISTED,
+    DOWNLOADING,
+    ESCROWED,
+    FUNDED,
     AppealEvidence,
-    ContractConfig,
     ContractSystem,
     DENIED,
     EXPOSED,
     LIVE,
+    REGISTERED,
     REJECTED,
     SELLER_PAYEE,
     UPHELD,
@@ -34,7 +38,6 @@ from bdts.errors import (
     LateAppeal,
     NoPubKey,
     NotFound,
-    NotSeller,
     PrivKeyMismatch,
     ProofFailure,
     UnconfirmedProvider,
@@ -53,9 +56,8 @@ PROVIDER = address_for("t:provider")
 SECRET = hashlib.sha256(b"m").digest()
 
 
-def make_system(**cfg):
-    ledger = Ledger({SELLER: 1000, CONSUMER: 1000, PROVIDER: 1000})
-    return ContractSystem(ledger, ContractConfig(**cfg))
+def make_system():
+    return ContractSystem(Ledger({SELLER: 1000, CONSUMER: 1000, PROVIDER: 1000}))
 
 
 def register(system, data=b"0123456789abcdef" * 8, n=4, price=40, unit_price=2,
@@ -203,6 +205,7 @@ def test_expose_bad_proof_forfeits_deposit():
     assert s.ledger.balance(SELLER) == 1000 - 20
     s.ssmc_delist(SELLER, data_id)
     assert s.ledger.balance(SELLER) == 1000 - 20  # forfeited, not returned
+    assert s.records[data_id].status == REJECTED
 
 
 def test_plagiarism_detected_on_overlapping_pieces(monkeypatch):
@@ -232,7 +235,7 @@ def test_confirm_requires_seller():
     data_id, shards = register(s)
     expose(s, data_id, shards)
     s.ssmc_register_provider(PROVIDER, "ep", data_id)
-    with pytest.raises(NotSeller):
+    with pytest.raises(WrongSender):
         s.ssmc_confirm_provider(CONSUMER, PROVIDER, data_id)
     s.ssmc_confirm_provider(SELLER, PROVIDER, data_id)
     assert s.records[data_id].status == LIVE
@@ -328,7 +331,7 @@ def test_duplicate_indices_served_by_first_listed():
     data_id, _ = go_live(s)
     order = s.scmc_place_order(CONSUMER, data_id, 48)
     s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3, 3, 2])])
-    assert s.orders[order].served == {PROVIDER: [0, 1, 2, 3]}
+    assert s.orders[order].tranches[provider_payee(PROVIDER)].shards == [0, 1, 2, 3]
 
 
 # -- CPC --------------------------------------------------------------------
@@ -341,8 +344,8 @@ def open_escrow(s, excess=0, **listing):
     s.scmc_select(order, [(PROVIDER, list(range(rec.n)))])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
     s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
-    escrow = s.cpc_open(order)
-    return data_id, shards, order, pkg, escrow
+    s.cpc_open(order)
+    return data_id, shards, order, pkg
 
 
 def test_open_requires_every_serving_providers_root():
@@ -353,27 +356,32 @@ def test_open_requires_every_serving_providers_root():
     s.scmc_select(order, [(PROVIDER, list(range(rec.n)))])
     with refused(s, BadState):
         s.cpc_open(order)  # PROVIDER never recorded its r_eed
-    assert order not in s.escrows
+    assert s.orders[order].status == DOWNLOADING
 
 
 def test_escrow_tranches():
+    # one record per payee, the seller's first: party, amount, the shards it
+    # is paid for and the root they are committed to
     s = make_system()
-    *_, escrow = open_escrow(s)
-    assert {payee: (t.party, t.amount) for payee, t in escrow.tranches.items()} == {
-        SELLER_PAYEE: (SELLER, 40), provider_payee(PROVIDER): (PROVIDER, 8),
+    _, shards, order, pkg = open_escrow(s)
+    tranches = s.orders[order].tranches
+    assert {payee: (t.party, t.amount, t.shards, t.root) for payee, t in tranches.items()} == {
+        SELLER_PAYEE: (SELLER, 40, range(4), shards.root_enc),
+        provider_payee(PROVIDER): (PROVIDER, 8, [0, 1, 2, 3], pkg.root),
     }
+    assert list(tranches) == [SELLER_PAYEE, provider_payee(PROVIDER)]
 
 
 def test_post_key_requires_pubkey():
     s = make_system()
-    _, _, order, pkg, _ = open_escrow(s)
+    _, _, order, pkg = open_escrow(s)
     with pytest.raises(NoPubKey):
         s.cpc_post_key(SELLER, order, SELLER_PAYEE, b"x" * 64)
 
 
 def test_pubkey_reuse_rejected():
     s = make_system()
-    _, _, order, _, _ = open_escrow(s)
+    _, _, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
     with pytest.raises(DoublePost):
@@ -382,7 +390,7 @@ def test_pubkey_reuse_rejected():
 
 def test_double_key_post_rejected():
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
     blob = crypto.pk_encrypt(kp.public, shards.master)
@@ -391,9 +399,10 @@ def test_double_key_post_rejected():
         s.cpc_post_key(SELLER, order, SELLER_PAYEE, blob)
 
 
-def test_post_after_window_rejected():
-    s = make_system(appeal_window=2)
-    _, shards, order, pkg, _ = open_escrow(s)
+def test_post_after_window_rejected(monkeypatch):
+    monkeypatch.setattr(contracts, "APPEAL_WINDOW", 2)
+    s = make_system()
+    _, shards, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
     for _ in range(3):
@@ -413,7 +422,7 @@ def provider_posts(s, order, kp, key, provider=PROVIDER):
 
 def test_appeal_needs_matching_private_key():
     s = make_system()
-    _, shards, order, _, _ = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
@@ -424,7 +433,7 @@ def test_appeal_needs_matching_private_key():
 
 def test_appeal_upheld_on_wrong_seller_key():
     s = make_system()
-    _, shards, order, _, _ = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     wrong = hashlib.sha256(b"wrong").digest()
     seller_posts(s, order, kp, wrong)
@@ -436,7 +445,7 @@ def test_appeal_upheld_on_wrong_seller_key():
 
 def test_fabricated_evidence_denied():
     s = make_system()
-    _, shards, order, _, _ = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)  # honest key
     # random bytes: neither decryptable under the posted key nor committed
@@ -448,7 +457,7 @@ def test_fabricated_evidence_denied():
 @pytest.mark.parametrize("index", range(4))
 def test_genuine_evidence_against_an_honest_seller_denied(index):
     s = make_system()
-    _, shards, order, _, _ = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)  # the key the shards are sealed under
     # enc shard i with its r_ed proof opens under K_i onto its r_d proof
@@ -459,7 +468,7 @@ def test_genuine_evidence_against_an_honest_seller_denied(index):
 
 def test_appeal_past_the_last_shard_rejected():
     s = make_system()
-    _, shards, order, _, escrow = open_escrow(s, data=b"0123456789abcdef" * 6, n=3)
+    _, shards, order, _ = open_escrow(s, data=b"0123456789abcdef" * 6, n=3)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)  # honest key
     # index 3 of a 3-leaf tree pairs with the duplicated last digest; K_3
@@ -470,13 +479,13 @@ def test_appeal_past_the_last_shard_rejected():
     ev = AppealEvidence(3, shards.enc_shards[2], proof, proof)
     with pytest.raises(WrongIndices):
         s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev)
-    assert not any(t.verdict for t in escrow.tranches.values())
+    assert not any(t.verdict for t in s.orders[order].tranches.values())
 
 
 @pytest.mark.parametrize("index", (4, -1))
 def test_appeal_outside_the_served_shards_rejected(index):
     s = make_system()
-    _, shards, order, pkg, escrow = open_escrow(s)
+    _, shards, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     payee = provider_payee(PROVIDER)
@@ -485,7 +494,7 @@ def test_appeal_outside_the_served_shards_rejected(index):
                         mproof(shards.tree_enc, 0))
     with pytest.raises(WrongIndices):
         s.cpc_appeal(order, payee, kp.private, ev)
-    assert not any(t.verdict for t in escrow.tranches.values())
+    assert not any(t.verdict for t in s.orders[order].tranches.values())
 
 
 PROVIDER2 = address_for("t:provider2")
@@ -537,7 +546,7 @@ def test_appeal_at_a_shard_another_provider_served_rejected():
     ev = second_provider_evidence(shards, pkg2, 0)  # shard 0 is PROVIDER's
     with pytest.raises(WrongIndices):
         s.cpc_appeal(order, provider_payee(PROVIDER2), kp.private, ev)
-    assert not any(t.verdict for t in s.escrows[order].tranches.values())
+    assert not any(t.verdict for t in s.orders[order].tranches.values())
 
 
 def test_second_provider_wrong_key_appeal_upheld():
@@ -563,20 +572,20 @@ def test_second_provider_wrong_key_appeal_upheld():
 )
 def test_unusable_posted_key_upholds_appeal(payee, wrap):
     s = make_system()
-    _, _, order, pkg, escrow = open_escrow(s)
+    _, _, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
-    s.cpc_post_key(escrow.tranches[payee].party, order, payee, wrap(kp, pkg))
+    s.cpc_post_key(s.orders[order].tranches[payee].party, order, payee, wrap(kp, pkg))
     # no posted key opens anything, so the evidence cannot matter
     ev = AppealEvidence(0, b"\x99" * 64, mproof(pkg.tree_eed, 0), mproof(pkg.tree_eed, 0))
     assert s.cpc_appeal(order, payee, kp.private, ev) == UPHELD
     transfers = settle_after_windows(s, order)
-    assert transfers[f"refund:{payee}"] == escrow.tranches[payee].amount
+    assert transfers[f"refund:{payee}"] == s.orders[order].tranches[payee].amount
 
 
 def test_second_appeal_rejected():
     s = make_system()
-    _, shards, order, _, _ = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     ev = AppealEvidence(0, b"\x99" * 64, mproof(shards.tree_enc, 0),
@@ -586,9 +595,10 @@ def test_second_appeal_rejected():
         s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev)
 
 
-def test_appeal_after_window_rejected():
-    s = make_system(appeal_window=1)
-    _, shards, order, _, _ = open_escrow(s)
+def test_appeal_after_window_rejected(monkeypatch):
+    monkeypatch.setattr(contracts, "APPEAL_WINDOW", 1)
+    s = make_system()
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     s.ledger.mine_block()
@@ -600,14 +610,14 @@ def test_appeal_after_window_rejected():
 
 
 def settle_after_windows(s, order):
-    for _ in range(s.config.appeal_window + 1):
+    for _ in range(contracts.APPEAL_WINDOW + 1):
         s.ledger.mine_block()
     return s.cpc_settle(order)
 
 
 def test_settle_blocked_while_window_open():
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     provider_posts(s, order, kp, pkg.key)
@@ -617,7 +627,7 @@ def test_settle_blocked_while_window_open():
 
 def test_settle_pays_posted_payees_and_returns_deposit():
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     provider_posts(s, order, kp, pkg.key)
@@ -630,7 +640,7 @@ def test_settle_pays_posted_payees_and_returns_deposit():
 
 def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s, excess=5)
+    _, shards, order, pkg = open_escrow(s, excess=5)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     provider_posts(s, order, kp, pkg.key)
@@ -648,7 +658,7 @@ def test_settle_refuses_to_close_an_escrow_that_kept_tokens(monkeypatch):
 
 def test_refused_settle_moves_no_token_on_retry(monkeypatch):
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s, excess=5)
+    _, shards, order, pkg = open_escrow(s, excess=5)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     provider_posts(s, order, kp, pkg.key)
@@ -672,8 +682,8 @@ def test_refused_settle_moves_no_token_on_retry(monkeypatch):
 
 def test_refused_settle_never_spends_another_orders_escrow(monkeypatch):
     s = make_system()
-    _, shards_a, a, pkg_a, _ = open_escrow(s, excess=5)
-    _, shards_b, b, pkg_b, _ = open_escrow(s, data=b"fedcba9876543210" * 8)
+    _, shards_a, a, pkg_a = open_escrow(s, excess=5)
+    _, shards_b, b, pkg_b = open_escrow(s, data=b"fedcba9876543210" * 8)
     account_a, account_b = s.orders[a].account, s.orders[b].account
     for order, shards, pkg in ((a, shards_a, pkg_a), (b, shards_b, pkg_b)):
         kp = crypto.pk_keygen(b"cm" + order.encode())
@@ -702,13 +712,13 @@ def test_refused_settle_never_spends_another_orders_escrow(monkeypatch):
     assert attempts == []
     assert s.cpc_settle(b) == {"pay:seller": 40, f"pay:{provider_payee(PROVIDER)}": 8}
     assert account_a not in {src for src, *_ in attempts}
-    assert (s.orders[a].status, s.orders[b].status) == (contracts.DOWNLOADING, CLOSED)
+    assert (s.orders[a].status, s.orders[b].status) == (ESCROWED, CLOSED)
     assert held() == (5, 0)
 
 
 def test_settle_refunds_never_posted_payee():
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)  # provider never posts
     settle_after_windows(s, order)
@@ -718,7 +728,7 @@ def test_settle_refunds_never_posted_payee():
 
 def test_settle_refunds_upheld_tranche():
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, hashlib.sha256(b"wrong").digest())
     provider_posts(s, order, kp, pkg.key)
@@ -733,7 +743,7 @@ def test_settle_refunds_upheld_tranche():
 
 def test_settle_names_the_payee_whose_posting_window_is_open():
     s = make_system()
-    _, shards, order, _, _ = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, hashlib.sha256(b"wrong").digest())
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
@@ -742,17 +752,6 @@ def test_settle_names_the_payee_whose_posting_window_is_open():
     # the seller's tranche is decided; the provider has not posted yet
     payee = provider_payee(PROVIDER)
     with pytest.raises(BadState, match=f"posting window for {re.escape(payee)} still open"):
-        s.cpc_settle(order)
-
-
-def test_settle_twice_rejected():
-    s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s)
-    kp = crypto.pk_keygen(b"cm")
-    seller_posts(s, order, kp, shards.master)
-    provider_posts(s, order, kp, pkg.key)
-    settle_after_windows(s, order)
-    with pytest.raises(AlreadyClosed):
         s.cpc_settle(order)
 
 
@@ -773,6 +772,41 @@ def test_delist_returns_deposit_once():
     assert s.ledger.balance(SELLER) == 1000
 
 
+def test_a_registered_listing_cannot_delist_to_reroll_its_exposure():
+    # a seller read its exposure indices, delisted with its deposit back and
+    # registered the same root again for new ones, at no cost: [0, 2], then
+    # [1, 2], [0, 1] and [2, 3], with its balance back at 1000
+    s = make_system()
+    data_id, _ = register(s)
+    indices = s.expected_exposure_indices(data_id)
+    with refused(s, BadState):
+        s.ssmc_delist(SELLER, data_id)
+    assert s.records[data_id].status == REGISTERED
+    with refused(s, DuplicateRoot):
+        register(s)  # the root stays listed
+    assert s.expected_exposure_indices(data_id) == indices
+    assert s.ledger.balance(SELLER) == 1000 - 20
+
+
+def test_a_delisted_listing_takes_no_provider():
+    # a delisted listing took a new provider's registration, and the seller's
+    # confirmation of it set the listing Live again
+    s = make_system()
+    data_id, _ = go_live(s)
+    late, stranger = address_for("t:late"), address_for("t:stranger")
+    s.ssmc_register_provider(late, "ep", data_id)
+    s.ssmc_delist(SELLER, data_id)
+    events = len(s.ledger.events)
+    with refused(s, BadState):
+        s.ssmc_register_provider(stranger, "ep", data_id)
+    with refused(s, BadState):
+        s.ssmc_confirm_provider(SELLER, late, data_id)
+    rec = s.records[data_id]
+    assert rec.status == DELISTED and stranger not in rec.providers
+    assert not rec.providers[late].confirmed and len(s.ledger.events) == events
+    assert s.match_products("telemetry") == []
+
+
 # -- guards -----------------------------------------------------------------
 
 
@@ -788,14 +822,14 @@ def refused(s, error):
 @contextmanager
 def refused_silently(s, order, error):
     """The block raises ``error``, moves no token, changes no state of
-    ``order`` or its escrow, and logs no event."""
+    ``order`` (its tranches included), and logs no event."""
     s.ledger.mine_block()  # the next block then holds only what the block logs
-    state = copy.deepcopy((s.orders[order], s.escrows.get(order), s.seen_pubkeys))
+    state = copy.deepcopy((s.orders[order], s.seen_pubkeys))
     events = len(s.ledger.events)
     with refused(s, error):
         yield
     s.ledger.mine_block()
-    assert (s.orders[order], s.escrows.get(order), s.seen_pubkeys) == state
+    assert (s.orders[order], s.seen_pubkeys) == state
     assert len(s.ledger.events) == events
 
 
@@ -811,9 +845,9 @@ def test_confirm_requires_a_registered_provider():
 def test_delist_requires_seller():
     s = make_system()
     data_id, _ = go_live(s)
-    with refused(s, NotSeller):
+    with refused(s, WrongSender):
         s.ssmc_delist(CONSUMER, data_id)
-    assert not s.records[data_id].delisted
+    assert s.records[data_id].status == LIVE
 
 
 def test_match_products_lists_only_live_listings():
@@ -824,29 +858,60 @@ def test_match_products_lists_only_live_listings():
     assert s.match_products("telemetry") == []  # Exposed
 
 
-def test_select_requires_a_funded_order():
-    s = make_system()
-    data_id, _ = go_live(s)
-    order = s.scmc_place_order(CONSUMER, data_id, 48)
-    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
-    with refused(s, BadState):
-        s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
-    assert s.orders[order].served == {PROVIDER: [0, 1, 2, 3]}
+# each order-scoped call and the one status it is made in
+ORDER_CALLS = {
+    "scmc_select": FUNDED,
+    "scmc_record_provider_root": DOWNLOADING,
+    "cpc_open": DOWNLOADING,
+    "cpc_post_pubkey": ESCROWED,
+    "cpc_post_key": ESCROWED,
+    "cpc_appeal": ESCROWED,
+    "cpc_settle": ESCROWED,
+}
 
 
-def test_open_requires_selection_and_opens_once():
+def order_in(status):
+    """A system with one honest order walked to ``status``, and each call
+    of ``ORDER_CALLS`` against it."""
     s = make_system()
     data_id, shards = go_live(s)
     order = s.scmc_place_order(CONSUMER, data_id, 48)
-    with refused(s, BadState):
-        s.cpc_open(order)  # the order is Funded, not yet Downloading
-    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
-    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
-    escrow = s.cpc_open(order)
-    with refused(s, BadState):
-        s.cpc_open(order)
-    assert s.escrows[order] is escrow
+    kp = crypto.pk_keygen(b"cm")
+    ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
+                        mproof(shards.tree_plain, 0))
+    calls = {
+        "scmc_select": lambda: s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])]),
+        "scmc_record_provider_root":
+            lambda: s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root),
+        "cpc_open": lambda: s.cpc_open(order),
+        "cpc_post_pubkey": lambda: s.cpc_post_pubkey(CONSUMER, order, kp.public),
+        "cpc_post_key": lambda: s.cpc_post_key(
+            SELLER, order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, shards.master)),
+        "cpc_appeal": lambda: s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev),
+        "cpc_settle": lambda: s.cpc_settle(order),
+    }
+    if status != FUNDED:
+        calls["scmc_select"]()
+    if status in (ESCROWED, CLOSED):
+        calls["scmc_record_provider_root"]()
+        calls["cpc_open"]()
+    if status == CLOSED:
+        seller_posts(s, order, kp, shards.master)
+        provider_posts(s, order, kp, pkg.key)
+        settle_after_windows(s, order)
+    assert s.orders[order].status == status
+    return s, order, calls
+
+
+@pytest.mark.parametrize("call,status", [
+    (call, status) for call, made_in in ORDER_CALLS.items()
+    for status in (FUNDED, DOWNLOADING, ESCROWED, CLOSED) if status != made_in
+])
+def test_order_call_outside_its_status_is_refused(call, status):
+    s, order, calls = order_in(status)
+    with refused_silently(s, order, AlreadyClosed if status == CLOSED else BadState):
+        calls[call]()
 
 
 def test_provider_root_is_recorded_once():
@@ -858,7 +923,7 @@ def test_provider_root_is_recorded_once():
     s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
     with refused_silently(s, order, DoublePost):
         s.scmc_record_provider_root(PROVIDER, order, PROVIDER, bytes(32))
-    assert s.orders[order].provider_roots == {PROVIDER: pkg.root}
+    assert s.orders[order].tranches[provider_payee(PROVIDER)].root == pkg.root
 
 
 def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
@@ -866,7 +931,7 @@ def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
     # provider's, after both keys are posted, and appeals with one of them:
     # the posted key cannot open the blob, so only the root judges it
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     payee = provider_payee(PROVIDER)
@@ -876,7 +941,7 @@ def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
     forged = mtree(blobs)
     with refused_silently(s, order, BadState):
         s.scmc_record_provider_root(PROVIDER, order, PROVIDER, forged.root)
-    assert s.orders[order].provider_roots == {PROVIDER: pkg.root}
+    assert s.orders[order].tranches[payee].root == pkg.root
     ev = AppealEvidence(0, blobs[0], mproof(forged, 0), mproof(shards.tree_enc, 0))
     assert s.cpc_appeal(order, payee, kp.private, ev) == DENIED
 
@@ -886,7 +951,7 @@ def test_only_the_seller_posts_the_sellers_key():
     # seller's place, whose own post raised DoublePost, and the consumer's
     # appeal against the junk was upheld
     s = make_system()
-    _, shards, order, _, _ = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
     with refused_silently(s, order, WrongSender):
@@ -901,12 +966,12 @@ def test_only_the_consumer_posts_its_public_key():
     # the seller posts a public key of its own first: unchecked, the
     # consumer's own post raised DoublePost, so no appeal could be made
     s = make_system()
-    _, shards, order, _, escrow = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     with refused_silently(s, order, WrongSender):
         s.cpc_post_pubkey(SELLER, order, crypto.pk_keygen(b"sl").public)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, hashlib.sha256(b"wrong").digest())
-    assert escrow.pub_cm == kp.public
+    assert s.orders[order].pub_cm == kp.public
     ev = AppealEvidence(1, shards.enc_shards[1], mproof(shards.tree_enc, 1),
                         mproof(shards.tree_enc, 1))
     assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == UPHELD
@@ -939,34 +1004,34 @@ def test_only_the_provider_records_its_root():
 
 def test_public_key_is_fresh_across_orders():
     s = make_system()
-    _, _, first, _, _ = open_escrow(s)
-    _, _, second, _, escrow = open_escrow(s, data=b"fedcba9876543210" * 8)
+    _, _, first, _ = open_escrow(s)
+    _, _, second, _ = open_escrow(s, data=b"fedcba9876543210" * 8)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, first, kp.public)
     with refused(s, DoublePost):
         s.cpc_post_pubkey(CONSUMER, second, kp.public)
-    assert escrow.pub_cm is None
+    assert s.orders[second].pub_cm is None
 
 
 def test_post_key_for_an_unknown_payee_rejected():
     s = make_system()
-    _, shards, order, _, escrow = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
     blob = crypto.pk_encrypt(kp.public, shards.master)
     with refused(s, NotFound):
         s.cpc_post_key(CONSUMER, order, provider_payee(CONSUMER), blob)
-    assert not any(t.wrapped_key for t in escrow.tranches.values())
+    assert not any(t.wrapped_key for t in s.orders[order].tranches.values())
 
 
 def test_appeal_before_any_public_key_rejected():
     s = make_system()
-    _, shards, order, _, escrow = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
     with refused(s, NoPubKey):
         s.cpc_appeal(order, SELLER_PAYEE, crypto.pk_keygen(b"cm").private, ev)
-    assert not any(t.verdict for t in escrow.tranches.values())
+    assert not any(t.verdict for t in s.orders[order].tranches.values())
 
 
 def test_unknown_order_id():
@@ -982,7 +1047,7 @@ def test_appeal_refuses_a_malformed_private_key(pri_cm):
     # None and a str raised TypeError from the key parse, 5 and 31 bytes
     # ValueError
     s = make_system()
-    _, shards, order, _, _ = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
@@ -997,23 +1062,32 @@ def test_post_pubkey_refuses_a_malformed_key(pub_cm):
     # unchecked, each was posted and every payee's pk_encrypt to it raised;
     # after None the consumer's second post was no DoublePost
     s = make_system()
-    _, shards, order, _, escrow = open_escrow(s)
+    _, shards, order, _ = open_escrow(s)
     with refused_silently(s, order, InvalidInput):
         s.cpc_post_pubkey(CONSUMER, order, pub_cm)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
-    assert escrow.pub_cm == kp.public
+    assert s.orders[order].pub_cm == kp.public
 
 
 def test_no_payee_can_wrap_to_a_low_order_public_key():
-    # the contract takes any 32 bytes as the consumer's key; the all-zero
-    # point is one X25519 refuses, so every payee's wrap to it is refused
+    # the contract took any 32 bytes as the consumer's key; X25519 refuses a
+    # low-order point (the all-zero one, 1, and one of order 8: RFC 7748
+    # section 6.1), so every payee's wrap to it raised, and settle then
+    # refunded every tranche whatever the payees served
     s = make_system()
-    _, shards, order, pkg, escrow = open_escrow(s)
-    s.cpc_post_pubkey(CONSUMER, order, bytes(32))
-    for key in (shards.master, pkg.key):
+    _, shards, order, pkg = open_escrow(s)
+    order_8 = "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"
+    for pub_cm in (bytes(32), (1).to_bytes(32, "little"), bytes.fromhex(order_8)):
         with pytest.raises(InvalidInput):
-            crypto.pk_encrypt(escrow.pub_cm, key)
+            crypto.pk_encrypt(pub_cm, shards.master)
+        with refused_silently(s, order, InvalidInput):
+            s.cpc_post_pubkey(CONSUMER, order, pub_cm)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    provider_posts(s, order, kp, pkg.key)
+    payee = provider_payee(PROVIDER)
+    assert settle_after_windows(s, order) == {"pay:seller": 40, f"pay:{payee}": 8}
 
 
 @pytest.mark.parametrize("wrapped_key", [None, "junk"])
@@ -1021,7 +1095,7 @@ def test_post_key_refuses_a_key_that_is_not_bytes(wrapped_key):
     # unchecked, None counted as never posted: a second None was accepted,
     # and settle refunded the provider's tranche to the consumer
     s = make_system()
-    _, shards, order, pkg, _ = open_escrow(s)
+    _, shards, order, pkg = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
     payee = provider_payee(PROVIDER)
