@@ -2,20 +2,22 @@
 (SCMC), and escrowed payment with appeal arbitration (CPC).
 
 All state mutates through sequential method calls against one ledger, so a
-whole run is replayable.  Each listing and each order is in one status, and
-every call checks it first: a listing goes Registered -> Exposed -> Live,
-ends Rejected or Delisted, and only an exposed listing can be delisted; an
-order goes Funded -> Downloading (providers selected) -> Escrowed (keys,
-appeals) -> Closed.  An order is its own escrow.  Its tokens go straight
-from the consumer into a ledger account of the order's own
-(``Order.account``) and stay there until settle, which reads and pays out
-of nothing but that account.  Selection gives the order one ``Tranche``
-per payee, the seller's first: its party, its amount, the global shard
-indices it is paid for in package order, the root those shards are
-committed to, the key it posted, its appeal deadline and its verdict.  A
-call that one party must make (confirming a provider, delisting, posting
-the consumer's public key, a payee's key, a provider's root) names its
-sender first, and any other sender is refused with ``WrongSender``.
+whole run is replayable.  Each listing and each order is in one status,
+and every call checks it first, through ``_record`` or ``_order``: a
+listing goes Registered -> Exposed -> Live, ends Rejected or Delisted, and
+cannot delist before it exposes; an order goes Funded -> Downloading
+(providers selected) -> Escrowed (keys, appeals) -> Closed.  Every refusal
+is one of the rules in ``bdts.errors``, raised before any state changes.
+An order is its own escrow.  Its tokens go straight from the consumer into
+a ledger account of the order's own (``Order.account``) and stay there
+until settle, which reads and pays out of nothing but that account.
+Selection gives the order one ``Tranche`` per payee, the seller's first:
+its party, its amount, the global shard indices it is paid for in package
+order, the root those shards are committed to, the key it posted, its
+appeal deadline and its verdict.  A call that one party must make
+(confirming a provider, delisting, posting the consumer's public key, a
+payee's key, a provider's root) names its sender first, and any other
+sender is refused with ``WrongSender``.
 Verdict logic for appeals:
 
 * the evidence index is a global shard index, and it must name a shard
@@ -42,23 +44,13 @@ from dataclasses import dataclass, field
 
 from . import crypto
 from .errors import (
-    AlreadyClosed,
     BadState,
     DecryptError,
-    DoublePost,
     DuplicateRoot,
-    IncompleteCover,
-    InsufficientDeposit,
     InsufficientTokens,
     InvalidInput,
-    LateAppeal,
-    NoPubKey,
     NotFound,
-    PrivKeyMismatch,
     ProofFailure,
-    UnconfirmedProvider,
-    UnknownData,
-    WrongIndices,
     WrongSender,
 )
 from .ledger import Address, Ledger, address_for, rand_indices
@@ -78,6 +70,10 @@ CLOSED = "Closed"
 
 UPHELD = "Upheld"
 DENIED = "Denied"
+
+# the statuses a listing can delist from, and the one each leaves it in:
+# a Registered listing exposes first, and a rejected one keeps its forfeit
+DELIST_TO = {EXPOSED: DELISTED, LIVE: DELISTED, REJECTED: REJECTED, DELISTED: DELISTED}
 
 SELLER_PAYEE = "seller"
 APPEAL_WINDOW = 10  # blocks to post a key after escrow opens, and to appeal a posted key
@@ -209,13 +205,11 @@ class ContractSystem:
         if not all(isinstance(r, bytes) and len(r) == DIGEST_SIZE for r in (r_d, r_ed)):
             raise InvalidInput(f"r_d and r_ed must be {DIGEST_SIZE}-byte roots")
         if deposit < self.min_deposit(price):
-            raise InsufficientDeposit(
-                f"deposit {deposit} below minimum {self.min_deposit(price)}"
-            )
+            raise InvalidInput(f"deposit {deposit} below minimum {self.min_deposit(price)}")
         if r_d in self.listed_roots:
             raise DuplicateRoot(f"root already listed as {self.listed_roots[r_d]}")
         if not self.ledger.transfer(seller, self.ssmc_addr, deposit, memo="deposit"):
-            raise InsufficientDeposit("seller balance does not cover deposit")
+            raise InsufficientTokens("seller balance does not cover deposit")
         data_id = f"d{len(self.records) + 1:04d}"
         # sealed in the block currently being built
         reg_block = self.ledger.height + 1
@@ -248,12 +242,10 @@ class ContractSystem:
         pieces: list[tuple[int, bytes, MerkleProof, MerkleProof, bytes]],
     ) -> str:
         """pieces: (index, plaintext shard, proof vs r_d, proof vs r_ed, encrypted shard)."""
-        rec = self._record(data_id)
-        if rec.status != REGISTERED:
-            raise BadState(f"{data_id} is {rec.status}, expected {REGISTERED}")
+        rec = self._record(data_id, REGISTERED)
         expected = self.expected_exposure_indices(data_id)
         if sorted(i for i, *_ in pieces) != expected:
-            raise WrongIndices(f"expected indices {expected}")
+            raise InvalidInput(f"expected indices {expected}")
         digests = leaf_digests([plain for _, plain, *_ in pieces])
         for (i, _, p_d, p_ed, enc), digest in zip(pieces, digests):
             if not (
@@ -263,10 +255,11 @@ class ContractSystem:
                 self._reject(rec, reason="exposure proof failed")
                 raise ProofFailure(f"exposure proof failed at index {i}")
         for (i, *_), digest in zip(pieces, digests):
-            owner = self.exposed_piece_index.get(digest)
-            if owner is not None and owner != data_id:
-                self._reject(rec, reason=f"plagiarism of {owner}")
-                raise ProofFailure(f"exposed piece {i} duplicates {owner}")
+            # a seller may list again what it delisted; any other overlap is plagiarism
+            prior = self.records.get(self.exposed_piece_index.get(digest, ""))
+            if prior is not None and (prior.seller, prior.status) != (rec.seller, DELISTED):
+                self._reject(rec, reason=f"plagiarism of {prior.data_id}")
+                raise ProofFailure(f"exposed piece {i} duplicates {prior.data_id}")
         for digest in digests:
             self.exposed_piece_index[digest] = data_id
         rec.status = EXPOSED
@@ -285,21 +278,17 @@ class ContractSystem:
             del self.listed_roots[rec.r_d]
 
     def ssmc_register_provider(self, provider: Address, endpoint: str, data_id: str) -> None:
-        rec = self._record(data_id)
-        if rec.status not in (EXPOSED, LIVE):
-            raise BadState(f"{data_id} is {rec.status}, providers join after exposure")
+        rec = self._record(data_id, EXPOSED, LIVE)
         if provider not in rec.providers:  # duplicate registration is a no-op
             rec.providers[provider] = SPRecord(provider, endpoint, data_id)
             self.ledger.log_event("register_provider", data_id=data_id, provider=provider)
 
     def ssmc_confirm_provider(self, seller: Address, provider: Address, data_id: str) -> None:
-        rec = self._record(data_id)
-        if rec.status not in (EXPOSED, LIVE):
-            raise BadState(f"{data_id} is {rec.status}, providers are confirmed after exposure")
+        rec = self._record(data_id, EXPOSED, LIVE)
         if seller != rec.seller:
             raise WrongSender("only the listing seller can confirm providers")
         if provider not in rec.providers:
-            raise UnknownData(f"provider {provider} not registered for {data_id}")
+            raise NotFound(f"provider {provider} not registered for {data_id}")
         rec.providers[provider].confirmed = True
         rec.status = LIVE
         self.ledger.log_event("confirm_provider", data_id=data_id, provider=provider)
@@ -308,15 +297,12 @@ class ContractSystem:
         """Withdraw an exposed listing and reclaim the deposit (unless
         forfeited).  A Registered listing must expose first, so a seller
         cannot re-register its root for other exposure indices."""
-        rec = self._record(data_id)
-        if rec.status == REGISTERED:
-            raise BadState(f"{data_id} is {REGISTERED}; it must expose before it can delist")
+        rec = self._record(data_id, *DELIST_TO)
         if seller != rec.seller:
             raise WrongSender("only the listing seller can delist")
         if any(o.data_id == data_id and o.status != CLOSED for o in self.orders.values()):
             raise BadState("cannot delist with open orders")
-        if rec.status != REJECTED:  # a rejected listing keeps its forfeit
-            rec.status = DELISTED
+        rec.status = DELIST_TO[rec.status]
         self._unlist_root(rec)
         self._return_deposit(rec)
         self.ledger.log_event("delist", data_id=data_id)
@@ -349,9 +335,7 @@ class ContractSystem:
     def scmc_place_order(self, consumer: Address, data_id: str, tokens: int) -> str:
         if type(tokens) is not int:
             raise InvalidInput(f"an order pays whole tokens, got {tokens!r}")
-        rec = self.records.get(data_id)
-        if rec is None or rec.status != LIVE:
-            raise UnknownData(f"no live listing {data_id}")
+        rec = self._record(data_id, LIVE)
         required = rec.price + rec.n * rec.unit_price
         if tokens < required:
             if tokens > 0:
@@ -381,12 +365,12 @@ class ContractSystem:
         for provider, indices in assignments:
             sp = rec.providers.get(provider)
             if sp is None or not sp.confirmed:
-                raise UnconfirmedProvider(f"{provider} not confirmed for {rec.data_id}")
+                raise BadState(f"{provider} not confirmed for {rec.data_id}")
             for i in indices:
                 covered.setdefault(i, provider)  # duplicates go to the first listed
         if set(covered) != set(range(rec.n)):
             missing = sorted(set(range(rec.n)) - set(covered))
-            raise IncompleteCover(f"shards {missing} unassigned")
+            raise InvalidInput(f"shards {missing} unassigned")
         served: dict[Address, list[int]] = {}
         for i, provider in covered.items():
             served.setdefault(provider, []).append(i)
@@ -406,11 +390,11 @@ class ContractSystem:
         order = self._order(order_id, DOWNLOADING)
         tranche = order.tranches.get(provider_payee(provider))
         if tranche is None:
-            raise UnconfirmedProvider(f"{provider} is not serving order {order_id}")
+            raise NotFound(f"{provider} is not serving order {order_id}")
         if sender != provider:
             raise WrongSender(f"only {provider} can record its root")
         if tranche.root is not None:
-            raise DoublePost(f"{provider} already recorded its root for {order_id}")
+            raise BadState(f"{provider} already recorded its root for {order_id}")
         tranche.root = r_eed
         self.ledger.log_event("provider_root", order_id=order_id, provider=provider)
 
@@ -431,9 +415,9 @@ class ContractSystem:
             raise WrongSender(f"only the consumer of {order_id} can post its public key")
         crypto.check_public_key(pub_cm)
         if order.pub_cm is not None:
-            raise DoublePost("public key already posted for this order")
+            raise BadState("public key already posted for this order")
         if pub_cm in self.seen_pubkeys:
-            raise DoublePost("consumer key pair must be fresh per order")
+            raise BadState("consumer key pair must be fresh per order")
         self.seen_pubkeys.add(pub_cm)
         order.pub_cm = pub_cm
         self.ledger.log_event("pubkey_posted", order_id=order_id)
@@ -443,7 +427,7 @@ class ContractSystem:
     ) -> None:
         order = self._order(order_id, ESCROWED)
         if order.pub_cm is None:
-            raise NoPubKey("consumer public key not posted yet")
+            raise BadState("consumer public key not posted yet")
         tranche = order.tranches.get(payee)
         if tranche is None:
             raise NotFound(f"no tranche for payee {payee}")
@@ -452,9 +436,9 @@ class ContractSystem:
         if not isinstance(wrapped_key, bytes):
             raise InvalidInput(f"a posted key is bytes, got {type(wrapped_key).__name__}")
         if tranche.wrapped_key is not None:
-            raise DoublePost(f"{payee} already posted a key")
+            raise BadState(f"{payee} already posted a key")
         if self.ledger.height > order.post_deadline:
-            raise LateAppeal(f"posting window closed at height {order.post_deadline}")
+            raise BadState(f"posting window closed at height {order.post_deadline}")
         tranche.wrapped_key = wrapped_key
         tranche.appeal_deadline = self.ledger.height + APPEAL_WINDOW
         self.ledger.log_event("key_posted", order_id=order_id, payee=payee)
@@ -464,22 +448,22 @@ class ContractSystem:
     ) -> str:
         order = self._order(order_id, ESCROWED)
         if order.pub_cm is None:
-            raise NoPubKey("no consumer public key on record")
+            raise BadState("no consumer public key on record")
         # parsed once, for the check and the unwrap
         sk = crypto.private_key(pri_cm)
         if crypto.public_key_of(sk) != order.pub_cm:
-            raise PrivKeyMismatch("private key does not match the posted public key")
+            raise WrongSender("private key does not match the posted public key")
         tranche = order.tranches.get(payee)
         if tranche is None or tranche.wrapped_key is None:
             raise BadState(f"{payee} has not posted a key; nothing to appeal")
         if tranche.verdict is not None:
             raise BadState(f"appeal against {payee} already decided")
         if self.ledger.height > tranche.appeal_deadline:
-            raise LateAppeal("appeal window closed")
+            raise BadState("appeal window closed")
         rec = self._record(order.data_id)
         i, package = evidence.index, tranche.shards
         if i not in package:
-            raise WrongIndices(f"shard {i} is not one that {payee} is paid for")
+            raise InvalidInput(f"shard {i} is not one that {payee} is paid for")
         seller = payee == SELLER_PAYEE
         try:
             posted = crypto.pk_decrypt(sk, tranche.wrapped_key)
@@ -544,18 +528,20 @@ class ContractSystem:
 
     # -------------------------------------------------------------- helpers
 
-    def _record(self, data_id: str) -> DataRecord:
+    def _record(self, data_id: str, *statuses: str) -> DataRecord:
+        """The listing, if it is in one of ``statuses`` (in any, if none is given)."""
         rec = self.records.get(data_id)
         if rec is None:
-            raise UnknownData(f"unknown data id {data_id}")
+            raise NotFound(f"unknown data id {data_id}")
+        if statuses and rec.status not in statuses:
+            raise BadState(f"{data_id} is {rec.status}, expected {' or '.join(statuses)}")
         return rec
 
     def _order(self, order_id: str, status: str) -> Order:
-        """The order, if it is in ``status``; a closed one raises ``AlreadyClosed``."""
+        """The order, if it is in ``status``."""
         order = self.orders.get(order_id)
         if order is None:
             raise NotFound(f"unknown order id {order_id}")
         if order.status != status:
-            error = AlreadyClosed if order.status == CLOSED else BadState
-            raise error(f"order {order_id} is {order.status}, expected {status}")
+            raise BadState(f"order {order_id} is {order.status}, expected {status}")
         return order

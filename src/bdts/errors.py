@@ -1,4 +1,42 @@
-"""Exception hierarchy shared by all bdts modules."""
+"""Exception hierarchy shared by all bdts modules.
+
+A contract refuses a call before any of its state changes, with one of
+seven rules, one class each (what it refuses; the calls that raise it):
+
+* ``InvalidInput``: an argument wrong in any state; ``ssmc_register_seller``
+  (a malformed listing, a deposit below ``min_deposit``), ``ssmc_expose``
+  (other indices than drawn), ``scmc_place_order`` (tokens not ``int``),
+  ``scmc_select`` (a shard left uncovered), ``cpc_post_pubkey``,
+  ``cpc_post_key`` and ``cpc_appeal`` (a malformed key, evidence at a shard
+  the payee is not paid for), and any other module's malformed argument.
+* ``NotFound``: an id that names nothing; every call given an unknown data
+  or order id, ``ssmc_confirm_provider`` (an unregistered provider),
+  ``scmc_record_provider_root`` and ``cpc_post_key`` (no such payee), and
+  ``Ledger.seed_at`` (no such block).
+* ``BadState``: a well-formed call not allowed now; every listing or order
+  call outside its statuses, ``ssmc_delist`` (open orders), ``scmc_select``
+  (an unconfirmed provider), ``scmc_record_provider_root``,
+  ``cpc_post_pubkey`` and ``cpc_post_key`` (a second post, a reused public
+  key, no public key yet, a closed window), ``cpc_open`` (a root missing),
+  ``cpc_appeal`` (no public key or posted key, decided, window closed) and
+  ``cpc_settle`` (a window open, an escrow short of its tokens).
+* ``WrongSender``: a caller other than the call's party;
+  ``ssmc_confirm_provider``, ``ssmc_delist``, ``scmc_record_provider_root``,
+  ``cpc_post_pubkey``, ``cpc_post_key``, and ``cpc_appeal`` (a private key
+  that does not match the posted public key).
+* ``InsufficientTokens``: tokens short of what the call moves;
+  ``ssmc_register_seller`` (the deposit) and ``scmc_place_order`` (the
+  order, or an order below price plus shards, which is forfeited).
+* ``ProofFailure``: exposed pieces that fail their proofs or repeat another
+  seller's, forfeiting the deposit; ``ssmc_expose``, and the consumer in
+  ``actors`` for a delivered shard off its committed root.
+* ``DuplicateRoot``: a plaintext root that is listed already;
+  ``ssmc_register_seller``.
+
+``DecryptError`` (authenticated decryption failed), ``Mismatch`` (the game
+model disagrees with a run) and their base ``BdtsError`` come from outside
+the contracts.
+"""
 
 
 class BdtsError(Exception):
@@ -14,72 +52,28 @@ class DecryptError(BdtsError):
 
 
 class NotFound(BdtsError):
-    """A referenced entity (block, record, order) does not exist."""
+    """A referenced entity (block, record, order, tranche) does not exist."""
 
 
 class Mismatch(BdtsError):
     """Game-model prediction disagrees with a simulated run; carries a diff."""
 
 
-class ContractError(BdtsError):
-    """Base class for contract state machine violations."""
+class BadState(BdtsError):
+    """A well-formed call made when the contract's state does not allow it."""
 
 
-class DuplicateRoot(ContractError):
-    """A listing with the same plaintext Merkle root already exists."""
-
-
-class InsufficientDeposit(ContractError):
-    pass
-
-
-class WrongIndices(ContractError):
-    """Exposed piece indices differ from the chain-derived random indices."""
-
-
-class ProofFailure(ContractError):
-    """A Merkle proof check failed during exposure; deposit is forfeited."""
-
-
-class UnknownData(ContractError):
-    pass
-
-
-class WrongSender(ContractError):
+class WrongSender(BdtsError):
     """A contract method was called by someone other than the party it is for."""
 
 
-class InsufficientTokens(ContractError):
-    pass
+class InsufficientTokens(BdtsError):
+    """A balance or an order does not cover the tokens a call moves."""
 
 
-class UnconfirmedProvider(ContractError):
-    pass
+class ProofFailure(BdtsError):
+    """A Merkle proof check failed during exposure; deposit is forfeited."""
 
 
-class IncompleteCover(ContractError):
-    """Shard assignments do not cover every shard index."""
-
-
-class DoublePost(ContractError):
-    pass
-
-
-class NoPubKey(ContractError):
-    pass
-
-
-class PrivKeyMismatch(ContractError):
-    pass
-
-
-class LateAppeal(ContractError):
-    pass
-
-
-class AlreadyClosed(ContractError):
-    pass
-
-
-class BadState(ContractError):
-    """Operation invoked outside its declared status precondition."""
+class DuplicateRoot(BdtsError):
+    """A listing with the same plaintext Merkle root already exists."""

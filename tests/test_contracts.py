@@ -27,22 +27,12 @@ from bdts.contracts import (
     provider_payee,
 )
 from bdts.errors import (
-    AlreadyClosed,
     BadState,
-    DoublePost,
     DuplicateRoot,
-    IncompleteCover,
-    InsufficientDeposit,
     InsufficientTokens,
     InvalidInput,
-    LateAppeal,
-    NoPubKey,
     NotFound,
-    PrivKeyMismatch,
     ProofFailure,
-    UnconfirmedProvider,
-    UnknownData,
-    WrongIndices,
     WrongSender,
 )
 from bdts.ledger import Ledger, address_for
@@ -61,10 +51,10 @@ def make_system():
 
 
 def register(system, data=b"0123456789abcdef" * 8, n=4, price=40, unit_price=2,
-             secret=SECRET, deposit=None):
+             secret=SECRET, deposit=None, seller=SELLER):
     shards = shard_encrypt(secret, data, slot=len(data) // n)
     data_id = system.ssmc_register_seller(
-        SELLER, "ep", "solar telemetry", len(data), shards.n,
+        seller, "ep", "solar telemetry", len(data), shards.n,
         shards.root_plain, shards.root_enc, price, unit_price,
         deposit if deposit is not None else system.min_deposit(price),
     )
@@ -102,8 +92,15 @@ def test_min_deposit_is_half_price_rounded_up():
 
 def test_register_rejects_low_deposit():
     s = make_system()
-    with pytest.raises(InsufficientDeposit):
+    with pytest.raises(InvalidInput):
         register(s, deposit=19)
+
+
+def test_register_refuses_a_deposit_the_seller_cannot_cover():
+    s = make_system()
+    with refused(s, InsufficientTokens):
+        register(s, price=2001, deposit=1001)
+    assert s.records == {} and s.listed_roots == {}
 
 
 def test_register_escrows_deposit():
@@ -186,7 +183,7 @@ def test_expose_wrong_indices():
     wrong = [i for i in range(shards.n) if i not in expected][: len(expected)]
     pieces = [(i, shards.plain_shards[i], mproof(shards.tree_plain, i),
                mproof(shards.tree_enc, i), shards.enc_shards[i]) for i in wrong]
-    with pytest.raises(WrongIndices):
+    with pytest.raises(InvalidInput):
         s.ssmc_expose(data_id, pieces)
 
 
@@ -223,11 +220,24 @@ def test_plagiarism_detected_on_overlapping_pieces(monkeypatch):
     assert s.records[data_id2].status == REJECTED
 
 
-def test_provider_registration_requires_exposure():
+def test_a_seller_can_list_its_own_delisted_data_again(monkeypatch):
+    # a seller that delisted its data and registered it again was rejected as
+    # plagiarising itself wherever the two exposures overlapped: exposed at
+    # [0, 2], then at [1, 2], it ended Rejected with its deposit forfeited
+    monkeypatch.setattr(contracts, "default_exposure_count", lambda n: n)
     s = make_system()
-    data_id, _ = register(s)
-    with pytest.raises(BadState):
-        s.ssmc_register_provider(PROVIDER, "ep", data_id)
+    data = bytes(range(128))  # four distinct shards
+    data_id, _ = go_live(s, data=data)
+    s.ssmc_delist(SELLER, data_id)
+    # another seller's copy is still plagiarism
+    copied, shards = register(s, data=data, seller=PROVIDER)
+    with pytest.raises(ProofFailure, match=f"duplicates {data_id}"):
+        expose(s, copied, shards)
+    relisted, shards = register(s, data=data)
+    expose(s, relisted, shards)
+    assert s.records[relisted].status == EXPOSED
+    assert s.ledger.balance(SELLER) == 1000 - 20
+    assert set(s.exposed_piece_index.values()) == {relisted}
 
 
 def test_confirm_requires_seller():
@@ -260,18 +270,19 @@ def test_match_products_lists_only_confirmed_providers():
 
 def test_unknown_data_id():
     s = make_system()
-    with pytest.raises(UnknownData):
-        s.ssmc_expose("d9999", [])
+    go_live(s)
+    for call in (
+        lambda data_id: s.ssmc_expose(data_id, []),
+        lambda data_id: s.ssmc_register_provider(PROVIDER, "ep", data_id),
+        lambda data_id: s.ssmc_confirm_provider(SELLER, PROVIDER, data_id),
+        lambda data_id: s.ssmc_delist(SELLER, data_id),
+        lambda data_id: s.scmc_place_order(CONSUMER, data_id, 48),
+    ):
+        with refused(s, NotFound):
+            call("d9999")
 
 
 # -- SCMC -------------------------------------------------------------------
-
-
-def test_order_requires_live_listing():
-    s = make_system()
-    data_id, _ = register(s)
-    with pytest.raises(UnknownData):
-        s.scmc_place_order(CONSUMER, data_id, 48)
 
 
 def test_underfunded_order_strict_forfeit():
@@ -314,7 +325,7 @@ def test_select_rejects_unconfirmed_provider():
     data_id, _ = go_live(s)
     order = s.scmc_place_order(CONSUMER, data_id, 48)
     stranger = address_for("t:stranger")
-    with pytest.raises(UnconfirmedProvider):
+    with pytest.raises(BadState):
         s.scmc_select(order, [(stranger, [0, 1, 2, 3])])
 
 
@@ -322,7 +333,7 @@ def test_select_requires_full_cover():
     s = make_system()
     data_id, _ = go_live(s)
     order = s.scmc_place_order(CONSUMER, data_id, 48)
-    with pytest.raises(IncompleteCover):
+    with pytest.raises(InvalidInput):
         s.scmc_select(order, [(PROVIDER, [0, 1])])
 
 
@@ -375,7 +386,7 @@ def test_escrow_tranches():
 def test_post_key_requires_pubkey():
     s = make_system()
     _, _, order, pkg = open_escrow(s)
-    with pytest.raises(NoPubKey):
+    with pytest.raises(BadState):
         s.cpc_post_key(SELLER, order, SELLER_PAYEE, b"x" * 64)
 
 
@@ -384,7 +395,7 @@ def test_pubkey_reuse_rejected():
     _, _, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
-    with pytest.raises(DoublePost):
+    with pytest.raises(BadState):
         s.cpc_post_pubkey(CONSUMER, order, kp.public)
 
 
@@ -395,7 +406,7 @@ def test_double_key_post_rejected():
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
     blob = crypto.pk_encrypt(kp.public, shards.master)
     s.cpc_post_key(SELLER, order, SELLER_PAYEE, blob)
-    with pytest.raises(DoublePost):
+    with pytest.raises(BadState):
         s.cpc_post_key(SELLER, order, SELLER_PAYEE, blob)
 
 
@@ -407,7 +418,7 @@ def test_post_after_window_rejected(monkeypatch):
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
     for _ in range(3):
         s.ledger.mine_block()
-    with pytest.raises(LateAppeal):
+    with pytest.raises(BadState):
         s.cpc_post_key(SELLER, order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, shards.master))
 
 
@@ -427,7 +438,7 @@ def test_appeal_needs_matching_private_key():
     seller_posts(s, order, kp, shards.master)
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
-    with pytest.raises(PrivKeyMismatch):
+    with pytest.raises(WrongSender):
         s.cpc_appeal(order, SELLER_PAYEE, crypto.pk_keygen(b"other").private, ev)
 
 
@@ -477,7 +488,7 @@ def test_appeal_past_the_last_shard_rejected():
     proof = MerkleProof(3, (tree.levels[0][2], tree.levels[1][0]))
     assert not mvrfy(3, tree.root, shards.enc_shards[2], proof, 3)
     ev = AppealEvidence(3, shards.enc_shards[2], proof, proof)
-    with pytest.raises(WrongIndices):
+    with pytest.raises(InvalidInput):
         s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev)
     assert not any(t.verdict for t in s.orders[order].tranches.values())
 
@@ -492,7 +503,7 @@ def test_appeal_outside_the_served_shards_rejected(index):
     provider_posts(s, order, kp, pkg.key)
     ev = AppealEvidence(index, pkg.eed_shards[0], mproof(pkg.tree_eed, 0),
                         mproof(shards.tree_enc, 0))
-    with pytest.raises(WrongIndices):
+    with pytest.raises(InvalidInput):
         s.cpc_appeal(order, payee, kp.private, ev)
     assert not any(t.verdict for t in s.orders[order].tranches.values())
 
@@ -544,7 +555,7 @@ def test_appeal_at_a_shard_another_provider_served_rejected():
     kp = crypto.pk_keygen(b"cm")
     shards, order, pkg2 = open_two_provider_escrow(s, kp)
     ev = second_provider_evidence(shards, pkg2, 0)  # shard 0 is PROVIDER's
-    with pytest.raises(WrongIndices):
+    with pytest.raises(InvalidInput):
         s.cpc_appeal(order, provider_payee(PROVIDER2), kp.private, ev)
     assert not any(t.verdict for t in s.orders[order].tranches.values())
 
@@ -605,7 +616,7 @@ def test_appeal_after_window_rejected(monkeypatch):
     s.ledger.mine_block()
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
-    with pytest.raises(LateAppeal):
+    with pytest.raises(BadState):
         s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev)
 
 
@@ -788,25 +799,6 @@ def test_a_registered_listing_cannot_delist_to_reroll_its_exposure():
     assert s.ledger.balance(SELLER) == 1000 - 20
 
 
-def test_a_delisted_listing_takes_no_provider():
-    # a delisted listing took a new provider's registration, and the seller's
-    # confirmation of it set the listing Live again
-    s = make_system()
-    data_id, _ = go_live(s)
-    late, stranger = address_for("t:late"), address_for("t:stranger")
-    s.ssmc_register_provider(late, "ep", data_id)
-    s.ssmc_delist(SELLER, data_id)
-    events = len(s.ledger.events)
-    with refused(s, BadState):
-        s.ssmc_register_provider(stranger, "ep", data_id)
-    with refused(s, BadState):
-        s.ssmc_confirm_provider(SELLER, late, data_id)
-    rec = s.records[data_id]
-    assert rec.status == DELISTED and stranger not in rec.providers
-    assert not rec.providers[late].confirmed and len(s.ledger.events) == events
-    assert s.match_products("telemetry") == []
-
-
 # -- guards -----------------------------------------------------------------
 
 
@@ -819,17 +811,23 @@ def refused(s, error):
     assert s.ledger.balances == held
 
 
+def contract_state(s):
+    """Everything the contracts hold but the ledger: listings, orders (their
+    tranches included) and the indexes over them."""
+    return copy.deepcopy({k: v for k, v in vars(s).items() if k != "ledger"})
+
+
 @contextmanager
-def refused_silently(s, order, error):
-    """The block raises ``error``, moves no token, changes no state of
-    ``order`` (its tranches included), and logs no event."""
+def refused_silently(s, error):
+    """The block raises ``error``, moves no token, changes no contract
+    state, and logs no event."""
     s.ledger.mine_block()  # the next block then holds only what the block logs
-    state = copy.deepcopy((s.orders[order], s.seen_pubkeys))
+    state = contract_state(s)
     events = len(s.ledger.events)
     with refused(s, error):
         yield
     s.ledger.mine_block()
-    assert (s.orders[order], s.seen_pubkeys) == state
+    assert contract_state(s) == state
     assert len(s.ledger.events) == events
 
 
@@ -837,7 +835,7 @@ def test_confirm_requires_a_registered_provider():
     s = make_system()
     data_id, shards = register(s)
     expose(s, data_id, shards)
-    with refused(s, UnknownData):
+    with refused(s, NotFound):
         s.ssmc_confirm_provider(SELLER, PROVIDER, data_id)
     assert s.records[data_id].status == EXPOSED
 
@@ -850,12 +848,63 @@ def test_delist_requires_seller():
     assert s.records[data_id].status == LIVE
 
 
-def test_match_products_lists_only_live_listings():
+# each listing call and the statuses it is made in
+LISTING_CALLS = {
+    "ssmc_expose": (REGISTERED,),
+    "ssmc_register_provider": (EXPOSED, LIVE),
+    "ssmc_confirm_provider": (EXPOSED, LIVE),
+    "ssmc_delist": (EXPOSED, LIVE, REJECTED, DELISTED),
+    "scmc_place_order": (LIVE,),
+}
+LATE, STRANGER = address_for("t:late"), address_for("t:stranger")
+
+
+def listing_in(status):
+    """A system with one listing walked to ``status``, ``LATE`` registered
+    for it but not confirmed once it exposes, and each call of
+    ``LISTING_CALLS`` against it."""
     s = make_system()
     data_id, shards = register(s)
-    assert s.match_products("telemetry") == []  # Registered
-    expose(s, data_id, shards)
-    assert s.match_products("telemetry") == []  # Exposed
+    calls = {
+        "ssmc_expose": lambda: expose(s, data_id, shards),
+        "ssmc_register_provider": lambda: s.ssmc_register_provider(STRANGER, "ep", data_id),
+        "ssmc_confirm_provider": lambda: s.ssmc_confirm_provider(SELLER, LATE, data_id),
+        "ssmc_delist": lambda: s.ssmc_delist(SELLER, data_id),
+        "scmc_place_order": lambda: s.scmc_place_order(CONSUMER, data_id, 48),
+    }
+    if status == REJECTED:
+        junk = [(i, b"junk", mproof(shards.tree_plain, i), mproof(shards.tree_enc, i),
+                 shards.enc_shards[i]) for i in s.expected_exposure_indices(data_id)]
+        with pytest.raises(ProofFailure):
+            s.ssmc_expose(data_id, junk)
+    elif status != REGISTERED:
+        calls["ssmc_expose"]()
+        s.ssmc_register_provider(LATE, "ep", data_id)
+    if status in (LIVE, DELISTED):
+        s.ssmc_register_provider(PROVIDER, "ep", data_id)
+        s.ssmc_confirm_provider(SELLER, PROVIDER, data_id)
+    if status == DELISTED:
+        calls["ssmc_delist"]()
+    assert s.records[data_id].status == status
+    return s, calls
+
+
+@pytest.mark.parametrize("call,status", [
+    (call, status) for call, made_in in LISTING_CALLS.items()
+    for status in (REGISTERED, EXPOSED, LIVE, REJECTED, DELISTED) if status not in made_in
+])
+def test_listing_call_outside_its_status_is_refused(call, status):
+    # among these, unchecked: a delisted listing took a new provider's
+    # registration, and the seller's confirmation of it set the listing Live
+    s, calls = listing_in(status)
+    with refused_silently(s, BadState):
+        calls[call]()
+
+
+def test_match_products_lists_only_live_listings():
+    for status in (REGISTERED, EXPOSED, REJECTED, DELISTED):
+        s, _ = listing_in(status)
+        assert s.match_products("telemetry") == []
 
 
 # each order-scoped call and the one status it is made in
@@ -910,7 +959,7 @@ def order_in(status):
 ])
 def test_order_call_outside_its_status_is_refused(call, status):
     s, order, calls = order_in(status)
-    with refused_silently(s, order, AlreadyClosed if status == CLOSED else BadState):
+    with refused_silently(s, BadState):
         calls[call]()
 
 
@@ -921,9 +970,18 @@ def test_provider_root_is_recorded_once():
     s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
     s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
-    with refused_silently(s, order, DoublePost):
+    with refused_silently(s, BadState):
         s.scmc_record_provider_root(PROVIDER, order, PROVIDER, bytes(32))
     assert s.orders[order].tranches[provider_payee(PROVIDER)].root == pkg.root
+
+
+def test_provider_root_only_from_a_serving_provider():
+    s = make_system()
+    data_id, _ = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    with refused_silently(s, NotFound):
+        s.scmc_record_provider_root(STRANGER, order, STRANGER, bytes(32))
 
 
 def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
@@ -939,7 +997,7 @@ def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
     rng = random.Random(0)
     blobs = [rng.randbytes(len(pkg.eed_shards[0])) for _ in range(4)]
     forged = mtree(blobs)
-    with refused_silently(s, order, BadState):
+    with refused_silently(s, BadState):
         s.scmc_record_provider_root(PROVIDER, order, PROVIDER, forged.root)
     assert s.orders[order].tranches[payee].root == pkg.root
     ev = AppealEvidence(0, blobs[0], mproof(forged, 0), mproof(shards.tree_enc, 0))
@@ -948,13 +1006,13 @@ def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
 
 def test_only_the_seller_posts_the_sellers_key():
     # the consumer posts junk as the seller's key: unchecked, it took the
-    # seller's place, whose own post raised DoublePost, and the consumer's
-    # appeal against the junk was upheld
+    # seller's place, whose own post was refused as a second post, and the
+    # consumer's appeal against the junk was upheld
     s = make_system()
     _, shards, order, _ = open_escrow(s)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, order, kp.public)
-    with refused_silently(s, order, WrongSender):
+    with refused_silently(s, WrongSender):
         s.cpc_post_key(CONSUMER, order, SELLER_PAYEE, b"junk")
     s.cpc_post_key(SELLER, order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, shards.master))
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
@@ -964,10 +1022,11 @@ def test_only_the_seller_posts_the_sellers_key():
 
 def test_only_the_consumer_posts_its_public_key():
     # the seller posts a public key of its own first: unchecked, the
-    # consumer's own post raised DoublePost, so no appeal could be made
+    # consumer's own post was refused as a second post, so no appeal could
+    # be made
     s = make_system()
     _, shards, order, _ = open_escrow(s)
-    with refused_silently(s, order, WrongSender):
+    with refused_silently(s, WrongSender):
         s.cpc_post_pubkey(SELLER, order, crypto.pk_keygen(b"sl").public)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, hashlib.sha256(b"wrong").digest())
@@ -979,8 +1038,9 @@ def test_only_the_consumer_posts_its_public_key():
 
 def test_only_the_provider_records_its_root():
     # the consumer records the root of four random blobs as the provider's
-    # first: unchecked, the provider's own record raised DoublePost, an
-    # appeal with a blob was upheld, and settle refunded the honest provider
+    # first: unchecked, the provider's own record was refused as a second
+    # one, an appeal with a blob was upheld, and settle refunded the honest
+    # provider
     s = make_system()
     data_id, shards = go_live(s)
     order = s.scmc_place_order(CONSUMER, data_id, 48)
@@ -989,7 +1049,7 @@ def test_only_the_provider_records_its_root():
     rng = random.Random(0)
     blobs = [rng.randbytes(len(pkg.eed_shards[0])) for _ in range(4)]
     forged = mtree(blobs)
-    with refused_silently(s, order, WrongSender):
+    with refused_silently(s, WrongSender):
         s.scmc_record_provider_root(CONSUMER, order, PROVIDER, forged.root)
     s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
     s.cpc_open(order)
@@ -1008,7 +1068,7 @@ def test_public_key_is_fresh_across_orders():
     _, _, second, _ = open_escrow(s, data=b"fedcba9876543210" * 8)
     kp = crypto.pk_keygen(b"cm")
     s.cpc_post_pubkey(CONSUMER, first, kp.public)
-    with refused(s, DoublePost):
+    with refused(s, BadState):
         s.cpc_post_pubkey(CONSUMER, second, kp.public)
     assert s.orders[second].pub_cm is None
 
@@ -1029,7 +1089,7 @@ def test_appeal_before_any_public_key_rejected():
     _, shards, order, _ = open_escrow(s)
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
                         mproof(shards.tree_enc, 0))
-    with refused(s, NoPubKey):
+    with refused(s, BadState):
         s.cpc_appeal(order, SELLER_PAYEE, crypto.pk_keygen(b"cm").private, ev)
     assert not any(t.verdict for t in s.orders[order].tranches.values())
 
@@ -1052,7 +1112,7 @@ def test_appeal_refuses_a_malformed_private_key(pri_cm):
     seller_posts(s, order, kp, shards.master)
     ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
                         mproof(shards.tree_plain, 0))
-    with refused_silently(s, order, InvalidInput):
+    with refused_silently(s, InvalidInput):
         s.cpc_appeal(order, SELLER_PAYEE, pri_cm, ev)
     assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == DENIED
 
@@ -1060,10 +1120,10 @@ def test_appeal_refuses_a_malformed_private_key(pri_cm):
 @pytest.mark.parametrize("pub_cm", [None, "k" * 32, b"short", bytes(31), bytes(33)])
 def test_post_pubkey_refuses_a_malformed_key(pub_cm):
     # unchecked, each was posted and every payee's pk_encrypt to it raised;
-    # after None the consumer's second post was no DoublePost
+    # after None the consumer's second post was not refused as a second one
     s = make_system()
     _, shards, order, _ = open_escrow(s)
-    with refused_silently(s, order, InvalidInput):
+    with refused_silently(s, InvalidInput):
         s.cpc_post_pubkey(CONSUMER, order, pub_cm)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
@@ -1081,7 +1141,7 @@ def test_no_payee_can_wrap_to_a_low_order_public_key():
     for pub_cm in (bytes(32), (1).to_bytes(32, "little"), bytes.fromhex(order_8)):
         with pytest.raises(InvalidInput):
             crypto.pk_encrypt(pub_cm, shards.master)
-        with refused_silently(s, order, InvalidInput):
+        with refused_silently(s, InvalidInput):
             s.cpc_post_pubkey(CONSUMER, order, pub_cm)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
@@ -1100,7 +1160,7 @@ def test_post_key_refuses_a_key_that_is_not_bytes(wrapped_key):
     seller_posts(s, order, kp, shards.master)
     payee = provider_payee(PROVIDER)
     for _ in range(2):
-        with refused_silently(s, order, InvalidInput):
+        with refused_silently(s, InvalidInput):
             s.cpc_post_key(PROVIDER, order, payee, wrapped_key)
     provider_posts(s, order, kp, pkg.key)
     assert settle_after_windows(s, order) == {"pay:seller": 40, f"pay:{payee}": 8}
