@@ -279,9 +279,7 @@ def run_trade(
                 # each provider key is bound to the data set through r_ed
                 sp_seed = hashlib.sha256(b"sp" + bytes([p]) + seed_tag + record.r_ed).digest()
                 packages[payee] = provider_encrypt([wrapped[i] for i in tranche.shards], sp_seed)
-                system.scmc_record_provider_root(
-                    tranche.party, order_id, tranche.party, packages[payee].root
-                )
+                system.scmc_record_provider_root(tranche.party, order_id, packages[payee].root)
             del wrapped  # a cheating provider's garbage is sealed in its packages
             system.cpc_open(order_id)
             kp = crypto.pk_keygen(b"consumer" + str((profile, seed)).encode())

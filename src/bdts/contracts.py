@@ -4,20 +4,25 @@
 All state mutates through sequential method calls against one ledger, so a
 whole run is replayable.  Each listing and each order is in one status,
 and every call checks it first, through ``_record`` or ``_order``: a
-listing goes Registered -> Exposed -> Live, ends Rejected or Delisted, and
-cannot delist before it exposes; an order goes Funded -> Downloading
-(providers selected) -> Escrowed (keys, appeals) -> Closed.  Every refusal
-is one of the rules in ``bdts.errors``, raised before any state changes.
+listing goes Registered -> Exposed -> Live and ends, for good, Rejected or
+Delisted (it cannot delist before it exposes); an order goes Funded ->
+Downloading (providers selected) -> Escrowed (keys, appeals) -> Closed.
+So a listing's status alone says whether its plaintext root is taken:
+``roots`` names each root's latest listing, and the root is free once that
+listing has ended.  Every refusal is one of the rules in ``bdts.errors``,
+raised before any state changes.
 An order is its own escrow.  Its tokens go straight from the consumer into
 a ledger account of the order's own (``Order.account``) and stay there
 until settle, which reads and pays out of nothing but that account.
 Selection gives the order one ``Tranche`` per payee, the seller's first:
 its party, its amount, the global shard indices it is paid for in package
 order, the root those shards are committed to, the key it posted, its
-appeal deadline and its verdict.  A call that one party must make
-(confirming a provider, delisting, posting the consumer's public key, a
-payee's key, a provider's root) names its sender first, and any other
-sender is refused with ``WrongSender``.
+appeal deadline and its verdict; ``_tranche`` finds a payee's, or refuses
+a payee the order does not pay with ``NotFound``.  A call that one party
+must make (confirming a provider, delisting, posting the consumer's public
+key, a payee's key) names its sender first, and any other sender is
+refused with ``WrongSender``.  A provider records only its own root: the
+caller names the tranche it writes.
 Verdict logic for appeals:
 
 * the evidence index is a global shard index, and it must name a shard
@@ -71,10 +76,6 @@ CLOSED = "Closed"
 UPHELD = "Upheld"
 DENIED = "Denied"
 
-# the statuses a listing can delist from, and the one each leaves it in:
-# a Registered listing exposes first, and a rejected one keeps its forfeit
-DELIST_TO = {EXPOSED: DELISTED, LIVE: DELISTED, REJECTED: REJECTED, DELISTED: DELISTED}
-
 SELLER_PAYEE = "seller"
 APPEAL_WINDOW = 10  # blocks to post a key after escrow opens, and to appeal a posted key
 
@@ -89,9 +90,7 @@ def default_exposure_count(n: int) -> int:
 
 @dataclass
 class SPRecord:
-    provider: Address
     endpoint: str
-    data_id: str
     confirmed: bool = False
 
 
@@ -167,7 +166,7 @@ class ContractSystem:
         self.records: dict[str, DataRecord] = {}
         self.orders: dict[str, Order] = {}
         self.exposed_piece_index: dict[bytes, str] = {}  # plaintext leaf digest -> data_id
-        self.listed_roots: dict[bytes, str] = {}  # r_d -> data_id, while listed
+        self.roots: dict[bytes, str] = {}  # r_d -> data_id of its latest listing
         self.seen_pubkeys: set[bytes] = set()
         # order -> {"in": tokens}; kept only for the market benchmark, which reads it
         self.escrow_flows: dict[str, dict[str, int]] = {}
@@ -206,8 +205,9 @@ class ContractSystem:
             raise InvalidInput(f"r_d and r_ed must be {DIGEST_SIZE}-byte roots")
         if deposit < self.min_deposit(price):
             raise InvalidInput(f"deposit {deposit} below minimum {self.min_deposit(price)}")
-        if r_d in self.listed_roots:
-            raise DuplicateRoot(f"root already listed as {self.listed_roots[r_d]}")
+        latest = self.records.get(self.roots.get(r_d, ""))
+        if latest is not None and latest.status not in (REJECTED, DELISTED):
+            raise DuplicateRoot(f"root already listed as {latest.data_id}")
         if not self.ledger.transfer(seller, self.ssmc_addr, deposit, memo="deposit"):
             raise InsufficientTokens("seller balance does not cover deposit")
         data_id = f"d{len(self.records) + 1:04d}"
@@ -227,7 +227,7 @@ class ContractSystem:
             deposit=deposit,
             reg_block=reg_block,
         )
-        self.listed_roots[r_d] = data_id
+        self.roots[r_d] = data_id
         self.ledger.log_event("register_seller", data_id=data_id, seller=seller)
         return data_id
 
@@ -269,18 +269,12 @@ class ContractSystem:
     def _reject(self, rec: DataRecord, reason: str) -> None:
         # deposit stays with SSMC: forfeited
         rec.status = REJECTED
-        self._unlist_root(rec)
         self.ledger.log_event("reject", data_id=rec.data_id, reason=reason)
-
-    def _unlist_root(self, rec: DataRecord) -> None:
-        # the root may already be listed again under a newer record
-        if self.listed_roots.get(rec.r_d) == rec.data_id:
-            del self.listed_roots[rec.r_d]
 
     def ssmc_register_provider(self, provider: Address, endpoint: str, data_id: str) -> None:
         rec = self._record(data_id, EXPOSED, LIVE)
         if provider not in rec.providers:  # duplicate registration is a no-op
-            rec.providers[provider] = SPRecord(provider, endpoint, data_id)
+            rec.providers[provider] = SPRecord(endpoint)
             self.ledger.log_event("register_provider", data_id=data_id, provider=provider)
 
     def ssmc_confirm_provider(self, seller: Address, provider: Address, data_id: str) -> None:
@@ -294,41 +288,40 @@ class ContractSystem:
         self.ledger.log_event("confirm_provider", data_id=data_id, provider=provider)
 
     def ssmc_delist(self, seller: Address, data_id: str) -> None:
-        """Withdraw an exposed listing and reclaim the deposit (unless
-        forfeited).  A Registered listing must expose first, so a seller
-        cannot re-register its root for other exposure indices."""
-        rec = self._record(data_id, *DELIST_TO)
+        """Withdraw an exposed or live listing for good and reclaim the
+        deposit.  A Registered listing must expose first, so a seller cannot
+        re-register its root for other exposure indices."""
+        rec = self._record(data_id, EXPOSED, LIVE)
         if seller != rec.seller:
             raise WrongSender("only the listing seller can delist")
         if any(o.data_id == data_id and o.status != CLOSED for o in self.orders.values()):
             raise BadState("cannot delist with open orders")
-        rec.status = DELIST_TO[rec.status]
-        self._unlist_root(rec)
+        rec.status = DELISTED
         self._return_deposit(rec)
         self.ledger.log_event("delist", data_id=data_id)
 
     def _return_deposit(self, rec: DataRecord) -> None:
-        # once per listing; a rejected listing's deposit is forfeited
-        if rec.status != REJECTED and not rec.deposit_returned:
+        # once per listing, by settle or delist
+        if not rec.deposit_returned:
             rec.deposit_returned = True
             self.ledger.transfer(self.ssmc_addr, rec.seller, rec.deposit, memo="deposit-return")
 
     def match_products(self, keyword: str) -> list[dict]:
-        out = []
-        for rec in self.records.values():
-            if rec.status != LIVE:
-                continue
-            if keyword.lower() in rec.description.lower():
-                out.append(
-                    {
-                        "data_id": rec.data_id,
-                        "description": rec.description,
-                        "price": rec.price,
-                        "size": rec.size_bytes,
-                        "providers": sorted(p for p, sp in rec.providers.items() if sp.confirmed),
-                    }
-                )
-        return sorted(out, key=lambda d: d["data_id"])
+        if not isinstance(keyword, str):
+            raise InvalidInput(f"a keyword is a str, got {type(keyword).__name__}")
+        word = keyword.lower()
+        hits = [
+            {
+                "data_id": rec.data_id,
+                "description": rec.description,
+                "price": rec.price,
+                "size": rec.size_bytes,
+                "providers": sorted(p for p, sp in rec.providers.items() if sp.confirmed),
+            }
+            for rec in self.records.values()
+            if rec.status == LIVE and word in rec.description.lower()
+        ]
+        return sorted(hits, key=lambda d: d["data_id"])
 
     # ---------------------------------------------------------------- SCMC
 
@@ -338,8 +331,10 @@ class ContractSystem:
         rec = self._record(data_id, LIVE)
         required = rec.price + rec.n * rec.unit_price
         if tokens < required:
-            if tokens > 0:
-                self.ledger.transfer(consumer, self.ssmc_addr, tokens, memo="forfeit")
+            if tokens > 0 and not self.ledger.transfer(
+                consumer, self.ssmc_addr, tokens, memo="forfeit"
+            ):
+                raise InsufficientTokens("consumer balance does not cover the forfeit")
             self.ledger.log_event(
                 "order_discarded", data_id=data_id, tokens=tokens, required=required
             )
@@ -367,6 +362,8 @@ class ContractSystem:
             if sp is None or not sp.confirmed:
                 raise BadState(f"{provider} not confirmed for {rec.data_id}")
             for i in indices:
+                if type(i) is not int:
+                    raise InvalidInput(f"a shard index is an int, got {i!r}")
                 covered.setdefault(i, provider)  # duplicates go to the first listed
         if set(covered) != set(range(rec.n)):
             missing = sorted(set(range(rec.n)) - set(covered))
@@ -382,17 +379,11 @@ class ContractSystem:
         order.status = DOWNLOADING
         self.ledger.log_event("order_selected", order_id=order_id)
 
-    def scmc_record_provider_root(
-        self, sender: Address, order_id: str, provider: Address, r_eed: bytes
-    ) -> None:
+    def scmc_record_provider_root(self, provider: Address, order_id: str, r_eed: bytes) -> None:
         # an appeal against a provider is judged on this root: it is fixed
-        # once, before the escrow opens and any key can be posted
+        # once, by the provider, before the escrow opens and any key can be posted
         order = self._order(order_id, DOWNLOADING)
-        tranche = order.tranches.get(provider_payee(provider))
-        if tranche is None:
-            raise NotFound(f"{provider} is not serving order {order_id}")
-        if sender != provider:
-            raise WrongSender(f"only {provider} can record its root")
+        tranche = self._tranche(order, provider_payee(provider))
         if tranche.root is not None:
             raise BadState(f"{provider} already recorded its root for {order_id}")
         tranche.root = r_eed
@@ -428,9 +419,7 @@ class ContractSystem:
         order = self._order(order_id, ESCROWED)
         if order.pub_cm is None:
             raise BadState("consumer public key not posted yet")
-        tranche = order.tranches.get(payee)
-        if tranche is None:
-            raise NotFound(f"no tranche for payee {payee}")
+        tranche = self._tranche(order, payee)
         if sender != tranche.party:
             raise WrongSender(f"only {payee} can post its key")
         if not isinstance(wrapped_key, bytes):
@@ -446,6 +435,12 @@ class ContractSystem:
     def cpc_appeal(
         self, order_id: str, payee: str, pri_cm: bytes, evidence: AppealEvidence
     ) -> str:
+        if not (
+            isinstance(evidence, AppealEvidence) and type(evidence.index) is int
+            and isinstance(evidence.ciphertext, (bytes, bytearray))
+            and all(isinstance(p, MerkleProof) for p in (evidence.auth_proof, evidence.inner_proof))
+        ):
+            raise InvalidInput("evidence is an int index, bytes and two Merkle proofs")
         order = self._order(order_id, ESCROWED)
         if order.pub_cm is None:
             raise BadState("no consumer public key on record")
@@ -453,8 +448,8 @@ class ContractSystem:
         sk = crypto.private_key(pri_cm)
         if crypto.public_key_of(sk) != order.pub_cm:
             raise WrongSender("private key does not match the posted public key")
-        tranche = order.tranches.get(payee)
-        if tranche is None or tranche.wrapped_key is None:
+        tranche = self._tranche(order, payee)
+        if tranche.wrapped_key is None:
             raise BadState(f"{payee} has not posted a key; nothing to appeal")
         if tranche.verdict is not None:
             raise BadState(f"appeal against {payee} already decided")
@@ -545,3 +540,10 @@ class ContractSystem:
         if order.status != status:
             raise BadState(f"order {order_id} is {order.status}, expected {status}")
         return order
+
+    def _tranche(self, order: Order, payee: str) -> Tranche:
+        """The order's tranche for ``payee``, if the order pays it."""
+        tranche = order.tranches.get(payee)
+        if tranche is None:
+            raise NotFound(f"order {order.order_id} pays no {payee}")
+        return tranche

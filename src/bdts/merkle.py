@@ -142,7 +142,7 @@ def mvrfy_digest(
     metrics.record("proof_verifications")
     if proof.index != index or not 0 <= index < leaf_count:
         return False
-    if len(proof.siblings) != (leaf_count - 1).bit_length():
+    if type(proof.siblings) is not tuple or len(proof.siblings) != (leaf_count - 1).bit_length():
         return False
     acc = digest
     pos = index

@@ -29,6 +29,7 @@ from bdts.ledger import Ledger, address_for
 from bdts.merkle import MerkleProof, mproof, mtree, mvrfy
 from bdts.sharding import provider_encrypt, shard_encrypt
 from cheat_catalog import cheat_catalog
+from paper_table import verify_table
 
 GRID = [(x, y) for x in (0, 5, 10, 19) for y in (0, 1, 2, 3)]
 
@@ -39,7 +40,7 @@ GRID = [(x, y) for x in (0, 5, 10, 19) for y in (0, 1, 2, 3)]
 def test_criterion_1_table_fidelity():
     start = time.perf_counter()
     for x, y in GRID:
-        assert game.verify_table(x, y) == [], f"mismatches at x={x} y={y}"
+        assert verify_table(x, y) == [], f"mismatches at x={x} y={y}"
     assert time.perf_counter() - start < 1.0
 
 
@@ -209,7 +210,7 @@ def _fuzz_sequence(rng: random.Random, monkeypatch) -> None:
     def op_open():
         order_id, _, shards = rng.choice(orders)
         pkg = provider_encrypt(list(shards.enc_shards), rng.randbytes(8))
-        system.scmc_record_provider_root(provider, order_id, provider, pkg.root)
+        system.scmc_record_provider_root(provider, order_id, pkg.root)
         system.cpc_open(order_id)
 
     def op_keys():
@@ -298,7 +299,7 @@ def _opened_escrow_sequence(rng: random.Random, monkeypatch) -> bool:
     order = system.orders[order_id]
     system.scmc_select(order_id, [(provider, [0, 1, 2])])
     pkg = provider_encrypt(list(shards.enc_shards), rng.randbytes(8))
-    system.scmc_record_provider_root(provider, order_id, provider, pkg.root)
+    system.scmc_record_provider_root(provider, order_id, pkg.root)
     system.cpc_open(order_id)
     kp = crypto.pk_keygen(rng.randbytes(16))
     system.cpc_post_pubkey(consumer, order_id, kp.public)

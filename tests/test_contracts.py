@@ -1,6 +1,7 @@
 """Contract state machine coverage: listing/exposure, ordering, escrow,
 appeals, and settlement edge cases."""
 import copy
+import dataclasses
 import hashlib
 import random
 import re
@@ -100,7 +101,7 @@ def test_register_refuses_a_deposit_the_seller_cannot_cover():
     s = make_system()
     with refused(s, InsufficientTokens):
         register(s, price=2001, deposit=1001)
-    assert s.records == {} and s.listed_roots == {}
+    assert s.records == {} and s.roots == {}
 
 
 def test_register_escrows_deposit():
@@ -170,10 +171,28 @@ def test_delisted_listing_does_not_block_reregistration():
     s = make_system()
     data_id, _ = go_live(s)
     s.ssmc_delist(SELLER, data_id)
-    register(s)  # same content, prior record is delisted
-    s.ssmc_delist(SELLER, data_id)  # delisting the old record again frees nothing
-    with pytest.raises(DuplicateRoot):
+    relisted, shards = register(s)  # same content, prior record is delisted
+    expose(s, relisted, shards)
+    assert s.records[relisted].status == EXPOSED
+
+
+def test_a_delisted_listing_cannot_delist_again_to_free_its_root():
+    # delisting the old record again was allowed: it logged a delist and
+    # had to leave the root listed under the newer record
+    s = make_system()
+    data_id, _ = go_live(s)
+    s.ssmc_delist(SELLER, data_id)
+    relisted, shards = register(s)
+    with refused_silently(s, BadState):
+        s.ssmc_delist(SELLER, data_id)
+    with pytest.raises(DuplicateRoot, match=f"listed as {relisted}"):
         register(s)
+    assert s.roots == {shards.root_plain: relisted}
+    # once the newer record is delisted too, the root is free again
+    expose(s, relisted, shards)
+    s.ssmc_delist(SELLER, relisted)
+    third, _ = register(s)
+    assert s.roots == {shards.root_plain: third}
 
 
 def test_expose_wrong_indices():
@@ -198,10 +217,10 @@ def test_expose_bad_proof_forfeits_deposit():
     with pytest.raises(ProofFailure):
         s.ssmc_expose(data_id, pieces)
     assert s.records[data_id].status == REJECTED
-    # deposit stays with the contract
+    # deposit stays with the contract, and a rejected listing cannot delist
     assert s.ledger.balance(SELLER) == 1000 - 20
-    s.ssmc_delist(SELLER, data_id)
-    assert s.ledger.balance(SELLER) == 1000 - 20  # forfeited, not returned
+    with refused_silently(s, BadState):
+        s.ssmc_delist(SELLER, data_id)
     assert s.records[data_id].status == REJECTED
 
 
@@ -354,7 +373,7 @@ def open_escrow(s, excess=0, **listing):
     order = s.scmc_place_order(CONSUMER, data_id, rec.price + rec.n * rec.unit_price + excess)
     s.scmc_select(order, [(PROVIDER, list(range(rec.n)))])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
-    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
+    s.scmc_record_provider_root(PROVIDER, order, pkg.root)
     s.cpc_open(order)
     return data_id, shards, order, pkg
 
@@ -525,7 +544,7 @@ def open_two_provider_escrow(s, kp, sp2_key=None):
     pkgs = []
     for provider, indices in zip((PROVIDER, PROVIDER2), ranges):
         pkg = provider_encrypt([shards.enc_shards[i] for i in indices], provider.encode())
-        s.scmc_record_provider_root(provider, order, provider, pkg.root)
+        s.scmc_record_provider_root(provider, order, pkg.root)
         pkgs.append(pkg)
     s.cpc_open(order)
     seller_posts(s, order, kp, shards.master)
@@ -779,8 +798,21 @@ def test_delist_returns_deposit_once():
     data_id, _ = go_live(s)
     s.ssmc_delist(SELLER, data_id)
     assert s.ledger.balance(SELLER) == 1000
+    with refused_silently(s, BadState):
+        s.ssmc_delist(SELLER, data_id)  # was allowed, logged and moved nothing
+
+
+def test_delist_after_settle_returns_no_second_deposit():
+    s = make_system()
+    data_id, shards, order, pkg = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    provider_posts(s, order, kp, pkg.key)
+    settle_after_windows(s, order)
+    assert s.ledger.balance(SELLER) == 1000 + 40  # price in, deposit back
     s.ssmc_delist(SELLER, data_id)
-    assert s.ledger.balance(SELLER) == 1000
+    assert s.ledger.balance(SELLER) == 1000 + 40
+    assert s.records[data_id].status == DELISTED
 
 
 def test_a_registered_listing_cannot_delist_to_reroll_its_exposure():
@@ -853,7 +885,7 @@ LISTING_CALLS = {
     "ssmc_expose": (REGISTERED,),
     "ssmc_register_provider": (EXPOSED, LIVE),
     "ssmc_confirm_provider": (EXPOSED, LIVE),
-    "ssmc_delist": (EXPOSED, LIVE, REJECTED, DELISTED),
+    "ssmc_delist": (EXPOSED, LIVE),
     "scmc_place_order": (LIVE,),
 }
 LATE, STRANGER = address_for("t:late"), address_for("t:stranger")
@@ -932,7 +964,7 @@ def order_in(status):
     calls = {
         "scmc_select": lambda: s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])]),
         "scmc_record_provider_root":
-            lambda: s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root),
+            lambda: s.scmc_record_provider_root(PROVIDER, order, pkg.root),
         "cpc_open": lambda: s.cpc_open(order),
         "cpc_post_pubkey": lambda: s.cpc_post_pubkey(CONSUMER, order, kp.public),
         "cpc_post_key": lambda: s.cpc_post_key(
@@ -969,9 +1001,9 @@ def test_provider_root_is_recorded_once():
     order = s.scmc_place_order(CONSUMER, data_id, 48)
     s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
     pkg = provider_encrypt(list(shards.enc_shards), b"sp-seed")
-    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
+    s.scmc_record_provider_root(PROVIDER, order, pkg.root)
     with refused_silently(s, BadState):
-        s.scmc_record_provider_root(PROVIDER, order, PROVIDER, bytes(32))
+        s.scmc_record_provider_root(PROVIDER, order, bytes(32))
     assert s.orders[order].tranches[provider_payee(PROVIDER)].root == pkg.root
 
 
@@ -981,7 +1013,7 @@ def test_provider_root_only_from_a_serving_provider():
     order = s.scmc_place_order(CONSUMER, data_id, 48)
     s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
     with refused_silently(s, NotFound):
-        s.scmc_record_provider_root(STRANGER, order, STRANGER, bytes(32))
+        s.scmc_record_provider_root(STRANGER, order, bytes(32))
 
 
 def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
@@ -998,7 +1030,7 @@ def test_provider_root_cannot_be_rewritten_once_the_escrow_is_open():
     blobs = [rng.randbytes(len(pkg.eed_shards[0])) for _ in range(4)]
     forged = mtree(blobs)
     with refused_silently(s, BadState):
-        s.scmc_record_provider_root(PROVIDER, order, PROVIDER, forged.root)
+        s.scmc_record_provider_root(PROVIDER, order, forged.root)
     assert s.orders[order].tranches[payee].root == pkg.root
     ev = AppealEvidence(0, blobs[0], mproof(forged, 0), mproof(shards.tree_enc, 0))
     assert s.cpc_appeal(order, payee, kp.private, ev) == DENIED
@@ -1040,7 +1072,8 @@ def test_only_the_provider_records_its_root():
     # the consumer records the root of four random blobs as the provider's
     # first: unchecked, the provider's own record was refused as a second
     # one, an appeal with a blob was upheld, and settle refunded the honest
-    # provider
+    # provider.  A caller records only its own root, and the consumer
+    # serves no shard
     s = make_system()
     data_id, shards = go_live(s)
     order = s.scmc_place_order(CONSUMER, data_id, 48)
@@ -1049,9 +1082,9 @@ def test_only_the_provider_records_its_root():
     rng = random.Random(0)
     blobs = [rng.randbytes(len(pkg.eed_shards[0])) for _ in range(4)]
     forged = mtree(blobs)
-    with refused_silently(s, WrongSender):
-        s.scmc_record_provider_root(CONSUMER, order, PROVIDER, forged.root)
-    s.scmc_record_provider_root(PROVIDER, order, PROVIDER, pkg.root)
+    with refused_silently(s, NotFound):
+        s.scmc_record_provider_root(CONSUMER, order, forged.root)
+    s.scmc_record_provider_root(PROVIDER, order, pkg.root)
     s.cpc_open(order)
     kp = crypto.pk_keygen(b"cm")
     seller_posts(s, order, kp, shards.master)
@@ -1164,3 +1197,84 @@ def test_post_key_refuses_a_key_that_is_not_bytes(wrapped_key):
             s.cpc_post_key(PROVIDER, order, payee, wrapped_key)
     provider_posts(s, order, kp, pkg.key)
     assert settle_after_windows(s, order) == {"pay:seller": 40, f"pay:{payee}": 8}
+
+
+def test_appeal_against_a_payee_the_order_does_not_pay_is_not_found():
+    # it was refused as BadState, as a payee that has not posted its key is
+    s = make_system()
+    _, shards, order, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
+                        mproof(shards.tree_plain, 0))
+    with refused_silently(s, NotFound):
+        s.cpc_appeal(order, provider_payee(STRANGER), kp.private, ev)
+    with refused_silently(s, BadState):
+        s.cpc_appeal(order, provider_payee(PROVIDER), kp.private, ev)
+
+
+@pytest.mark.parametrize("field,value", [
+    (None, None),  # no evidence at all
+    ("index", 1.0), ("index", True),
+    ("ciphertext", None), ("ciphertext", "junk"),
+    ("auth_proof", None), ("inner_proof", None),
+])
+def test_appeal_refuses_malformed_evidence(field, value):
+    # index 1.0 and a None or str ciphertext raised TypeError, a None inner
+    # proof or no evidence AttributeError; index True was judged as shard 1
+    s = make_system()
+    _, shards, order, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    ev = AppealEvidence(1, shards.enc_shards[1], mproof(shards.tree_enc, 1),
+                        mproof(shards.tree_plain, 1))
+    bad = dataclasses.replace(ev, **{field: value}) if field else None
+    with refused_silently(s, InvalidInput):
+        s.cpc_appeal(order, SELLER_PAYEE, kp.private, bad)
+    # the consumer's own delivered frames are bytearrays
+    ev = dataclasses.replace(ev, ciphertext=bytearray(ev.ciphertext))
+    assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == DENIED
+
+
+def test_appeal_with_a_proof_that_holds_no_siblings_is_judged():
+    # MerkleProof(1, None) raised TypeError where the contract climbed it
+    s = make_system()
+    _, shards, order, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    no_siblings = MerkleProof(1, None)
+    ev = AppealEvidence(1, b"\x99" * 64, no_siblings, no_siblings)
+    assert s.cpc_appeal(order, SELLER_PAYEE, kp.private, ev) == DENIED
+
+
+@pytest.mark.parametrize("index", [1.0, True, "1"])
+def test_select_refuses_a_shard_index_that_is_not_an_int(index):
+    # 1.0 and True covered shard 1 and were stored as the provider's shards
+    s = make_system()
+    data_id, _ = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    with refused_silently(s, InvalidInput):
+        s.scmc_select(order, [(PROVIDER, [0, index, 2, 3])])
+    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    assert s.orders[order].tranches[provider_payee(PROVIDER)].shards == [0, 1, 2, 3]
+
+
+def test_a_forfeit_the_consumer_cannot_cover_discards_no_order():
+    # a consumer holding 10 tokens offered 47 of 48: the block logged a
+    # rejected forfeit and then the order discarded with its 47 tokens
+    s = ContractSystem(Ledger({SELLER: 1000, CONSUMER: 10, PROVIDER: 1000}))
+    data_id, _ = go_live(s)
+    with refused(s, InsufficientTokens):
+        s.scmc_place_order(CONSUMER, data_id, 47)
+    s.ledger.mine_block()
+    assert not any(e["memo"] == "order_discarded" for e in s.ledger.events)
+    assert s.orders == {}
+
+
+@pytest.mark.parametrize("keyword", [None, 5, b"solar"])
+def test_match_products_refuses_a_keyword_that_is_not_str(keyword):
+    # None raised AttributeError, but only once some listing was Live
+    s = make_system()
+    go_live(s)
+    with refused_silently(s, InvalidInput):
+        s.match_products(keyword)

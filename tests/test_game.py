@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from bdts import bench, game
 from bdts.actors import ROLES, all_profiles, deliver_in_memory, run_scenario, run_trade
 from bdts.errors import InvalidInput, Mismatch
+import paper_table
 
 GRID = [(x, y) for x in (0, 5, 10, 19) for y in (0, 1, 2, 3)]
 
@@ -32,15 +33,15 @@ def test_pinned_raw_cells():
 
 @pytest.mark.parametrize("x,y", GRID)
 def test_verify_table_clean(x, y):
-    assert game.verify_table(x, y) == []
+    assert paper_table.verify_table(x, y) == []
 
 
 def test_verify_table_flags_corruption(monkeypatch):
     # harness self-test: a deliberately corrupted fixture cell must show up
-    broken = dict(game.RAW_TABLE)
+    broken = dict(paper_table.RAW_TABLE)
     broken["dhl"] = lambda x, y: (999, 0, 0)
-    monkeypatch.setattr(game, "RAW_TABLE", broken)
-    diffs = game.verify_table(10, 2)
+    monkeypatch.setattr(paper_table, "RAW_TABLE", broken)
+    diffs = paper_table.verify_table(10, 2)
     assert len(diffs) == 1 and diffs[0]["profile"] == "dhl"
 
 

@@ -71,6 +71,15 @@ def test_malformed_proof_returns_false():
     assert not mvrfy(2, t.root, b"a", MerkleProof(2, p.siblings), 2)
 
 
+@pytest.mark.parametrize("siblings", [None, 5, "list"])
+def test_siblings_that_are_not_a_tuple_return_false(siblings):
+    # None and 5 raised TypeError; a list of the right digests verified
+    t = mtree([b"a", b"b"])
+    if siblings == "list":
+        siblings = list(mproof(t, 0).siblings)
+    assert not mvrfy(0, t.root, b"a", MerkleProof(0, siblings), 2)
+
+
 def test_siblings_relabelled_past_the_end_rejected():
     t = mtree([b"a", b"b", b"c", b"d"])
     # index 4 walks the same sides as index 0 but overflows the tree
