@@ -10,7 +10,8 @@ Downloading (providers selected) -> Escrowed (keys, appeals) -> Closed.
 So a listing's status alone says whether its plaintext root is taken:
 ``roots`` names each root's latest listing, and the root is free once that
 listing has ended.  Every refusal is one of the rules in ``bdts.errors``,
-raised before any state changes.
+raised before any state changes, but for one on purpose: an order below
+price plus shards forfeits its tokens and is then refused.
 An order is its own escrow.  Its tokens go straight from the consumer into
 a ledger account of the order's own (``Order.account``) and stay there
 until settle, which reads and pays out of nothing but that account.
@@ -208,8 +209,7 @@ class ContractSystem:
         latest = self.records.get(self.roots.get(r_d, ""))
         if latest is not None and latest.status not in (REJECTED, DELISTED):
             raise DuplicateRoot(f"root already listed as {latest.data_id}")
-        if not self.ledger.transfer(seller, self.ssmc_addr, deposit, memo="deposit"):
-            raise InsufficientTokens("seller balance does not cover deposit")
+        self.ledger.transfer(seller, self.ssmc_addr, deposit, memo="deposit")
         data_id = f"d{len(self.records) + 1:04d}"
         # sealed in the block currently being built
         reg_block = self.ledger.height + 1
@@ -272,6 +272,8 @@ class ContractSystem:
         self.ledger.log_event("reject", data_id=rec.data_id, reason=reason)
 
     def ssmc_register_provider(self, provider: Address, endpoint: str, data_id: str) -> None:
+        if not isinstance(endpoint, str):
+            raise InvalidInput("endpoint must be str")
         rec = self._record(data_id, EXPOSED, LIVE)
         if provider not in rec.providers:  # duplicate registration is a no-op
             rec.providers[provider] = SPRecord(endpoint)
@@ -331,18 +333,15 @@ class ContractSystem:
         rec = self._record(data_id, LIVE)
         required = rec.price + rec.n * rec.unit_price
         if tokens < required:
-            if tokens > 0 and not self.ledger.transfer(
-                consumer, self.ssmc_addr, tokens, memo="forfeit"
-            ):
-                raise InsufficientTokens("consumer balance does not cover the forfeit")
+            if tokens > 0:
+                self.ledger.transfer(consumer, self.ssmc_addr, tokens, memo="forfeit")
             self.ledger.log_event(
                 "order_discarded", data_id=data_id, tokens=tokens, required=required
             )
             raise InsufficientTokens(f"{tokens} < price+size*unit price = {required}")
         order_id = f"o{len(self.orders) + 1:04d}"
         account = address_for(f"contract:CPC:{order_id}")
-        if not self.ledger.transfer(consumer, account, tokens, memo="escrow"):
-            raise InsufficientTokens("consumer balance does not cover the order")
+        self.ledger.transfer(consumer, account, tokens, memo="escrow")
         self.orders[order_id] = Order(
             order_id=order_id, consumer=consumer, data_id=data_id, tokens=tokens,
             account=account,

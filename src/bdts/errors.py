@@ -4,7 +4,8 @@ A contract refuses a call before any of its state changes, with one of
 seven rules, one class each (what it refuses; the calls that raise it):
 
 * ``InvalidInput``: an argument wrong in any state; ``ssmc_register_seller``
-  (a malformed listing, a deposit below ``min_deposit``), ``ssmc_expose``
+  (a malformed listing, a deposit below ``min_deposit``),
+  ``ssmc_register_provider`` (an endpoint not a ``str``), ``ssmc_expose``
   (other indices than drawn), ``scmc_place_order`` (tokens not ``int``),
   ``scmc_select`` (a shard index not an ``int``, a shard left uncovered),
   ``match_products`` (a keyword not a ``str``), ``cpc_post_pubkey``,
@@ -30,7 +31,9 @@ seven rules, one class each (what it refuses; the calls that raise it):
 * ``InsufficientTokens``: tokens short of what the call moves;
   ``ssmc_register_seller`` (the deposit) and ``scmc_place_order`` (the
   order, or an order below price plus shards, which is forfeited if the
-  consumer holds what it offered).
+  consumer holds what it offered).  ``Ledger.transfer`` raises it on an
+  overdraw, before any balance changes or event is logged, and the
+  contracts let it through.
 * ``ProofFailure``: exposed pieces that fail their proofs or repeat another
   seller's, forfeiting the deposit; ``ssmc_expose``, and the consumer in
   ``actors`` for a delivered shard off its committed root.

@@ -1,7 +1,8 @@
 """Deterministic single-process token ledger with explicit block production.
 
-Transfers apply eagerly against account balances (a transfer that would
-drive a balance negative is rejected and logged); ``mine_block`` seals all
+Transfers apply eagerly against account balances; a transfer that would
+drive a balance negative raises ``InsufficientTokens`` and leaves no trace,
+neither a balance change nor an event.  ``mine_block`` seals all
 events since the previous block into a hash-chained block whose hash doubles
 as the public randomness consumed by the exposure step.
 """
@@ -11,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidInput, NotFound
+from .errors import InsufficientTokens, InvalidInput, NotFound
 
 Address = str  # 40-hex-char opaque identifier
 
@@ -56,15 +57,15 @@ class Ledger:
 
     # -- transfers --------------------------------------------------------
 
-    def transfer(self, src: Address, dst: Address, amount: int, memo: str = "") -> bool:
-        """Apply a transfer of a positive ``int`` amount; returns False (and
-        logs a rejection) if it would overdraw the source account."""
+    def transfer(self, src: Address, dst: Address, amount: int, memo: str = "") -> None:
+        """Move a positive ``int`` amount and log it; an overdraw raises
+        ``InsufficientTokens`` before any balance changes or event is logged."""
         if type(amount) is not int or amount <= 0:
             raise InvalidInput(f"transfer amount must be a positive int, got {amount!r}")
-        ok = self.balance(src) >= amount
-        if ok:
-            self.balances[src] = self.balance(src) - amount
-            self.balances[dst] = self.balance(dst) + amount
+        if self.balance(src) < amount:
+            raise InsufficientTokens(f"{src} holds {self.balance(src)} of {amount} tokens")
+        self.balances[src] -= amount
+        self.balances[dst] = self.balance(dst) + amount
         self._log(
             {
                 "type": "transfer",
@@ -72,10 +73,9 @@ class Ledger:
                 "to": dst,
                 "amount": amount,
                 "memo": memo,
-                "status": "applied" if ok else "rejected",
+                "status": "applied",
             }
         )
-        return ok
 
     def log_event(self, memo: str, **payload) -> None:
         """Record a contract event in the next block."""

@@ -98,8 +98,9 @@ def test_register_rejects_low_deposit():
 
 
 def test_register_refuses_a_deposit_the_seller_cannot_cover():
+    # the refused deposit used to land in the block as a rejected transfer
     s = make_system()
-    with refused(s, InsufficientTokens):
+    with refused_silently(s, InsufficientTokens):
         register(s, price=2001, deposit=1001)
     assert s.records == {} and s.roots == {}
 
@@ -270,6 +271,16 @@ def test_confirm_requires_seller():
     assert s.records[data_id].status == LIVE
 
 
+@pytest.mark.parametrize("endpoint", [None, b"ep", 5])
+def test_register_provider_refuses_an_endpoint_that_is_not_str(endpoint):
+    # a provider was registered with whatever endpoint it passed
+    s = make_system()
+    data_id, shards = register(s)
+    expose(s, data_id, shards)
+    with refused_silently(s, InvalidInput):
+        s.ssmc_register_provider(PROVIDER, endpoint, data_id)
+
+
 def test_match_products_substring():
     s = make_system()
     data_id, _ = go_live(s)
@@ -305,12 +316,18 @@ def test_unknown_data_id():
 
 
 def test_underfunded_order_strict_forfeit():
+    # the one refusal that changes state, on purpose: the tokens are forfeited
     s = make_system()
     data_id, _ = go_live(s)
+    events = len(s.ledger.events)
     with pytest.raises(InsufficientTokens):
         s.scmc_place_order(CONSUMER, data_id, 47)
     assert s.ledger.balance(CONSUMER) == 1000 - 47
-    assert s.ledger.balance(s.ssmc_addr) >= 47
+    assert s.ledger.balance(s.ssmc_addr) == 20 + 47
+    s.ledger.mine_block()
+    assert [(e["memo"], e.get("amount", e.get("tokens"))) for e in s.ledger.events[events:]] == [
+        ("forfeit", 47), ("order_discarded", 47),
+    ]
 
 
 @pytest.mark.parametrize("tokens", (41.5, 48.0, "48", None, True))
@@ -328,10 +345,11 @@ def test_order_refuses_tokens_that_are_not_whole(tokens):
 
 
 def test_order_the_consumer_cannot_cover_is_refused():
+    # the refused escrow used to land in the block as a rejected transfer
     s = make_system()
     data_id, _ = go_live(s)
     account = address_for("contract:CPC:o0001")
-    with refused(s, InsufficientTokens):
+    with refused_silently(s, InsufficientTokens):
         s.scmc_place_order(CONSUMER, data_id, 1001)
     assert s.orders == {} and s.ledger.balance(account) == 0
     # the next order takes the id, and its account holds exactly its tokens
@@ -1264,11 +1282,8 @@ def test_a_forfeit_the_consumer_cannot_cover_discards_no_order():
     # rejected forfeit and then the order discarded with its 47 tokens
     s = ContractSystem(Ledger({SELLER: 1000, CONSUMER: 10, PROVIDER: 1000}))
     data_id, _ = go_live(s)
-    with refused(s, InsufficientTokens):
+    with refused_silently(s, InsufficientTokens):
         s.scmc_place_order(CONSUMER, data_id, 47)
-    s.ledger.mine_block()
-    assert not any(e["memo"] == "order_discarded" for e in s.ledger.events)
-    assert s.orders == {}
 
 
 @pytest.mark.parametrize("keyword", [None, 5, b"solar"])

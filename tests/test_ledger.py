@@ -3,8 +3,9 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bdts.errors import InvalidInput, NotFound
+from bdts.errors import InsufficientTokens, InvalidInput, NotFound
 from bdts.ledger import Ledger, address_for, rand_indices
 
 A, B, C = address_for("a"), address_for("b"), address_for("c")
@@ -25,17 +26,18 @@ def test_negative_genesis_rejected():
 
 def test_transfer_applies_eagerly():
     led = Ledger({A: 10})
-    assert led.transfer(A, B, 4)
+    led.transfer(A, B, 4)
     assert led.balance(A) == 6 and led.balance(B) == 4
 
 
-def test_overdraw_rejected_and_logged():
+def test_overdraw_raises_and_leaves_no_trace():
+    # an overdraw used to log a rejected transfer into the next block
     led = Ledger({A: 3})
-    assert not led.transfer(A, B, 5)
+    with pytest.raises(InsufficientTokens):
+        led.transfer(A, B, 5)
     assert led.balance(A) == 3 and led.balance(B) == 0
     led.mine_block()
-    rejected = [e for e in led.events if e.get("status") == "rejected"]
-    assert len(rejected) == 1 and rejected[0]["amount"] == 5
+    assert led.events == []
 
 
 @pytest.mark.parametrize("moves", [0, 1, 3])
@@ -72,10 +74,33 @@ def test_non_int_amount_rejected(amount):
 def test_supply_conserved_through_blocks():
     led = Ledger({A: 50, B: 50})
     for src, dst, amount in ((A, B, 10), (B, C, 30), (C, A, 5)):
-        assert led.transfer(src, dst, amount)
+        led.transfer(src, dst, amount)
     led.mine_block()
     assert led.total_supply() == 100
     assert (led.balance(A), led.balance(B), led.balance(C)) == (45, 30, 25)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((A, B, C)), st.sampled_from((A, B, C)),
+                          st.integers(1, 40)), max_size=30))
+def test_random_transfers_conserve_supply_and_overdraws_leave_no_trace(moves):
+    led = Ledger({A: 30, B: 20, C: 10})
+    for src, dst, amount in moves:
+        held, events = dict(led.balances), len(led.events)
+        overdraw = amount > led.balance(src)
+        if overdraw:
+            with pytest.raises(InsufficientTokens):
+                led.transfer(src, dst, amount)
+        else:
+            led.transfer(src, dst, amount)
+        led.mine_block()
+        sealed = led.events[events:]
+        if overdraw:
+            assert led.balances == held and sealed == []
+        else:
+            assert [(e["from"], e["to"], e["amount"]) for e in sealed] == [(src, dst, amount)]
+        assert led.total_supply() == 60
+        assert min(led.balances.values()) >= 0
 
 
 def test_chain_links_and_seed():
