@@ -24,23 +24,9 @@ must make (confirming a provider, delisting, posting the consumer's public
 key, a payee's key) names its sender first, and any other sender is
 refused with ``WrongSender``.  A provider records only its own root: the
 caller names the tranche it writes.
-Verdict logic for appeals:
-
-* the evidence index is a global shard index, and it must name a shard
-  the payee is paid for (any of the data set's n shards for the seller, a
-  shard the provider served); the contract derives the shard's position in
-  the payee's package and both trees' leaf counts itself;
-* a posted key that ``crypto.pk_decrypt`` will not unwrap to one 32-byte
-  key under the consumer's private key upholds the appeal;
-* otherwise the evidence ciphertext is tried against the key the payee posted;
-* if it decrypts, the plaintext must match the committed root for the
-  layer below (r_d for seller appeals, r_ed for provider appeals) or the
-  appeal is upheld;
-* if it does not decrypt, the appeal is upheld only when the ciphertext
-  itself authenticates against the committed root for its own layer
-  (r_ed / r_eed) - i.e. the delivered bytes are genuine but the posted
-  key cannot open them.  Unauthenticated, non-decryptable evidence is
-  treated as fabricated and the appeal is denied.
+An appeal passes ``cpc_appeal``'s gates and is then decided by ``judge``,
+a function of the listing, the payee's tranche, the consumer's private key
+and the evidence alone.
 """
 from __future__ import annotations
 
@@ -156,6 +142,43 @@ class AppealEvidence:
     ciphertext: bytes
     auth_proof: MerkleProof
     inner_proof: MerkleProof
+
+
+def judge(rec: DataRecord, tranche: Tranche, seller: bool, sk: crypto.X25519PrivateKey,
+          evidence: AppealEvidence) -> tuple[str, str]:
+    """The verdict on an appeal against ``tranche`` (the seller's if
+    ``seller``) and its reason, from nothing but the arguments.
+
+    ``sk`` unwraps the posted key, which opens the evidence ciphertext (as
+    the shard key K_i, for the seller); the layer below the tranche's root
+    is r_d for the seller, r_ed for a provider.  One reason per outcome:
+
+    * ``unopenable_posted_key`` (Upheld): the posted key unwraps to no 32-byte key.
+    * ``genuine_ciphertext_wont_open`` (Upheld): the ciphertext won't open, but is on the root.
+    * ``uncommitted_evidence`` (Denied): the ciphertext neither opens nor is on the root.
+    * ``plaintext_off_commitment`` (Upheld): the plaintext fails ``inner_proof`` to the layer below.
+    * ``plaintext_on_commitment`` (Denied): the plaintext passes ``inner_proof`` to the layer below.
+
+    The appellant picks ``inner_proof``, so a proof it spoils upholds an
+    appeal against an honest payee: no committed digest is proven.
+    """
+    i, package = evidence.index, tranche.shards
+    try:
+        posted = crypto.pk_decrypt(sk, tranche.wrapped_key)
+    except DecryptError:
+        return UPHELD, "unopenable_posted_key"
+    shard_key = crypto.derive_keys(posted, i + 1)[i] if seller else posted
+    try:
+        payload = crypto.sym_decrypt(shard_key, evidence.ciphertext)
+    except DecryptError:
+        if mvrfy(package.index(i), tranche.root, evidence.ciphertext, evidence.auth_proof,
+                 len(package)):
+            return UPHELD, "genuine_ciphertext_wont_open"
+        return DENIED, "uncommitted_evidence"
+    inner_root = rec.r_d if seller else rec.r_ed
+    if mvrfy(i, inner_root, payload, evidence.inner_proof, rec.n):
+        return DENIED, "plaintext_on_commitment"
+    return UPHELD, "plaintext_off_commitment"
 
 
 class ContractSystem:
@@ -328,8 +351,8 @@ class ContractSystem:
     # ---------------------------------------------------------------- SCMC
 
     def scmc_place_order(self, consumer: Address, data_id: str, tokens: int) -> str:
-        if type(tokens) is not int:
-            raise InvalidInput(f"an order pays whole tokens, got {tokens!r}")
+        if type(tokens) is not int or tokens < 0:
+            raise InvalidInput(f"an order pays whole tokens, at least 0, got {tokens!r}")
         rec = self._record(data_id, LIVE)
         required = rec.price + rec.n * rec.unit_price
         if tokens < required:
@@ -455,30 +478,9 @@ class ContractSystem:
         if self.ledger.height > tranche.appeal_deadline:
             raise BadState("appeal window closed")
         rec = self._record(order.data_id)
-        i, package = evidence.index, tranche.shards
-        if i not in package:
-            raise InvalidInput(f"shard {i} is not one that {payee} is paid for")
-        seller = payee == SELLER_PAYEE
-        try:
-            posted = crypto.pk_decrypt(sk, tranche.wrapped_key)
-        except DecryptError:
-            # the payee posted no key anyone could open the data with
-            upheld = True
-        else:
-            shard_key = crypto.derive_keys(posted, i + 1)[i] if seller else posted
-            try:
-                payload = crypto.sym_decrypt(shard_key, evidence.ciphertext)
-            except DecryptError:
-                # posted key cannot open the evidence: upheld only when the
-                # evidence is provably the genuine delivered ciphertext
-                upheld = mvrfy(
-                    package.index(i), tranche.root, evidence.ciphertext, evidence.auth_proof,
-                    len(package),
-                )
-            else:
-                inner_root = rec.r_d if seller else rec.r_ed
-                upheld = not mvrfy(i, inner_root, payload, evidence.inner_proof, rec.n)
-        verdict = UPHELD if upheld else DENIED
+        if evidence.index not in tranche.shards:
+            raise InvalidInput(f"shard {evidence.index} is not one that {payee} is paid for")
+        verdict, _ = judge(rec, tranche, payee == SELLER_PAYEE, sk, evidence)
         tranche.verdict = verdict
         self.ledger.log_event("appeal", order_id=order_id, payee=payee, verdict=verdict)
         return verdict

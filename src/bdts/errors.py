@@ -6,8 +6,9 @@ seven rules, one class each (what it refuses; the calls that raise it):
 * ``InvalidInput``: an argument wrong in any state; ``ssmc_register_seller``
   (a malformed listing, a deposit below ``min_deposit``),
   ``ssmc_register_provider`` (an endpoint not a ``str``), ``ssmc_expose``
-  (other indices than drawn), ``scmc_place_order`` (tokens not ``int``),
-  ``scmc_select`` (a shard index not an ``int``, a shard left uncovered),
+  (other indices than drawn), ``scmc_place_order`` (tokens not a
+  non-negative ``int``), ``scmc_select`` (a shard index not an ``int``, a
+  shard left uncovered),
   ``match_products`` (a keyword not a ``str``), ``cpc_post_pubkey``,
   ``cpc_post_key`` and ``cpc_appeal`` (a malformed key, malformed evidence,
   evidence at a shard the payee is not paid for), and any other module's
@@ -79,7 +80,8 @@ class InsufficientTokens(BdtsError):
 
 
 class ProofFailure(BdtsError):
-    """A Merkle proof check failed during exposure; deposit is forfeited."""
+    """A Merkle proof check failed: an exposed piece, which forfeits the
+    deposit, or a delivered frame missing or off its committed root."""
 
 
 class DuplicateRoot(BdtsError):

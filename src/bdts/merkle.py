@@ -111,7 +111,7 @@ def mtree(leaves: list[bytes]) -> MerkleTree:
 def mproof(tree: MerkleTree, index: int) -> MerkleProof:
     """Produce the inclusion proof for leaf ``index``."""
     if not 0 <= index < tree.leaf_count:
-        raise IndexError(f"leaf index {index} out of range [0, {tree.leaf_count})")
+        raise InvalidInput(f"leaf index {index} out of range [0, {tree.leaf_count})")
     siblings = []
     pos = index
     for level in tree.levels[:-1]:

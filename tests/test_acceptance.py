@@ -253,7 +253,7 @@ def _fuzz_sequence(rng: random.Random, monkeypatch) -> None:
             if op in (op_select, op_open, op_keys, op_appeal, op_settle) and not orders:
                 continue
             op()
-        except (BdtsError, IndexError):
+        except BdtsError:
             pass
         assert all(v >= 0 for v in ledger.balances.values())
         # from funding, whether or not its escrow ever opens

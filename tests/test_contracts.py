@@ -330,10 +330,11 @@ def test_underfunded_order_strict_forfeit():
     ]
 
 
-@pytest.mark.parametrize("tokens", (41.5, 48.0, "48", None, True))
+@pytest.mark.parametrize("tokens", (41.5, 48.0, "48", None, True, -1))
 def test_order_refuses_tokens_that_are_not_whole(tokens):
     # a fractional order was funded when it covered the price, and
-    # forfeited as a fraction of a token when it did not
+    # forfeited as a fraction of a token when it did not; a negative one
+    # was logged as a discarded order
     s = make_system()
     data_id, _ = go_live(s)
     s.ledger.mine_block()
@@ -629,6 +630,82 @@ def test_unusable_posted_key_upholds_appeal(payee, wrap):
     assert s.cpc_appeal(order, payee, kp.private, ev) == UPHELD
     transfers = settle_after_windows(s, order)
     assert transfers[f"refund:{payee}"] == s.orders[order].tranches[payee].amount
+
+
+def judged(s, order, payee, kp, ev):
+    """``judge``'s verdict and reason on this appeal, which leave the
+    tranche undecided until ``cpc_appeal`` records the same verdict."""
+    o = s.orders[order]
+    tranche = o.tranches[payee]
+    verdict, reason = contracts.judge(s.records[o.data_id], tranche, payee == SELLER_PAYEE,
+                                      crypto.private_key(kp.private), ev)
+    assert tranche.verdict is None
+    assert s.cpc_appeal(order, payee, kp.private, ev) == verdict
+    return verdict, reason
+
+
+def test_judge_unopenable_posted_key():
+    s = make_system()
+    _, shards, order, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
+    s.cpc_post_key(SELLER, order, SELLER_PAYEE, b"\x07" * 80)
+    ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
+                        mproof(shards.tree_plain, 0))
+    assert judged(s, order, SELLER_PAYEE, kp, ev) == (UPHELD, "unopenable_posted_key")
+
+
+def test_judge_genuine_ciphertext_wont_open():
+    # cei: the seller serves real data and posts a wrong key
+    s = make_system()
+    _, shards, order, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, hashlib.sha256(b"wrong").digest())
+    ev = AppealEvidence(1, shards.enc_shards[1], mproof(shards.tree_enc, 1),
+                        mproof(shards.tree_plain, 1))
+    assert judged(s, order, SELLER_PAYEE, kp, ev) == (UPHELD, "genuine_ciphertext_wont_open")
+
+
+def test_judge_uncommitted_evidence():
+    s = make_system()
+    _, shards, order, _ = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    ev = AppealEvidence(0, b"\x99" * 64, mproof(shards.tree_enc, 0),
+                        mproof(shards.tree_plain, 0))
+    assert judged(s, order, SELLER_PAYEE, kp, ev) == (DENIED, "uncommitted_evidence")
+
+
+def test_judge_plaintext_off_commitment():
+    # aek: the provider wraps garbage, records its root and posts the real key
+    s = make_system()
+    data_id, shards = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    pkg = provider_encrypt([bytes(len(e)) for e in shards.enc_shards], b"sp-seed")
+    s.scmc_record_provider_root(PROVIDER, order, pkg.root)
+    s.cpc_open(order)
+    kp = crypto.pk_keygen(b"cm")
+    seller_posts(s, order, kp, shards.master)
+    provider_posts(s, order, kp, pkg.key)
+    ev = AppealEvidence(2, pkg.eed_shards[2], mproof(pkg.tree_eed, 2),
+                        mproof(shards.tree_enc, 2))
+    payee = provider_payee(PROVIDER)
+    assert judged(s, order, payee, kp, ev) == (UPHELD, "plaintext_off_commitment")
+
+
+@pytest.mark.parametrize("payee", (SELLER_PAYEE, provider_payee(PROVIDER2)),
+                         ids=("seller", "provider"))
+def test_judge_plaintext_on_commitment(payee):
+    s = make_system()
+    kp = crypto.pk_keygen(b"cm")
+    shards, order, pkg2 = open_two_provider_escrow(s, kp)
+    if payee == SELLER_PAYEE:
+        ev = AppealEvidence(5, shards.enc_shards[5], mproof(shards.tree_enc, 5),
+                            mproof(shards.tree_plain, 5))
+    else:
+        ev = second_provider_evidence(shards, pkg2, 4)
+    assert judged(s, order, payee, kp, ev) == (DENIED, "plaintext_on_commitment")
 
 
 def test_second_appeal_rejected():

@@ -7,7 +7,9 @@ to alter transcripts, and say why in the change log:
     PYTHONPATH=src python tests/test_golden.py
 
 which rewrites the file and prints the name and the count of every case
-whose digest changed.
+whose digest changed.  The op-count digests that ``perfbench/run.py``
+prints for ``trade-bulk`` and ``matrix`` are pinned here too, under the
+same rule.
 """
 import hashlib
 import json
@@ -53,6 +55,26 @@ def test_transcripts_match_golden():
     assert names == list(want), "the case list and the golden file disagree"
     for name, thunk in cases():
         assert digest(thunk()) == want[name], f"first differing transcript: {name}"
+
+
+def op_counts_digest(counts) -> str:
+    """``perfbench/run.py``'s op-count digest of a workload's counts."""
+    return hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_op_count_digests_match_the_benchmark():
+    # op counts depend only on the shard count and its split, so a 96-shard
+    # trade of 1 KiB shards counts what trade-bulk's 100 MB one does
+    report = bench.bench_download(
+        bench.BenchConfig(size_bytes=96 * 1024, slot=1024, providers=2, reps=1, bandwidth=0)
+    )
+    assert op_counts_digest(report.counters) == "801ecbe3f62efc83"
+    matrix = {
+        f"{p}/{phase}": ops
+        for p in all_profiles()
+        for phase, ops in run_scenario(p).phase_ops.items()
+    }
+    assert op_counts_digest(matrix) == "02372d30d516b091"
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ def test_proof_roundtrip_small():
 
 def test_proof_out_of_range():
     t = mtree([b"a", b"b"])
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidInput):
         mproof(t, 2)
 
 
