@@ -18,7 +18,7 @@ import statistics
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Generator
 
 from .actors import Frame, Served, run_trade
@@ -45,6 +45,10 @@ class BenchConfig:
     bandwidth: int = DEFAULT_BANDWIDTH
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:  # a bool is refused too
+                raise InvalidInput(f"{f.name} must be an int, got {value!r}")
         if not 1 <= self.providers <= 6:
             raise InvalidInput("provider count must be in 1..6")
         if self.size_bytes < 1 or self.slot < 1 or self.reps < 1:

@@ -75,6 +75,17 @@ def default_exposure_count(n: int) -> int:
     return max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
 
+def _well_formed_piece(piece) -> bool:
+    """True iff ``piece`` is an exposed piece's 5-tuple: an ``int`` index,
+    a bytes-like plaintext, two ``MerkleProof``s and a bytes-like ciphertext."""
+    bytes_like = (bytes, bytearray, memoryview)
+    return (
+        isinstance(piece, tuple) and len(piece) == 5 and type(piece[0]) is int
+        and isinstance(piece[1], bytes_like) and isinstance(piece[4], bytes_like)
+        and all(isinstance(p, MerkleProof) for p in piece[2:4])
+    )
+
+
 @dataclass
 class SPRecord:
     endpoint: str
@@ -265,6 +276,8 @@ class ContractSystem:
         pieces: list[tuple[int, bytes, MerkleProof, MerkleProof, bytes]],
     ) -> str:
         """pieces: (index, plaintext shard, proof vs r_d, proof vs r_ed, encrypted shard)."""
+        if not (isinstance(pieces, (list, tuple)) and all(map(_well_formed_piece, pieces))):
+            raise InvalidInput("each piece is an int index, bytes, two Merkle proofs and bytes")
         rec = self._record(data_id, REGISTERED)
         expected = self.expected_exposure_indices(data_id)
         if sorted(i for i, *_ in pieces) != expected:

@@ -6,13 +6,15 @@ seven rules, one class each (what it refuses; the calls that raise it):
 * ``InvalidInput``: an argument wrong in any state; ``ssmc_register_seller``
   (a malformed listing, a deposit below ``min_deposit``),
   ``ssmc_register_provider`` (an endpoint not a ``str``), ``ssmc_expose``
-  (other indices than drawn), ``scmc_place_order`` (tokens not a
-  non-negative ``int``), ``scmc_select`` (a shard index not an ``int``, a
-  shard left uncovered),
+  (a piece that is not an ``int`` index, a bytes-like plaintext, two
+  ``MerkleProof``s and a bytes-like ciphertext; other indices than drawn),
+  ``scmc_place_order`` (tokens not a non-negative ``int``), ``scmc_select``
+  (a shard index not an ``int``, a shard left uncovered),
   ``match_products`` (a keyword not a ``str``), ``cpc_post_pubkey``,
   ``cpc_post_key`` and ``cpc_appeal`` (a malformed key, malformed evidence,
   evidence at a shard the payee is not paid for), and any other module's
-  malformed argument.
+  malformed argument, such as a ``bench.BenchConfig`` field that is not an
+  ``int`` (a ``bool`` included).
 * ``NotFound``: an id that names nothing; every call given an unknown data
   or order id, ``ssmc_confirm_provider`` (an unregistered provider),
   ``scmc_record_provider_root``, ``cpc_post_key`` and ``cpc_appeal`` (a

@@ -140,6 +140,8 @@ def mvrfy_digest(
     Each call counts one proof verification.
     """
     metrics.record("proof_verifications")
+    if not isinstance(proof, MerkleProof):
+        return False
     if proof.index != index or not 0 <= index < leaf_count:
         return False
     if type(proof.siblings) is not tuple or len(proof.siblings) != (leaf_count - 1).bit_length():

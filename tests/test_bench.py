@@ -27,6 +27,15 @@ def test_config_validation():
         bench.BenchConfig(bandwidth=-1)
     with pytest.raises(InvalidInput):
         bench.BenchConfig(reps=0)
+    # each field is an int and not a bool: a float size or provider count
+    # raised TypeError inside the trade, slot=True ran 1-byte shards, and
+    # bandwidth=1.5 capped the wire at 1.5 B/s
+    for field, value in [
+        ("size_bytes", 1000.5), ("providers", 2.0), ("slot", True), ("reps", "2"),
+        ("seed", None), ("bandwidth", 1.5),
+    ]:
+        with pytest.raises(InvalidInput, match=field):
+            bench.BenchConfig(**{field: value})
 
 
 def test_synthetic_data_size_and_seed():
@@ -106,13 +115,33 @@ def test_bandwidth_zero_means_no_cap():
     assert all(t > 0 for t in report.download_times)
 
 
+def within(seconds, call):
+    """Run ``call`` on a helper thread and raise what it raised; fail if it
+    has not ended after ``seconds``, so a reader that blocks for good fails
+    the test instead of hanging the run."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except Exception as exc:
+            raised.append(exc)
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"still running after {seconds} s"
+    if raised:
+        raise raised[0]
+
+
 def test_serve_thread_error_reaches_caller(monkeypatch):
     def broken(sock, shards, bandwidth):
         raise RuntimeError("serve failed")
 
     monkeypatch.setattr(bench, "_serve", broken)
     with pytest.raises(RuntimeError, match="serve failed"):
-        bench.bench_download(bench.BenchConfig(providers=2, **SMALL))
+        within(60, lambda: bench.bench_download(bench.BenchConfig(providers=2, **SMALL)))
 
 
 def test_many_small_shards_are_still_funded():
@@ -121,19 +150,34 @@ def test_many_small_shards_are_still_funded():
     assert bench.bench_download(cfg).recovery
 
 
-@pytest.mark.parametrize("bandwidth", [2_000_000, 0])
-def test_wire_delivers_odd_length_shards_exactly(bandwidth):
+CHUNK = bench._CHUNK
+# each provider's shard lengths, keyed by the test id's suffix, which gives
+# each provider's frame count; with unequal frame counts the reader goes on
+# reading some connections after others have sent their last frame
+WIRE_LENGTHS = {
+    "": [[3 * CHUNK + 5, 0, 1], [CHUNK - 1, CHUNK + 1, 2 * CHUNK]],
+    "-3+1": [[3 * CHUNK + 5, 0, 1], [CHUNK - 1]],
+    "-1+4": [[CHUNK + 1], [0, 2 * CHUNK, CHUNK - 1, 5]],
+    "-2+1+3": [[CHUNK - 1, 1], [3 * CHUNK + 5], [0, CHUNK + 1, 2 * CHUNK]],
+}
+WIRE_CASES = [
+    pytest.param(bandwidth, lengths, id=f"{bandwidth}{suffix}")
+    for suffix, lengths in WIRE_LENGTHS.items()
+    for bandwidth in (2_000_000, 0)
+]
+
+
+@pytest.mark.parametrize("bandwidth, lengths", WIRE_CASES)
+def test_wire_delivers_odd_length_shards_exactly(bandwidth, lengths):
     # shard lengths that are not multiples of the send chunk, including
     # empty, in frames whose proofs hold 0 to 6 sibling digests
-    chunk = bench._CHUNK
-    lengths = [[3 * chunk + 5, 0, 1], [chunk - 1, chunk + 1, 2 * chunk]]
     blob = bench.synthetic_data(sum(map(sum, lengths)), seed=9)
     digests = tuple(hashlib.sha256(bytes([d])).digest() for d in range(6))
     served, cursor = [], 0
     for p, sizes in enumerate(lengths):
         frames = {}
         for j, size in enumerate(sizes):
-            k = 3 * p + j
+            k = (3 * p + j) % 7
             frames[10 * p + j] = (
                 blob[cursor : cursor + size],
                 MerkleProof(j, digests[:k]),
@@ -144,7 +188,7 @@ def test_wire_delivers_odd_length_shards_exactly(bandwidth):
     sent = [dict(frames) for frames in served]
     times = []
     assert bench._deliver(bandwidth, times, served) == sent
-    assert served == [{}, {}]  # each frame was taken out as it was sent
+    assert served == [{} for _ in lengths]  # each frame was taken out as it was sent
     if bandwidth:  # the cap paces each connection's framed bytes, proofs included
         framed = max(
             sum(
@@ -170,7 +214,7 @@ def test_peer_closed_mid_frame_is_raised_and_no_thread_outlives_it(monkeypatch):
     frame = (bytes(1000), MerkleProof(0, ()), MerkleProof(0, ()))
     before = threading.enumerate()
     with pytest.raises(ConnectionError, match="peer closed mid-frame"):
-        bench._deliver(0, [], [{0: frame}, {1: frame}])
+        within(60, lambda: bench._deliver(0, [], [{0: frame}, {1: frame}]))
     assert threading.enumerate() == before
 
 

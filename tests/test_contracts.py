@@ -207,6 +207,38 @@ def test_expose_wrong_indices():
         s.ssmc_expose(data_id, pieces)
 
 
+def _last_piece(malform):
+    return lambda pieces: [*pieces[:-1], malform(pieces[-1])]
+
+
+# a str index raised TypeError and a 4-tuple ValueError; a str proof was
+# judged a failed proof, which rejected the listing and forfeited its deposit
+MALFORMED_PIECES = {
+    "str index": _last_piece(lambda p: (str(p[0]), *p[1:])),
+    "bool index": _last_piece(lambda p: (bool(p[0]), *p[1:])),
+    "4-tuple": _last_piece(lambda p: p[:4]),
+    "6-tuple": _last_piece(lambda p: (*p, b"")),
+    "list": _last_piece(list),
+    "str plaintext": _last_piece(lambda p: (p[0], "shard", *p[2:])),
+    "str r_d proof": _last_piece(lambda p: (*p[:2], "proof", *p[3:])),
+    "str r_ed proof": _last_piece(lambda p: (*p[:3], "proof", p[4])),
+    "str ciphertext": _last_piece(lambda p: (*p[:4], "enc")),
+    "pieces not a list": lambda pieces: None,
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_PIECES.values(), ids=MALFORMED_PIECES)
+def test_expose_refuses_malformed_pieces(malform):
+    s = make_system()
+    data_id, shards = register(s)
+    pieces = [(i, shards.plain_shards[i], mproof(shards.tree_plain, i),
+               mproof(shards.tree_enc, i), shards.enc_shards[i])
+              for i in s.expected_exposure_indices(data_id)]
+    with refused_silently(s, InvalidInput):
+        s.ssmc_expose(data_id, malform(pieces))
+    assert s.records[data_id].status == REGISTERED
+
+
 def test_expose_bad_proof_forfeits_deposit():
     s = make_system()
     data_id, shards = register(s)

@@ -80,6 +80,17 @@ def test_siblings_that_are_not_a_tuple_return_false(siblings):
     assert not mvrfy(0, t.root, b"a", MerkleProof(0, siblings), 2)
 
 
+@pytest.mark.parametrize("proof", [5, None, "x", (0, ())])
+def test_proof_that_is_not_a_merkle_proof_returns_false(proof):
+    # 5 and None raised AttributeError; "x" returned False only because
+    # "x".index is a method
+    t = mtree([b"a", b"b", b"c"])
+    with metrics.collect() as col:
+        with col.phase("check"):
+            assert not mvrfy(0, t.root, b"a", proof, 3)
+    assert col.phases["check"].as_dict()["proof_verifications"] == 1
+
+
 def test_siblings_relabelled_past_the_end_rejected():
     t = mtree([b"a", b"b", b"c", b"d"])
     # index 4 walks the same sides as index 0 but overflows the tree
