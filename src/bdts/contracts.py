@@ -15,15 +15,24 @@ price plus shards forfeits its tokens and is then refused.
 An order is its own escrow.  Its tokens go straight from the consumer into
 a ledger account of the order's own (``Order.account``) and stay there
 until settle, which reads and pays out of nothing but that account.
-Selection gives the order one ``Tranche`` per payee, the seller's first:
-its party, its amount, the global shard indices it is paid for in package
-order, the root those shards are committed to, the key it posted, its
-appeal deadline and its verdict; ``_tranche`` finds a payee's, or refuses
-a payee the order does not pay with ``NotFound``.  A call that one party
-must make (confirming a provider, delisting, posting the consumer's public
-key, a payee's key) names its sender first, and any other sender is
-refused with ``WrongSender``.  A provider records only its own root: the
-caller names the tranche it writes.
+The order holds one ``Tranche`` per payee, the seller's from funding and
+then one per serving provider from selection: its party, its amount, the
+global shard indices it is paid for in package order, the root those
+shards are committed to, its deadline, the key it posted and its verdict;
+``_tranche`` finds a payee's, or refuses a payee the order does not pay
+with ``NotFound``.  A tranche's deadline is the last height at which its
+payee may post its key, and then the last at which the consumer may
+appeal it: each open status the order enters puts every tranche's
+deadline ``APPEAL_WINDOW`` blocks ahead, and so does a payee's key post
+for its own.  Once every undecided tranche is past its deadline, anyone
+may settle the order, whatever its open status: a payee whose posted key
+no appeal upheld is paid, and every other tranche and the excess go back
+to the consumer.  So no absent party holds an order's tokens, or the
+seller's deposit, for good.
+A call that one party must make (confirming a provider, delisting,
+posting the consumer's public key, a payee's key) names its sender first,
+and any other sender is refused with ``WrongSender``.  A provider records
+only its own root: the caller names the tranche it writes.
 An appeal passes ``cpc_appeal``'s gates and is then decided by ``judge``,
 a function of the listing, the payee's tranche, the consumer's private key
 and the evidence alone.
@@ -64,7 +73,7 @@ UPHELD = "Upheld"
 DENIED = "Denied"
 
 SELLER_PAYEE = "seller"
-APPEAL_WINDOW = 10  # blocks to post a key after escrow opens, and to appeal a posted key
+APPEAL_WINDOW = 10  # blocks a tranche's deadline lies past the call that sets it
 
 
 def provider_payee(addr: Address) -> str:
@@ -83,6 +92,16 @@ def _well_formed_piece(piece) -> bool:
         isinstance(piece, tuple) and len(piece) == 5 and type(piece[0]) is int
         and isinstance(piece[1], bytes_like) and isinstance(piece[4], bytes_like)
         and all(isinstance(p, MerkleProof) for p in piece[2:4])
+    )
+
+
+def _well_formed_assignment(assignment) -> bool:
+    """True iff ``assignment`` is a 2-tuple of a ``str`` provider address
+    and a list or tuple of ``int`` shard indices."""
+    return (
+        isinstance(assignment, tuple) and len(assignment) == 2
+        and isinstance(assignment[0], str) and isinstance(assignment[1], (list, tuple))
+        and all(type(i) is int for i in assignment[1])
     )
 
 
@@ -119,8 +138,10 @@ class Tranche:
     amount: int
     shards: Sequence[int]  # the global shard indices it is paid for, in package order
     root: bytes | None  # the root of its package: r_ed, or the provider's r_eed once recorded
+    # the last height to post its key, then to appeal it; each open status
+    # the order enters, and the key's post, set it APPEAL_WINDOW blocks ahead
+    deadline: int
     wrapped_key: bytes | None = None
-    appeal_deadline: int | None = None  # set when the key is posted
     verdict: str | None = None
 
 
@@ -132,9 +153,8 @@ class Order:
     tokens: int
     account: Address  # holds this order's tokens, and no other order's
     status: str = FUNDED
-    # payee -> its share, the seller's first, then the providers in selection order
+    # payee -> its share: the seller's from funding, then the providers' in selection order
     tranches: dict[str, Tranche] = field(default_factory=dict)
-    post_deadline: int | None = None  # set when the escrow opens
     pub_cm: bytes | None = None
 
 
@@ -378,9 +398,11 @@ class ContractSystem:
         order_id = f"o{len(self.orders) + 1:04d}"
         account = address_for(f"contract:CPC:{order_id}")
         self.ledger.transfer(consumer, account, tokens, memo="escrow")
+        deadline = self.ledger.height + APPEAL_WINDOW
+        seller = Tranche(rec.seller, rec.price, range(rec.n), rec.r_ed, deadline)
         self.orders[order_id] = Order(
             order_id=order_id, consumer=consumer, data_id=data_id, tokens=tokens,
-            account=account,
+            account=account, tranches={SELLER_PAYEE: seller},
         )
         self.escrow_flows[order_id] = {"in": tokens}
         self.ledger.log_event("order_funded", order_id=order_id, data_id=data_id)
@@ -389,29 +411,28 @@ class ContractSystem:
     def scmc_select(
         self, order_id: str, assignments: list[tuple[Address, list[int]]]
     ) -> None:
+        if not (isinstance(assignments, (list, tuple))
+                and all(map(_well_formed_assignment, assignments))):
+            raise InvalidInput("each assignment is a str provider and a list of int indices")
         order = self._order(order_id, FUNDED)
         rec = self._record(order.data_id)
-        covered: dict[int, Address] = {}
+        packages: dict[Address, list[int]] = {}
+        covered: set[int] = set()
         for provider, indices in assignments:
             sp = rec.providers.get(provider)
             if sp is None or not sp.confirmed:
                 raise BadState(f"{provider} not confirmed for {rec.data_id}")
             for i in indices:
-                if type(i) is not int:
-                    raise InvalidInput(f"a shard index is an int, got {i!r}")
-                covered.setdefault(i, provider)  # duplicates go to the first listed
-        if set(covered) != set(range(rec.n)):
-            missing = sorted(set(range(rec.n)) - set(covered))
-            raise InvalidInput(f"shards {missing} unassigned")
-        served: dict[Address, list[int]] = {}
-        for i, provider in covered.items():
-            served.setdefault(provider, []).append(i)
-        order.tranches[SELLER_PAYEE] = Tranche(rec.seller, rec.price, range(rec.n), rec.r_ed)
-        for provider, package in served.items():
+                if i not in covered:  # duplicates go to the first listed
+                    covered.add(i)
+                    packages.setdefault(provider, []).append(i)
+        if covered != set(range(rec.n)):
+            raise InvalidInput(f"shards {sorted(set(range(rec.n)) - covered)} unassigned")
+        for provider, package in packages.items():
             order.tranches[provider_payee(provider)] = Tranche(
-                provider, len(package) * rec.unit_price, package, None
+                provider, len(package) * rec.unit_price, package, None, 0  # _enter sets it
             )
-        order.status = DOWNLOADING
+        self._enter(order, DOWNLOADING)
         self.ledger.log_event("order_selected", order_id=order_id)
 
     def scmc_record_provider_root(self, provider: Address, order_id: str, r_eed: bytes) -> None:
@@ -431,8 +452,7 @@ class ContractSystem:
         if any(t.root is None for t in order.tranches.values()):
             # every r_eed is fixed before any key can be posted
             raise BadState(f"order {order_id} lacks a serving provider's root")
-        order.post_deadline = self.ledger.height + APPEAL_WINDOW
-        order.status = ESCROWED
+        self._enter(order, ESCROWED)
         self.ledger.log_event("escrow_open", order_id=order_id)
 
     def cpc_post_pubkey(self, sender: Address, order_id: str, pub_cm: bytes) -> None:
@@ -461,10 +481,10 @@ class ContractSystem:
             raise InvalidInput(f"a posted key is bytes, got {type(wrapped_key).__name__}")
         if tranche.wrapped_key is not None:
             raise BadState(f"{payee} already posted a key")
-        if self.ledger.height > order.post_deadline:
-            raise BadState(f"posting window closed at height {order.post_deadline}")
+        if self.ledger.height > tranche.deadline:
+            raise BadState(f"posting window closed at height {tranche.deadline}")
         tranche.wrapped_key = wrapped_key
-        tranche.appeal_deadline = self.ledger.height + APPEAL_WINDOW
+        tranche.deadline = self.ledger.height + APPEAL_WINDOW
         self.ledger.log_event("key_posted", order_id=order_id, payee=payee)
 
     def cpc_appeal(
@@ -488,7 +508,7 @@ class ContractSystem:
             raise BadState(f"{payee} has not posted a key; nothing to appeal")
         if tranche.verdict is not None:
             raise BadState(f"appeal against {payee} already decided")
-        if self.ledger.height > tranche.appeal_deadline:
+        if self.ledger.height > tranche.deadline:
             raise BadState("appeal window closed")
         rec = self._record(order.data_id)
         if evidence.index not in tranche.shards:
@@ -499,16 +519,14 @@ class ContractSystem:
         return verdict
 
     def cpc_settle(self, order_id: str) -> dict[str, int]:
-        order = self._order(order_id, ESCROWED)
-        height = self.ledger.height
+        """Close an open order once every undecided tranche is past its
+        deadline: pay each payee that posted a key no appeal upheld, and
+        refund the rest, and the excess, to the consumer."""
+        order = self._order(order_id, FUNDED, DOWNLOADING, ESCROWED)
         for payee, tranche in order.tranches.items():
-            if tranche.verdict is not None:
-                continue
-            if tranche.wrapped_key is not None:
-                if height <= tranche.appeal_deadline:
-                    raise BadState(f"appeal window for {payee} still open")
-            elif height <= order.post_deadline:
-                raise BadState(f"posting window for {payee} still open")
+            if tranche.verdict is None and self.ledger.height <= tranche.deadline:
+                window = "posting" if tranche.wrapped_key is None else "appeal"
+                raise BadState(f"{window} window for {payee} still open")
         transfers: dict[str, int] = {}
         disbursed = 0
         rec = self._record(order.data_id)
@@ -537,8 +555,17 @@ class ContractSystem:
 
     # -------------------------------------------------------------- helpers
 
+    def _enter(self, order: Order, status: str) -> None:
+        """Move ``order`` on to the open ``status``; every tranche's window
+        starts afresh there."""
+        for tranche in order.tranches.values():
+            tranche.deadline = self.ledger.height + APPEAL_WINDOW
+        order.status = status
+
     def _record(self, data_id: str, *statuses: str) -> DataRecord:
         """The listing, if it is in one of ``statuses`` (in any, if none is given)."""
+        if not isinstance(data_id, str):
+            raise InvalidInput(f"a data id is a str, got {type(data_id).__name__}")
         rec = self.records.get(data_id)
         if rec is None:
             raise NotFound(f"unknown data id {data_id}")
@@ -546,17 +573,21 @@ class ContractSystem:
             raise BadState(f"{data_id} is {rec.status}, expected {' or '.join(statuses)}")
         return rec
 
-    def _order(self, order_id: str, status: str) -> Order:
-        """The order, if it is in ``status``."""
+    def _order(self, order_id: str, *statuses: str) -> Order:
+        """The order, if it is in one of ``statuses``."""
+        if not isinstance(order_id, str):
+            raise InvalidInput(f"an order id is a str, got {type(order_id).__name__}")
         order = self.orders.get(order_id)
         if order is None:
             raise NotFound(f"unknown order id {order_id}")
-        if order.status != status:
-            raise BadState(f"order {order_id} is {order.status}, expected {status}")
+        if order.status not in statuses:
+            raise BadState(f"order {order_id} is {order.status}, expected {' or '.join(statuses)}")
         return order
 
     def _tranche(self, order: Order, payee: str) -> Tranche:
         """The order's tranche for ``payee``, if the order pays it."""
+        if not isinstance(payee, str):
+            raise InvalidInput(f"a payee is a str, got {type(payee).__name__}")
         tranche = order.tranches.get(payee)
         if tranche is None:
             raise NotFound(f"order {order.order_id} pays no {payee}")

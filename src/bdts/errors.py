@@ -3,13 +3,16 @@
 A contract refuses a call before any of its state changes, with one of
 seven rules, one class each (what it refuses; the calls that raise it):
 
-* ``InvalidInput``: an argument wrong in any state; ``ssmc_register_seller``
+* ``InvalidInput``: an argument wrong in any state; every call given a data
+  id, order id or payee that is not a ``str``, ``ssmc_register_seller``
   (a malformed listing, a deposit below ``min_deposit``),
   ``ssmc_register_provider`` (an endpoint not a ``str``), ``ssmc_expose``
   (a piece that is not an ``int`` index, a bytes-like plaintext, two
   ``MerkleProof``s and a bytes-like ciphertext; other indices than drawn),
   ``scmc_place_order`` (tokens not a non-negative ``int``), ``scmc_select``
-  (a shard index not an ``int``, a shard left uncovered),
+  (assignments that are not a list or tuple of 2-tuples of a ``str``
+  provider and a list or tuple of ``int`` shard indices, a shard left
+  uncovered),
   ``match_products`` (a keyword not a ``str``), ``cpc_post_pubkey``,
   ``cpc_post_key`` and ``cpc_appeal`` (a malformed key, malformed evidence,
   evidence at a shard the payee is not paid for), and any other module's
@@ -26,7 +29,8 @@ seven rules, one class each (what it refuses; the calls that raise it):
   ``cpc_post_pubkey`` and ``cpc_post_key`` (a second post, a reused public
   key, no public key yet, a closed window), ``cpc_open`` (a root missing),
   ``cpc_appeal`` (no public key or posted key, decided, window closed) and
-  ``cpc_settle`` (a window open, an escrow short of its tokens).
+  ``cpc_settle`` (in any open status, an undecided tranche not yet past
+  its deadline; an escrow short of its tokens).
 * ``WrongSender``: a caller other than the call's party;
   ``ssmc_confirm_provider``, ``ssmc_delist``, ``cpc_post_pubkey``,
   ``cpc_post_key``, and ``cpc_appeal`` (a private key that does not match

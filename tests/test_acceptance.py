@@ -19,6 +19,8 @@ from bdts import bench, contracts, crypto, game, metrics
 from bdts.actors import all_profiles, run_scenario
 from bdts.contracts import (
     CLOSED,
+    EXPOSED,
+    LIVE,
     AppealEvidence,
     ContractSystem,
     SELLER_PAYEE,
@@ -260,6 +262,18 @@ def _fuzz_sequence(rng: random.Random, monkeypatch) -> None:
         for order_id, order in system.orders.items():
             held = order.tokens if order.status != CLOSED else 0
             assert ledger.balance(order.account) == held, order_id
+    assert ledger.total_supply() == supply
+    # every open order has a way out: past every deadline, settle closes it
+    # and frees its listing to delist
+    for _ in range(contracts.APPEAL_WINDOW + 1):
+        ledger.mine_block()
+    for order_id, order in system.orders.items():
+        if order.status != CLOSED:
+            system.cpc_settle(order_id)
+        assert ledger.balance(order.account) == 0, order_id
+    for data_id, rec in system.records.items():
+        if rec.status in (EXPOSED, LIVE):
+            system.ssmc_delist(seller, data_id)
     assert ledger.total_supply() == supply
 
 

@@ -407,6 +407,20 @@ def test_select_requires_full_cover():
         s.scmc_select(order, [(PROVIDER, [0, 1])])
 
 
+@pytest.mark.parametrize("assignments", [
+    None, 5, "ab", {PROVIDER: [0, 1, 2, 3]}, [(PROVIDER,)], [(PROVIDER, [0, 1, 2, 3], 0)],
+    [(PROVIDER, None)], [([PROVIDER], [0, 1, 2, 3])],
+])
+def test_select_refuses_malformed_assignments(assignments):
+    # each raised TypeError or ValueError
+    s = make_system()
+    data_id, _ = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    with refused_silently(s, InvalidInput):
+        s.scmc_select(order, assignments)
+    assert s.orders[order].status == FUNDED
+
+
 def test_duplicate_indices_served_by_first_listed():
     s = make_system()
     data_id, _ = go_live(s)
@@ -920,6 +934,46 @@ def test_delist_blocked_with_open_order():
         s.ssmc_delist(SELLER, data_id)
 
 
+def expires(s, data_id, order):
+    """``order``, left open, is refused settle until its deadlines pass;
+    then settle closes it, the consumer holds its 1,000 tokens again, and
+    the seller delists, its 20-token deposit returned once.  Returns
+    settle's transfers."""
+    with refused_silently(s, BadState):
+        s.cpc_settle(order)
+    transfers = settle_after_windows(s, order)
+    assert s.orders[order].status == CLOSED
+    assert s.ledger.balance(s.orders[order].account) == 0
+    assert s.ledger.balance(CONSUMER) == 1000
+    s.ssmc_delist(SELLER, data_id)
+    s.ledger.mine_block()
+    returned = [(e["to"], e["amount"]) for e in s.ledger.events if e["memo"] == "deposit-return"]
+    assert returned == [(SELLER, 20)]
+    assert s.ledger.balance(SELLER) == 1000 and s.records[data_id].status == DELISTED
+    return transfers
+
+
+def test_a_provider_that_never_records_its_root_cannot_lock_the_order():
+    # 1,000 blocks after selection the order was still Downloading, its
+    # account held the consumer's 48 tokens, and settle and delist raised
+    # BadState, so the seller's deposit was held too
+    s = make_system()
+    data_id, _ = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    s.scmc_select(order, [(PROVIDER, [0, 1, 2, 3])])
+    assert expires(s, data_id, order) == {
+        "refund:seller": 40, f"refund:{provider_payee(PROVIDER)}": 8,
+    }
+
+
+def test_a_consumer_that_never_selects_cannot_lock_the_listing():
+    # the order stayed Funded for good, and the seller could never delist
+    s = make_system()
+    data_id, _ = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    assert expires(s, data_id, order) == {"refund:seller": 40, "excess": 8}
+
+
 def test_delist_returns_deposit_once():
     s = make_system()
     data_id, _ = go_live(s)
@@ -1066,7 +1120,9 @@ def test_match_products_lists_only_live_listings():
         assert s.match_products("telemetry") == []
 
 
-# each order-scoped call and the one status it is made in
+# each order-scoped call and the one status it is made in; cpc_settle also
+# closes a Funded or Downloading order past its deadlines, so its cases in
+# those statuses are refused because they come within the window
 ORDER_CALLS = {
     "scmc_select": FUNDED,
     "scmc_record_provider_root": DOWNLOADING,
@@ -1119,6 +1175,41 @@ def order_in(status):
 def test_order_call_outside_its_status_is_refused(call, status):
     s, order, calls = order_in(status)
     with refused_silently(s, BadState):
+        calls[call]()
+
+
+@pytest.mark.parametrize("call", [
+    *LISTING_CALLS, "expected_exposure_indices", *ORDER_CALLS,
+    "cpc_post_key payee", "cpc_appeal payee",
+])
+def test_an_id_that_is_not_a_str_is_refused(call):
+    # each raised TypeError: unhashable type
+    s = make_system()
+    data_id, shards, order, pkg = open_escrow(s)
+    kp = crypto.pk_keygen(b"cm")
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
+    blob = crypto.pk_encrypt(kp.public, shards.master)
+    ev = AppealEvidence(0, shards.enc_shards[0], mproof(shards.tree_enc, 0),
+                        mproof(shards.tree_plain, 0))
+    d, o, payee = [data_id], [order], [SELLER_PAYEE]
+    calls = {
+        "ssmc_expose": lambda: s.ssmc_expose(d, []),
+        "ssmc_register_provider": lambda: s.ssmc_register_provider(STRANGER, "ep", d),
+        "ssmc_confirm_provider": lambda: s.ssmc_confirm_provider(SELLER, PROVIDER, d),
+        "ssmc_delist": lambda: s.ssmc_delist(SELLER, d),
+        "scmc_place_order": lambda: s.scmc_place_order(CONSUMER, d, 48),
+        "expected_exposure_indices": lambda: s.expected_exposure_indices(d),
+        "scmc_select": lambda: s.scmc_select(o, [(PROVIDER, [0, 1, 2, 3])]),
+        "scmc_record_provider_root": lambda: s.scmc_record_provider_root(PROVIDER, o, pkg.root),
+        "cpc_open": lambda: s.cpc_open(o),
+        "cpc_post_pubkey": lambda: s.cpc_post_pubkey(CONSUMER, o, crypto.pk_keygen(b"x").public),
+        "cpc_post_key": lambda: s.cpc_post_key(SELLER, o, SELLER_PAYEE, blob),
+        "cpc_post_key payee": lambda: s.cpc_post_key(SELLER, order, payee, blob),
+        "cpc_appeal": lambda: s.cpc_appeal(o, SELLER_PAYEE, kp.private, ev),
+        "cpc_appeal payee": lambda: s.cpc_appeal(order, payee, kp.private, ev),
+        "cpc_settle": lambda: s.cpc_settle(o),
+    }
+    with refused_silently(s, InvalidInput):
         calls[call]()
 
 
