@@ -22,13 +22,18 @@ shards are committed to, its deadline, the key it posted and its verdict;
 ``_tranche`` finds a payee's, or refuses a payee the order does not pay
 with ``NotFound``.  A tranche's deadline is the last height at which its
 payee may post its key, and then the last at which the consumer may
-appeal it: each open status the order enters puts every tranche's
-deadline ``APPEAL_WINDOW`` blocks ahead, and so does a payee's key post
-for its own.  Once every undecided tranche is past its deadline, anyone
-may settle the order, whatever its open status: a payee whose posted key
-no appeal upheld is paid, and every other tranche and the excess go back
-to the consumer.  So no absent party holds an order's tokens, or the
-seller's deposit, for good.
+appeal it: each open status the order enters, and the consumer's public
+key post, puts every tranche's deadline ``APPEAL_WINDOW`` blocks ahead,
+and a payee's key post does the same for its own.  Once every undecided
+tranche is past its deadline, anyone may settle the order, whatever its
+open status: a payee whose posted key no appeal upheld is paid, and every
+other tranche and the excess go back to the consumer.  So no absent party holds an order's tokens, or the
+seller's deposit, for good; and a consumer's key that comes after every
+deadline is refused, so it cannot reopen an order that is open to settle.
+A listing's providers map each registered provider to whether its seller
+confirmed it; only confirmed providers are listed and may be selected.
+The ``endpoint`` that a seller or provider registers with must be a
+``str``, and is not recorded: no call reads it.
 A call that one party must make (confirming a provider, delisting,
 posting the consumer's public key, a payee's key) names its sender first,
 and any other sender is refused with ``WrongSender``.  A provider records
@@ -106,16 +111,9 @@ def _well_formed_assignment(assignment) -> bool:
 
 
 @dataclass
-class SPRecord:
-    endpoint: str
-    confirmed: bool = False
-
-
-@dataclass
 class DataRecord:
     data_id: str
     seller: Address
-    endpoint: str
     description: str
     size_bytes: int
     n: int
@@ -126,7 +124,7 @@ class DataRecord:
     deposit: int
     reg_block: int
     status: str = REGISTERED
-    providers: dict[Address, SPRecord] = field(default_factory=dict)
+    providers: dict[Address, bool] = field(default_factory=dict)  # provider -> confirmed
     deposit_returned: bool = False
 
 
@@ -139,7 +137,8 @@ class Tranche:
     shards: Sequence[int]  # the global shard indices it is paid for, in package order
     root: bytes | None  # the root of its package: r_ed, or the provider's r_eed once recorded
     # the last height to post its key, then to appeal it; each open status
-    # the order enters, and the key's post, set it APPEAL_WINDOW blocks ahead
+    # the order enters, the consumer's public key and this payee's key post
+    # set it APPEAL_WINDOW blocks ahead
     deadline: int
     wrapped_key: bytes | None = None
     verdict: str | None = None
@@ -270,7 +269,6 @@ class ContractSystem:
         self.records[data_id] = DataRecord(
             data_id=data_id,
             seller=seller,
-            endpoint=endpoint,
             description=description,
             size_bytes=size_bytes,
             n=n,
@@ -332,7 +330,7 @@ class ContractSystem:
             raise InvalidInput("endpoint must be str")
         rec = self._record(data_id, EXPOSED, LIVE)
         if provider not in rec.providers:  # duplicate registration is a no-op
-            rec.providers[provider] = SPRecord(endpoint)
+            rec.providers[provider] = False
             self.ledger.log_event("register_provider", data_id=data_id, provider=provider)
 
     def ssmc_confirm_provider(self, seller: Address, provider: Address, data_id: str) -> None:
@@ -341,9 +339,10 @@ class ContractSystem:
             raise WrongSender("only the listing seller can confirm providers")
         if provider not in rec.providers:
             raise NotFound(f"provider {provider} not registered for {data_id}")
-        rec.providers[provider].confirmed = True
-        rec.status = LIVE
-        self.ledger.log_event("confirm_provider", data_id=data_id, provider=provider)
+        if not rec.providers[provider]:  # a second confirmation is a no-op
+            rec.providers[provider] = True
+            rec.status = LIVE
+            self.ledger.log_event("confirm_provider", data_id=data_id, provider=provider)
 
     def ssmc_delist(self, seller: Address, data_id: str) -> None:
         """Withdraw an exposed or live listing for good and reclaim the
@@ -374,7 +373,7 @@ class ContractSystem:
                 "description": rec.description,
                 "price": rec.price,
                 "size": rec.size_bytes,
-                "providers": sorted(p for p, sp in rec.providers.items() if sp.confirmed),
+                "providers": sorted(p for p, confirmed in rec.providers.items() if confirmed),
             }
             for rec in self.records.values()
             if rec.status == LIVE and word in rec.description.lower()
@@ -419,10 +418,11 @@ class ContractSystem:
         packages: dict[Address, list[int]] = {}
         covered: set[int] = set()
         for provider, indices in assignments:
-            sp = rec.providers.get(provider)
-            if sp is None or not sp.confirmed:
+            if not rec.providers.get(provider):
                 raise BadState(f"{provider} not confirmed for {rec.data_id}")
             for i in indices:
+                if not 0 <= i < rec.n:
+                    raise InvalidInput(f"shard index {i} is outside [0, {rec.n})")
                 if i not in covered:  # duplicates go to the first listed
                     covered.add(i)
                     packages.setdefault(provider, []).append(i)
@@ -464,8 +464,13 @@ class ContractSystem:
             raise BadState("public key already posted for this order")
         if pub_cm in self.seen_pubkeys:
             raise BadState("consumer key pair must be fresh per order")
+        if all(self.ledger.height > t.deadline for t in order.tranches.values()):
+            # settle is already open to anyone, and a key must not close it again
+            raise BadState(f"every window of {order_id} has closed; only settle remains")
         self.seen_pubkeys.add(pub_cm)
         order.pub_cm = pub_cm
+        # the payees can wrap their keys only now, so each gets a full window
+        self._enter(order, ESCROWED)
         self.ledger.log_event("pubkey_posted", order_id=order_id)
 
     def cpc_post_key(
@@ -556,8 +561,8 @@ class ContractSystem:
     # -------------------------------------------------------------- helpers
 
     def _enter(self, order: Order, status: str) -> None:
-        """Move ``order`` on to the open ``status``; every tranche's window
-        starts afresh there."""
+        """Put ``order`` in the open ``status`` and start every tranche's
+        window afresh."""
         for tranche in order.tranches.values():
             tranche.deadline = self.ledger.height + APPEAL_WINDOW
         order.status = status

@@ -11,8 +11,8 @@ seven rules, one class each (what it refuses; the calls that raise it):
   ``MerkleProof``s and a bytes-like ciphertext; other indices than drawn),
   ``scmc_place_order`` (tokens not a non-negative ``int``), ``scmc_select``
   (assignments that are not a list or tuple of 2-tuples of a ``str``
-  provider and a list or tuple of ``int`` shard indices, a shard left
-  uncovered),
+  provider and a list or tuple of ``int`` shard indices, an index outside
+  the listing, a shard left uncovered),
   ``match_products`` (a keyword not a ``str``), ``cpc_post_pubkey``,
   ``cpc_post_key`` and ``cpc_appeal`` (a malformed key, malformed evidence,
   evidence at a shard the payee is not paid for), and any other module's

@@ -330,6 +330,22 @@ def test_match_products_lists_only_confirmed_providers():
     assert s.match_products("telemetry")[0]["providers"] == [PROVIDER]
 
 
+def test_a_second_registration_or_confirmation_is_a_no_op():
+    # a second confirmation logged a second confirm_provider event
+    s = make_system()
+    data_id, _ = go_live(s)
+    stranger = address_for("t:stranger")
+    s.ssmc_register_provider(stranger, "ep", data_id)
+    s.ledger.mine_block()
+    events = len(s.ledger.events)
+    s.ssmc_register_provider(PROVIDER, "ep", data_id)
+    s.ssmc_register_provider(stranger, "ep", data_id)
+    s.ssmc_confirm_provider(SELLER, PROVIDER, data_id)
+    s.ledger.mine_block()
+    assert len(s.ledger.events) == events
+    assert s.records[data_id].providers == {PROVIDER: True, stranger: False}
+
+
 def test_unknown_data_id():
     s = make_system()
     go_live(s)
@@ -405,6 +421,17 @@ def test_select_requires_full_cover():
     order = s.scmc_place_order(CONSUMER, data_id, 48)
     with pytest.raises(InvalidInput):
         s.scmc_select(order, [(PROVIDER, [0, 1])])
+
+
+@pytest.mark.parametrize("indices, outside", [([0, 1, 2, 3, 7], 7), ([0, 1, 2, -1], -1)])
+def test_select_refuses_a_shard_index_outside_the_listing(indices, outside):
+    # refused as "shards [] unassigned" and "shards [3] unassigned"
+    s = make_system()
+    data_id, _ = go_live(s)
+    order = s.scmc_place_order(CONSUMER, data_id, 48)
+    with refused_silently(s, InvalidInput) as refusal:
+        s.scmc_select(order, [(PROVIDER, indices)])
+    assert f"shard index {outside} " in str(refusal.value)
 
 
 @pytest.mark.parametrize("assignments", [
@@ -504,6 +531,34 @@ def test_post_after_window_rejected(monkeypatch):
         s.ledger.mine_block()
     with pytest.raises(BadState):
         s.cpc_post_key(SELLER, order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, shards.master))
+
+
+def test_a_late_public_key_leaves_every_payee_a_full_window():
+    # a consumer that posted its key at the seller tranche's deadline left
+    # the seller that one block: its key post one block later was refused
+    s = make_system()
+    _, shards, order, pkg = open_escrow(s)
+    tranches = s.orders[order].tranches.values()
+    while s.ledger.height < s.orders[order].tranches[SELLER_PAYEE].deadline:
+        s.ledger.mine_block()
+    kp = crypto.pk_keygen(b"cm")
+    s.cpc_post_pubkey(CONSUMER, order, kp.public)
+    assert {t.deadline for t in tranches} == {s.ledger.height + contracts.APPEAL_WINDOW}
+    s.ledger.mine_block()
+    s.cpc_post_key(SELLER, order, SELLER_PAYEE, crypto.pk_encrypt(kp.public, shards.master))
+    provider_posts(s, order, kp, pkg.key)
+    assert all(t.wrapped_key is not None for t in tranches)
+
+
+def test_a_public_key_after_every_deadline_is_refused_and_settle_stays_open():
+    s = make_system()
+    _, _, order, _ = open_escrow(s)
+    for _ in range(contracts.APPEAL_WINDOW + 1):
+        s.ledger.mine_block()
+    with refused_silently(s, BadState):
+        s.cpc_post_pubkey(CONSUMER, order, crypto.pk_keygen(b"cm").public)
+    transfers = s.cpc_settle(order)
+    assert all(memo.startswith("refund:") or memo == "excess" for memo in transfers)
 
 
 def seller_posts(s, order, kp, master):
@@ -1017,10 +1072,11 @@ def test_a_registered_listing_cannot_delist_to_reroll_its_exposure():
 
 @contextmanager
 def refused(s, error):
-    """The block raises ``error`` and moves no token."""
+    """The block raises ``error`` and moves no token.  Yields the
+    refusal's ``ExceptionInfo``."""
     held = dict(s.ledger.balances)
-    with pytest.raises(error):
-        yield
+    with pytest.raises(error) as refusal:
+        yield refusal
     assert s.ledger.balances == held
 
 
@@ -1033,12 +1089,12 @@ def contract_state(s):
 @contextmanager
 def refused_silently(s, error):
     """The block raises ``error``, moves no token, changes no contract
-    state, and logs no event."""
+    state, and logs no event.  Yields the refusal's ``ExceptionInfo``."""
     s.ledger.mine_block()  # the next block then holds only what the block logs
     state = contract_state(s)
     events = len(s.ledger.events)
-    with refused(s, error):
-        yield
+    with refused(s, error) as refusal:
+        yield refusal
     s.ledger.mine_block()
     assert contract_state(s) == state
     assert len(s.ledger.events) == events
