@@ -4,10 +4,11 @@ Each repetition is one honest trade through ``actors.run_trade``.
 Providers serve the frames of disjoint shard ranges over loopback socket
 pairs with a per-connection bandwidth cap (default 60 MB/s; 0 means no
 cap), so adding providers shortens the transfer even on one machine.  Each
-provider sends from a thread of its own; the frames are read on the
-caller's thread, which multiplexes the connections.  Only the transfer is
-timed.  Wall-time figures are medians over the configured repetitions;
-operation counts are timing-independent.
+provider sends from a thread of its own; the caller's thread reads each
+frame whole, with blocking reads, from whichever connection ``selectors``
+reports has bytes waiting.  Only the transfer is timed.  Wall-time
+figures are medians over the configured repetitions; operation counts are
+timing-independent.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Generator
 
 from .actors import Frame, Served, run_trade
 from .crypto import seeded_bytes
@@ -118,48 +118,34 @@ def _serve(sock: socket.socket, frames: dict[int, Frame], bandwidth: int) -> Non
                     time.sleep(due - elapsed)
 
 
-def _fill(sock: socket.socket, buf: bytearray):
-    """Fill ``buf`` from the non-blocking ``sock``, yielding whenever no
-    bytes are waiting, and return it."""
-    view, got = memoryview(buf), 0
-    while got < len(view):
-        try:
-            size = sock.recv_into(view[got:])
-        except BlockingIOError:
-            yield
-            continue
-        if not size:
+def _recv(sock: socket.socket, size: int) -> bytes:
+    """The next ``size`` bytes from the blocking ``sock``."""
+    data = sock.recv(size, socket.MSG_WAITALL)
+    while len(data) < size:  # a signal cut the wait short, or end of stream
+        more = sock.recv(size - len(data), socket.MSG_WAITALL)
+        if not more:
             raise ConnectionError("peer closed mid-frame")
-        got += size
-    return buf
+        data += more
+    return data
 
 
-def _read_frames(sock: socket.socket, count: int, into: dict[int, Frame]):
-    """Read ``count`` frames from the non-blocking ``sock`` into ``into``,
-    each shard into a buffer of its own; yield whenever no bytes are
-    waiting."""
-    for _ in range(count):
-        head = yield from _fill(sock, bytearray(_HEADER.size))
-        i, j, eed_k, ed_k, length = _HEADER.unpack(head)
-        digests = bytes((yield from _fill(sock, bytearray((eed_k + ed_k) * DIGEST_SIZE))))
-        sibs = [digests[at : at + DIGEST_SIZE] for at in range(0, len(digests), DIGEST_SIZE)]
-        proofs = MerkleProof(j, tuple(sibs[:eed_k])), MerkleProof(i, tuple(sibs[eed_k:]))
-        into[i] = ((yield from _fill(sock, bytearray(length))), *proofs)
-
-
-def _receive(readers: list[tuple[socket.socket, Generator]]) -> None:
-    """Run each connection's reader whenever its socket has bytes waiting,
-    until every reader is done."""
+def _receive(readers: list[tuple[socket.socket, int, dict[int, Frame]]]) -> None:
+    """Read each connection's ``count`` frames (at least one) into its dict,
+    one whole frame at a time from whichever connection has bytes waiting."""
     with selectors.DefaultSelector() as selector:
-        for sock, reader in readers:
-            sock.setblocking(False)
-            selector.register(sock, selectors.EVENT_READ, reader)
+        for sock, count, into in readers:
+            selector.register(sock, selectors.EVENT_READ, [count, into])
         while selector.get_map():
             for key, _ in selector.select():
-                try:
-                    next(key.data)
-                except StopIteration:
-                    selector.unregister(key.fileobj)
+                sock, (left, into) = key.fileobj, key.data
+                i, j, eed_k, ed_k, length = _HEADER.unpack(_recv(sock, _HEADER.size))
+                digests = _recv(sock, (eed_k + ed_k) * DIGEST_SIZE)
+                sibs = [digests[at : at + DIGEST_SIZE] for at in range(0, len(digests), DIGEST_SIZE)]
+                proofs = MerkleProof(j, tuple(sibs[:eed_k])), MerkleProof(i, tuple(sibs[eed_k:]))
+                into[i] = (_recv(sock, length), *proofs)
+                key.data[0] = left - 1
+                if left == 1:
+                    selector.unregister(sock)
 
 
 def _deliver(bandwidth: int, times: list[float], served: Served) -> Served:
@@ -167,10 +153,12 @@ def _deliver(bandwidth: int, times: list[float], served: Served) -> Served:
     parallel, and append the transfer's wall time to ``times``.
 
     One thread per provider sends its frames, taking each out of its dict
-    in ``served`` as it is sent; this thread reads every connection, so the
-    received frames are allocated where the sent ones were freed.  The
-    first error, in sending or in reading, is raised here once every
-    sending thread has ended."""
+    in ``served`` as it is sent; this thread reads each frame whole from
+    whichever connection has bytes waiting, so the received frames are
+    allocated where the sent ones were freed, interleaved across providers
+    in arrival order.  A peer that closes mid-frame raises
+    ``ConnectionError``.  The first error, in sending or in reading, is
+    raised here once every sending thread has ended."""
     errors: list[Exception] = []
 
     def send(sock, frames):
@@ -185,8 +173,7 @@ def _deliver(bandwidth: int, times: list[float], served: Served) -> Served:
     pairs = [socket.socketpair() for _ in served]
     # the frame counts are taken before the senders start emptying ``served``
     readers = [
-        (right, _read_frames(right, len(frames), into))
-        for (_, right), frames, into in zip(pairs, served, received)
+        (right, len(frames), into) for (_, right), frames, into in zip(pairs, served, received)
     ]
     threads = [
         threading.Thread(target=send, args=(left, frames))

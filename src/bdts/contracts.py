@@ -293,7 +293,14 @@ class ContractSystem:
         data_id: str,
         pieces: list[tuple[int, bytes, MerkleProof, MerkleProof, bytes]],
     ) -> str:
-        """pieces: (index, plaintext shard, proof vs r_d, proof vs r_ed, encrypted shard)."""
+        """pieces: (index, plaintext shard, proof vs r_d, proof vs r_ed, encrypted shard).
+
+        The plagiarism index keys each exposed plaintext shard by its leaf
+        digest, so it catches an aligned copy of another seller's listing
+        only when the two exposures draw an unchanged shard in common.  It
+        never catches a copy shifted by one byte or cut at another slot:
+        every shard then differs, and catching it would need
+        content-defined chunking, as in LBFS."""
         if not (isinstance(pieces, (list, tuple)) and all(map(_well_formed_piece, pieces))):
             raise InvalidInput("each piece is an int index, bytes, two Merkle proofs and bytes")
         rec = self._record(data_id, REGISTERED)

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -216,6 +217,33 @@ def test_peer_closed_mid_frame_is_raised_and_no_thread_outlives_it(monkeypatch):
     with pytest.raises(ConnectionError, match="peer closed mid-frame"):
         within(60, lambda: bench._deliver(0, [], [{0: frame}, {1: frame}]))
     assert threading.enumerate() == before
+
+
+class HalfSocket:
+    """Stands in for a socket whose ``recv`` returns at most half of what it
+    is asked for, rounded up, as ``MSG_WAITALL`` does when a signal cuts the
+    wait short."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def recv(self, size, flags):
+        assert flags == socket.MSG_WAITALL
+        half = (size + 1) // 2
+        got, self.data = self.data[:half], self.data[half:]
+        return got
+
+
+def test_recv_reads_on_after_a_short_read():
+    sock = HalfSocket(bytes(range(200)))
+    assert bench._recv(sock, 150) == bytes(range(150))
+    assert bench._recv(sock, 0) == b""
+    assert bench._recv(sock, 50) == bytes(range(150, 200))
+
+
+def test_recv_raises_at_end_of_stream_mid_read():
+    with pytest.raises(ConnectionError, match="peer closed mid-frame"):
+        bench._recv(HalfSocket(bytes(99)), 100)
 
 
 def test_dev_mode_run_is_clean():

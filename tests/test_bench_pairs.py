@@ -16,11 +16,17 @@ END_TO_END = [
 ]
 
 
-def run(side, pair, setup_s, op_ms_p90, failed=0, rss=300.0, faults=80_000):
+VERSIONS = {"python": "3.11.7", "cryptography": "48.0.0"}
+
+
+def run(side, pair, setup_s, op_ms_p90, failed=0, rss=300.0, faults=80_000, user=40.0,
+        sys=5.0, digest="801ecbe3f62efc83", sha256=500.0, versions=VERSIONS):
     return {"side": side, "pair": pair, "returncode": 1 if failed else 0,
             "attempted": 100, "failed": failed,
             "metrics": {"setup_s": setup_s, "op_ms_p90": op_ms_p90},
-            "peak_rss_mib": rss, "minor_faults": faults}
+            "peak_rss_mib": rss, "minor_faults": faults, "user_s": user, "sys_s": sys,
+            "op_counts_digest": digest, "host": {"sha256_mib_s": sha256, "nproc": 2},
+            "versions": versions}
 
 
 def runs(parent, change, change_run=None):
@@ -67,6 +73,31 @@ def test_summary_keeps_peak_rss_and_minor_faults():
         END_TO_END)
     assert summary["parent"]["peak_rss_mib"]["median"] == 300.0
     assert summary["change"]["minor_faults"]["median"] == 60_000
+
+
+def test_summary_keeps_cpu_time_host_calibration_digest_and_versions():
+    summary = bench_pairs.summarise(
+        runs([(1.0, 10.0)] * 3, [(1.0, 10.0)] * 3, change_run={"user": 30.0, "sys": 6.0,
+                                                                "sha256": 400.0}),
+        END_TO_END)
+    assert summary["parent"]["user_s"]["median"] == 40.0
+    assert summary["change"]["sys_s"] == {"min": 6.0, "q1": 6.0, "median": 6.0, "q3": 6.0}
+    assert summary["change"]["host"] == {
+        "sha256_mib_s": {"min": 400.0, "q1": 400.0, "median": 400.0, "q3": 400.0},
+        "nproc": {"min": 2, "q1": 2, "median": 2, "q3": 2},
+    }
+    for side in bench_pairs.SIDES:
+        assert summary[side]["op_counts_digest"] == "801ecbe3f62efc83"
+        assert summary[side]["versions"] == VERSIONS
+
+
+@pytest.mark.parametrize("field, other", [("digest", "02372d30d516b091"),
+                                          ("versions", {**VERSIONS, "python": "3.12.0"})])
+def test_summary_refuses_a_side_whose_runs_disagree(field, other):
+    records = runs([(1.0, 10.0)] * 2, [(1.0, 10.0)] * 2)
+    records[-1] = run(records[-1]["side"], 1, 1.0, 10.0, **{field: other})
+    with pytest.raises(ValueError, match="different"):
+        bench_pairs.summarise(records, END_TO_END)
 
 
 def test_a_higher_is_better_metric_is_won_by_the_higher_value():

@@ -292,6 +292,31 @@ def test_a_seller_can_list_its_own_delisted_data_again(monkeypatch):
     assert set(s.exposed_piece_index.values()) == {relisted}
 
 
+def test_a_copy_shifted_by_one_byte_is_never_caught():
+    # the plagiarism index keys exposed shards by digest, and shifting the
+    # data by one byte changes every shard; the copier's self-transfers
+    # before it registers vary its exposure draw, since the indices depend
+    # only on the ledger's events
+    data = b"".join(hashlib.sha256(bytes([i])).digest() for i in range(16))  # 8 x 64 bytes
+    shifted = data[-1:] + data[:-1]
+    draws = []
+    for transfers in range(10):
+        s = make_system()
+        original, _ = go_live(s, data=data, n=8)
+        for _ in range(transfers):
+            s.ledger.transfer(PROVIDER, PROVIDER, 1)
+        copied, shards = register(s, data=shifted, n=8, seller=PROVIDER)
+        draws.append(s.expected_exposure_indices(copied))
+        expose(s, copied, shards)
+        s.ssmc_register_provider(CONSUMER, "ep", copied)
+        s.ssmc_confirm_provider(PROVIDER, CONSUMER, copied)
+        assert s.records[copied].status == LIVE
+        assert s.records[original].status == LIVE
+    exposed = set(s.expected_exposure_indices(original))
+    assert len(set(map(tuple, draws))) > 1
+    assert any(exposed & set(draw) for draw in draws)  # same slots, other bytes
+
+
 def test_confirm_requires_seller():
     s = make_system()
     data_id, shards = register(s)
